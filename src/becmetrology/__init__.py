@@ -27,7 +27,7 @@ from .thomas_fermi import (PhaseDynamics, TFProfile, fringe_probabilities,
                            phase_dynamics, tf_profile)
 from .gp import (ConvergenceError, EvolutionRecord, Field, Grid,
                  GroundStateResult, StepSizeError, eta_sweep, evolve_two_mode,
-                 ground_state, load_field, loss_budget, save_field)
+                 ground_state, ground_states, load_field, loss_budget, save_field)
 from .counting import (CountingNoise, MonteCarloResult, NumberPrior,
                        QuantumSignalModel, corrected_moments,
                        corrected_uncertainty, posterior_n0, ramsey_model,

@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 configuration error, 3 solver non-convergence.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import math
 import os
@@ -61,7 +60,7 @@ class RunConfig:
     counting_n: int = 400
     trials: int = 100_000
     seed: int = 20240901
-    threads: int = 1
+    threads: int = 1  # accepted and recorded for compatibility; unused
 
     def trap(self) -> TrapGeometry:
         return trap_from_lengths(self.trap_d, self.trap_q, self.rho0, self.r0,
@@ -168,13 +167,6 @@ def _header(cfg: RunConfig, command: str) -> list[str]:
     return lines
 
 
-def _parallel_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # --- subcommands -----------------------------------------------------------
 
 def cmd_bounds(cfg: RunConfig, out_dir: str) -> list[str]:
@@ -278,20 +270,13 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> list[str]:
     crit = scaling.critical_numbers(geom, species.a11)
     n_list = [1.0 + y * (crit.n_lower - 1.0) for y in sorted(cfg.n_over_nl)]
 
-    def solve(n):
-        grid = gp.default_grid(geom, species, n, points=cfg.grid_points,
-                               extent_factor=cfg.grid_extent_factor)
-        return gp.ground_state(geom, species, n, grid)
-
-    results = _parallel_map(solve, n_list, cfg.threads)
+    grids = [gp.default_grid(geom, species, n, points=cfg.grid_points,
+                             extent_factor=cfg.grid_extent_factor) for n in n_list]
+    results = gp.ground_states(geom, species, n_list, grids)
+    slopes = gp.local_log_slopes(n_list, [res.eta_n for res in results])
     eta_rows = []
-    for i, (n, res) in enumerate(zip(n_list, results)):
+    for n, res, slope in zip(n_list, results, slopes):
         eta_tf_val = tf.tf_profile(geom, species, n, scaling.Regime.INTERMEDIATE).eta_N
-        if 0 < i < len(n_list) - 1:
-            slope = (math.log(results[i + 1].eta_n) - math.log(results[i - 1].eta_n)) / \
-                    (math.log(n_list[i + 1] - 1.0) - math.log(n_list[i - 1] - 1.0))
-        else:
-            slope = math.nan
         eta_rows.append((n, (n - 1.0) / (crit.n_lower - 1.0), res.eta_n, eta_tf_val,
                          res.eta_n / eta_tf_val - 1.0, slope, res.mu, res.residual))
     eta_path = os.path.join(out_dir, "eta_sweep.csv")
@@ -367,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="key-value configuration file")
     parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
     parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument("--threads", type=int, help="parallel workers for sweeps")
+    parser.add_argument("--threads", type=int,
+                        help="accepted for compatibility and recorded in the output "
+                             "headers; has no effect (sweeps are solved as one batch)")
     parser.add_argument("--preset", choices=sorted(SPECIES_PRESETS),
                         help="species preset override")
     return parser

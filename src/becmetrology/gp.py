@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .physconfig import (SI, PhysicalConstants, Species, Superposition,
                          TrapGeometry, coupling_constant, differential_coupling)
@@ -118,178 +118,200 @@ def default_grid(geom: TrapGeometry, species: Species, n_atoms: float,
     return Grid(dimension=geom.d, points=points, extent=extent)
 
 
-def _energies_1d(psi, V, geff, dx, kx, hb, mass):
-    dens = np.abs(psi) ** 2
-    grad = np.fft.ifft(1j * kx * np.fft.fft(psi))
-    e_kin = hb**2 / (2.0 * mass) * float(np.sum(np.abs(grad) ** 2)) * dx
-    e_pot = float(np.sum(V * dens)) * dx
-    e_int = 0.5 * geff * float(np.sum(dens**2)) * dx
-    return e_kin, e_pot, e_int
-
-
 _DTAU_LADDER = (1.0, 0.25, 0.0625)  # successive step reductions kill the Trotter bias
+_CHECK_EVERY = 50
 
 
-def _ground_state_1d(geom, V, geff, grid, tolerance, max_steps, constants):
-    hb, mass = constants.hbar, geom.mass
-    dx = grid.spacing
-    kx = 2.0 * math.pi * np.fft.fftfreq(grid.points, dx)
-    # TF-shaped guess where interactions dominate, Gaussian otherwise
-    mu_guess = max(float(np.percentile(V, 30)), hb * geom.omega_L)
-    psi = np.sqrt(np.maximum(mu_guess - V, 0.0) + 1e-3 * mu_guess).astype(complex)
-    psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dx)
-    e_kin, e_pot, e_int = _energies_1d(psi, V, geff, dx, kx, hb, mass)
-    energy = e_kin + e_pot + e_int
-    dtau0 = 0.05 * hb / energy
-    check_every = 50
-    residual = math.inf
-    step = 0
-    for rung in _DTAU_LADDER:
-        dtau = dtau0 * rung
-        kin_factor = np.exp(-(hb * kx**2 / (2.0 * mass)) * dtau)
-        converged = False
-        while not converged:
-            for _ in range(check_every):
-                psi *= np.exp(-0.5 * (V + geff * np.abs(psi) ** 2) / hb * dtau)
-                psi = np.fft.ifft(kin_factor * np.fft.fft(psi))
-                psi *= np.exp(-0.5 * (V + geff * np.abs(psi) ** 2) / hb * dtau)
-                psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dx)
-            step += check_every
-            e_kin, e_pot, e_int = _energies_1d(psi, V, geff, dx, kx, hb, mass)
-            new_energy = e_kin + e_pot + e_int
-            # relative energy drift per characteristic time hbar/E
-            residual = abs(new_energy - energy) * hb / (check_every * dtau * new_energy**2)
-            energy = new_energy
-            converged = residual < tolerance
-            if step >= max_steps and not converged:
-                raise ConvergenceError(
-                    f"no ground state after {step} imaginary-time steps "
-                    f"(residual {residual:.3e})", residual=residual)
-    return psi, e_kin + e_pot, e_int, residual, step
+def _spectral_kinetic(grids, mass, hb):
+    """1D kinetic operator T, diagonal in Fourier space (real states: real FFTs).
+
+    Returns apply(psi) = T psi and propagator(dtau), the exact step
+    psi -> exp(-T dtau / hbar) psi, for a batch with one row per grid.
+    """
+    points = grids[0].points
+    t_k = np.array([hb**2 / (2.0 * mass) * (2.0 * math.pi * np.fft.rfftfreq(points, g.spacing))**2
+                    for g in grids])
+
+    def propagator(dtau):
+        factor = np.exp(-t_k / hb * dtau[:, None])
+        return lambda psi: np.fft.irfft(factor * np.fft.rfft(psi), n=points)
+
+    return (lambda psi: np.fft.irfft(t_k * np.fft.rfft(psi), n=points)), propagator
 
 
-def _radial_kinetic_banded(grid: Grid, mass: float, hb: float):
-    """Tridiagonal FD form of -(hbar^2/2m) (1/r^(d-1)) d/dr (r^(d-1) d/dr)."""
-    d, dr = grid.dimension, grid.spacing
-    r = grid.coordinates()
+def _radial_kinetic(grids, mass, hb):
+    """2D/3D kinetic operator T as the tridiagonal FD form of -(hbar^2/2m)
+    (1/r^(d-1)) d/dr (r^(d-1) d/dr); _spectral_kinetic's contract, Crank-Nicolson steps."""
+    d = grids[0].dimension
+    r = np.array([g.coordinates() for g in grids])
+    dr = np.array([[g.spacing] for g in grids])
     a_plus = (r + 0.5 * dr) ** (d - 1)
     a_minus = (r - 0.5 * dr) ** (d - 1)
-    a_minus[0] = 0.0  # regularity at the origin
+    a_minus[:, 0] = 0.0  # regularity at the origin
     c = hb**2 / (2.0 * mass * dr**2)
     diag = c * (a_plus + a_minus) / r ** (d - 1)
-    upper = -c * a_plus[:-1] / r[:-1] ** (d - 1)
-    lower = -c * a_minus[1:] / r[1:] ** (d - 1)
-    return diag, upper, lower
+    upper = -c * a_plus[:, :-1] / r[:, :-1] ** (d - 1)
+    lower = -c * a_minus[:, 1:] / r[:, 1:] ** (d - 1)
 
-
-def _ground_state_radial(geom, V, geff, grid, tolerance, max_steps, constants):
-    hb, mass = constants.hbar, geom.mass
-    r, w = grid.coordinates(), grid.weights()
-    diag, upper, lower = _radial_kinetic_banded(grid, mass, hb)
-
-    def apply_kinetic(psi):
+    def apply(psi):
         out = diag * psi
-        out[:-1] += upper * psi[1:]
-        out[1:] += lower * psi[:-1]
+        out[:, :-1] += upper * psi[:, 1:]
+        out[:, 1:] += lower * psi[:, :-1]
         return out
 
-    mu_guess = max(float(np.percentile(V, 30)), hb * geom.omega_L)
-    psi = np.sqrt(np.maximum(mu_guess - V, 0.0) + 1e-3 * mu_guess).astype(complex)
-    psi /= math.sqrt(float(np.sum(w * np.abs(psi) ** 2)))
+    def propagator(dtau):
+        half = (0.5 * dtau / hb)[:, None]
 
-    def energies(psi):
-        dens = np.abs(psi) ** 2
-        e_kin = float(np.real(np.sum(w * np.conj(psi) * apply_kinetic(psi))))
-        e_pot = float(np.sum(w * V * dens))
-        e_int = 0.5 * geff * float(np.sum(w * dens**2))
-        return e_kin, e_pot, e_int
+        def off_band(band):  # the zero at each row's end decouples it from the next
+            return np.pad(half * band, ((0, 0), (0, 1))).ravel()[:-1]
 
-    e_kin, e_pot, e_int = energies(psi)
-    energy = e_kin + e_pot + e_int
+        # the implicit half of every row's step, factored once per rung
+        *factors, info = lapack.dgttrf(off_band(lower), (1.0 + half * diag).ravel(),
+                                       off_band(upper))
+        if info:
+            raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
+        return lambda psi: lapack.dgttrs(*factors, (psi - half * apply(psi)).ravel())[0] \
+            .reshape(psi.shape)
+
+    return apply, propagator
+
+
+def _relax(kinetic, V, w, geff, n_list, e_floor, tolerance, max_steps, hb):
+    """Normalized gradient flow (Bao & Du 2004) for a batch of real ground states.
+
+    Row i of V and w (potential, integration measure) and geff belongs to
+    atom number n_list[i]; kinetic(rows) gives (apply, propagator) for those
+    rows.  Rows step together; each keeps its own Delta-tau rung, step count
+    and residual, and leaves once it converges on the last.
+    """
+    def energies(psi, rows, apply_kinetic):
+        dens = psi**2
+        e0 = np.sum(w[rows] * (psi * apply_kinetic(psi) + V[rows] * dens), axis=1)
+        return e0, 0.5 * geff[rows] * np.sum(w[rows] * dens**2, axis=1)
+
+    # TF-shaped guess where interactions dominate, Gaussian otherwise
+    mu_guess = np.maximum(np.percentile(V, 30, axis=1), e_floor)[:, None]
+    psi = np.sqrt(np.maximum(mu_guess - V, 0.0) + 1e-3 * mu_guess)
+    psi /= np.sqrt(np.sum(w * psi**2, axis=1))[:, None]
+    active = np.arange(len(V))
+    e0, e_int = energies(psi, active, kinetic(active)[0])
+    energy = e0 + e_int
     dtau0 = 0.05 * hb / energy
-    check_every = 50
-    residual = math.inf
-    step = 0
-    for rung in _DTAU_LADDER:
-        dtau = dtau0 * rung
-        ab = np.zeros((3, grid.points))
-        ab[0, 1:] = 0.5 * dtau / hb * upper
-        ab[1, :] = 1.0 + 0.5 * dtau / hb * diag
-        ab[2, :-1] = 0.5 * dtau / hb * lower
-        converged = False
-        while not converged:
-            for _ in range(check_every):
-                psi *= np.exp(-0.5 * (V + geff * np.abs(psi) ** 2) / hb * dtau)
-                rhs = psi - 0.5 * dtau / hb * apply_kinetic(psi)
-                psi = solve_banded((1, 1), ab, rhs)
-                psi *= np.exp(-0.5 * (V + geff * np.abs(psi) ** 2) / hb * dtau)
-                psi /= math.sqrt(float(np.sum(w * np.abs(psi) ** 2)))
-            step += check_every
-            e_kin, e_pot, e_int = energies(psi)
-            new_energy = e_kin + e_pot + e_int
-            residual = abs(new_energy - energy) * hb / (check_every * dtau * new_energy**2)
-            energy = new_energy
-            converged = residual < tolerance
-            if step >= max_steps and not converged:
+    rung = np.zeros(len(V), dtype=int)
+    steps = np.zeros(len(V), dtype=int)
+    residual = np.full(len(V), math.inf)
+    result = np.empty_like(psi)
+    while active.size:
+        dtau = dtau0[active] * np.take(_DTAU_LADDER, rung[active])
+        apply_kinetic, propagator = kinetic(active)
+        kinetic_step = propagator(dtau)
+        half = -0.5 * dtau[:, None] / hb
+        hv, hg, wa = half * V[active], half * geff[active, None], w[active]
+        converged = np.zeros(active.size, dtype=bool)
+        while not converged.any():
+            for _ in range(_CHECK_EVERY):
+                psi *= np.exp(hv + hg * psi**2)
+                psi = kinetic_step(psi)
+                psi *= np.exp(hv + hg * psi**2)
+                psi /= np.sqrt(np.sum(wa * psi**2, axis=1))[:, None]
+            steps[active] += _CHECK_EVERY
+            e0[active], e_int[active] = energies(psi, active, apply_kinetic)
+            new_energy = e0[active] + e_int[active]
+            # relative energy drift per characteristic time hbar/E
+            residual[active] = np.abs(new_energy - energy[active]) * hb \
+                / (_CHECK_EVERY * dtau * new_energy**2)
+            energy[active] = new_energy
+            converged = residual[active] < tolerance
+            failed = active[~converged & (steps[active] >= max_steps)]
+            if failed.size:
+                i = failed[0]
                 raise ConvergenceError(
-                    f"no ground state after {step} imaginary-time steps "
-                    f"(residual {residual:.3e})", residual=residual)
-    return psi, e_kin + e_pot, e_int, residual, step
+                    f"N = {n_list[i]:.6g}: no ground state after {steps[i]} "
+                    f"imaginary-time steps (residual {residual[i]:.3e})",
+                    residual=float(residual[i]))
+        rung[active[converged]] += 1
+        done = rung[active] == len(_DTAU_LADDER)
+        result[active[done]] = psi[done]
+        psi, active = psi[~done], active[~done]
+    return result, e0, e_int, residual, steps
+
+
+def ground_states(geom: TrapGeometry, species: Species, n_list,
+                  grids=None, tolerance: float = 1e-10, max_steps: int = 400_000,
+                  constants: PhysicalConstants = SI) -> list[GroundStateResult]:
+    """Imaginary-time ground states of the reduced longitudinal GP equation.
+
+    All atom numbers relax together as rows of one real array, on one grid
+    each (default_grid when None; one point count).  Each state is renormalized
+    after every step; convergence is declared per atom number when the relative
+    energy drift per characteristic time hbar/E falls below tolerance.  N = 1
+    turns the interaction off and recovers the bare trap ground state.
+    """
+    n_list = list(n_list)
+    g = coupling_constant(species.a11, species.mass, constants)
+    eta_t = eta_transverse(geom)
+    geff = np.array([g * (n - 1.0) * eta_t for n in n_list])
+    if np.any(geff < 0):
+        raise ValueError("attractive interactions are not supported")
+    grids = [default_grid(geom, species, n) for n in n_list] if grids is None else list(grids)
+    if len(grids) != len(n_list):
+        raise ValueError("need one grid per atom number")
+    if not n_list:
+        return []
+    if any((grid.dimension, grid.points) != (geom.d, grids[0].points) for grid in grids):
+        raise ValueError("grid dimension does not match the trap geometry, "
+                         "or the grids differ in point count")
+    V = np.array([_potential(geom, grid.coordinates()) for grid in grids])
+
+    n_lower = critical_numbers(geom, species.a11).n_lower
+    for n, grid in zip(n_list, grids):
+        if n <= max(1.0, n_lower):
+            continue
+        r_tf = tf_profile(geom, species, n, Regime.INTERMEDIATE,
+                          constants=constants).r_tilde
+        if grid.extent < 1.5 * r_tf:
+            warnings.warn(f"N = {n:.6g}: grid extent is below 1.5x the TF radius; "
+                          "the cloud may be clipped", stacklevel=2)
+        mu_tf = 0.5 * geom.k * r_tf**geom.q
+        healing = constants.hbar / math.sqrt(2.0 * geom.mass * mu_tf)
+        if grid.spacing > healing:
+            warnings.warn(f"N = {n:.6g}: grid spacing does not resolve the healing "
+                          "length", stacklevel=2)
+
+    hb = constants.hbar
+    w = np.array([grid.weights() for grid in grids])
+    kinetic = _spectral_kinetic if geom.d == 1 else _radial_kinetic
+    psi, e0, e_int, residual, steps = _relax(
+        lambda rows: kinetic([grids[i] for i in rows], geom.mass, hb),
+        V, w, geff, n_list, hb * geom.omega_L, tolerance, max_steps, hb)
+    eta_l = np.sum(w * psi**4, axis=1)
+    mu = e0 + 2.0 * e_int
+    mu_offset = geom.transverse_dimensions * hb * geom.omega_T / 2.0
+    return [GroundStateResult(field=Field(grid=grid, values=psi[i].astype(complex),
+                                          n_atoms=n),
+                              mu=float(mu[i]), mu_total=float(mu[i] + mu_offset),
+                              e0=float(e0[i]), eta_longitudinal=float(eta_l[i]),
+                              eta_n=float(eta_t * eta_l[i]),
+                              residual=float(residual[i]), steps=int(steps[i]))
+            for i, (n, grid) in enumerate(zip(n_list, grids))]
 
 
 def ground_state(geom: TrapGeometry, species: Species, n_atoms: float,
                  grid: Grid | None = None, tolerance: float = 1e-10,
                  max_steps: int = 400_000,
                  constants: PhysicalConstants = SI) -> GroundStateResult:
-    """Imaginary-time ground state of the reduced longitudinal GP equation.
+    """Imaginary-time ground state for one atom number; see ground_states."""
+    return ground_states(geom, species, [n_atoms], None if grid is None else [grid],
+                         tolerance, max_steps, constants)[0]
 
-    The state is renormalized after every step; convergence is declared when
-    the relative energy drift per characteristic time hbar/E falls below
-    tolerance.  N = 1 turns the interaction off and recovers the bare trap
-    ground state.
-    """
-    g = coupling_constant(species.a11, species.mass, constants)
-    geff = g * (n_atoms - 1.0) * eta_transverse(geom)
-    if geff < 0:
-        raise ValueError("attractive interactions are not supported")
-    if grid is None:
-        grid = default_grid(geom, species, n_atoms)
-    if grid.dimension != geom.d:
-        raise ValueError("grid dimension does not match the trap geometry")
-    x = grid.coordinates()
-    V = _potential(geom, x)
 
-    if n_atoms > 1:
-        crit = critical_numbers(geom, species.a11)
-        if n_atoms > crit.n_lower:
-            r_tf = tf_profile(geom, species, n_atoms, Regime.INTERMEDIATE,
-                              constants=constants).r_tilde
-            if grid.extent < 1.5 * r_tf:
-                warnings.warn("grid extent is below 1.5x the TF radius; the cloud "
-                              "may be clipped", stacklevel=2)
-            mu_tf = 0.5 * geom.k * r_tf**geom.q
-            healing = constants.hbar / math.sqrt(2.0 * geom.mass * mu_tf)
-            if grid.spacing > healing:
-                warnings.warn("grid spacing does not resolve the healing length",
-                              stacklevel=2)
-
-    if geom.d == 1:
-        psi, e0, e_int, residual, steps = _ground_state_1d(
-            geom, V, geff, grid, tolerance, max_steps, constants)
-    else:
-        psi, e0, e_int, residual, steps = _ground_state_radial(
-            geom, V, geff, grid, tolerance, max_steps, constants)
-
-    w = grid.weights()
-    dens = np.abs(psi) ** 2
-    eta_l = float(np.sum(w * dens**2))
-    eta_t = eta_transverse(geom)
-    mu = e0 + 2.0 * e_int
-    mu_total = mu + geom.transverse_dimensions * constants.hbar * geom.omega_T / 2.0
-    return GroundStateResult(field=Field(grid=grid, values=psi, n_atoms=n_atoms),
-                             mu=mu, mu_total=mu_total, e0=e0,
-                             eta_longitudinal=eta_l, eta_n=eta_t * eta_l,
-                             residual=residual, steps=steps)
+def local_log_slopes(n_list, etas) -> list[float]:
+    """Centered-difference slopes of ln(eta) against ln(N-1); nan at both ends."""
+    slopes = [math.nan] * len(etas)
+    for i in range(1, len(etas) - 1):
+        slopes[i] = (math.log(etas[i + 1]) - math.log(etas[i - 1])) / \
+            (math.log(n_list[i + 1] - 1.0) - math.log(n_list[i - 1] - 1.0))
+    return slopes
 
 
 def eta_sweep(geom: TrapGeometry, species: Species, n_list,
@@ -303,20 +325,10 @@ def eta_sweep(geom: TrapGeometry, species: Species, n_list,
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("atom numbers must be strictly ascending")
-    etas = []
-    for n in n_list:
-        grid = default_grid(geom, species, n, points=points)
-        etas.append(ground_state(geom, species, n, grid, tolerance,
-                                 constants=constants).eta_n)
-    rows = []
-    for i, (n, eta) in enumerate(zip(n_list, etas)):
-        if 0 < i < len(n_list) - 1:
-            slope = (math.log(etas[i + 1]) - math.log(etas[i - 1])) / \
-                    (math.log(n_list[i + 1] - 1.0) - math.log(n_list[i - 1] - 1.0))
-        else:
-            slope = math.nan
-        rows.append((n, eta, slope))
-    return rows
+    grids = [default_grid(geom, species, n, points=points) for n in n_list]
+    etas = [res.eta_n for res in ground_states(geom, species, n_list, grids, tolerance,
+                                               constants=constants)]
+    return list(zip(n_list, etas, local_log_slopes(n_list, etas)))
 
 
 @dataclass(frozen=True)

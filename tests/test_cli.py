@@ -163,7 +163,7 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise gp.ConvergenceError("nope", residual=1.0)
 
-    monkeypatch.setattr(cli.gp, "ground_state", explode)
+    monkeypatch.setattr(cli.gp, "ground_states", explode)
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("[sweep]\nn_over_nl = 100 180 320\n")
     assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
