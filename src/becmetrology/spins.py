@@ -6,6 +6,11 @@ large N.  Everything here works directly on that amplitude vector: state
 preparation, rotations, diagonal evolutions, moments, Fisher information,
 and the Cramer-Rao / quantum-noise-limit / Heisenberg bounds.
 
+The simulated protocols read out in the Heisenberg picture: a closing
+rotation is folded into the measured observable (J_z after R_y(-pi/2) is
+J_x before it), so every protocol costs O(N) time and memory and N = 10^6
+runs in about a second.  Only the explicit `rotate` builds a dense basis.
+
 Couplings are expressed as angular rates (the energy divided by hbar), so a
 coupling gamma evolved for time t advances phases by gamma*t.
 """
@@ -14,12 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .physconfig import Superposition
 
@@ -74,7 +77,6 @@ class SpectrumBound:
 @dataclass(frozen=True)
 class SensitivityResult:
     delta_gamma: float
-    scaling_exponent_estimate: float | None = None
 
 
 def generator_eigenvalues(ham: CollectiveHamiltonian, n_atoms: int) -> np.ndarray:
@@ -93,17 +95,21 @@ def prepare_product(n_atoms: int, sup: Superposition) -> DickeState:
     """Product state (c1|0> + c2|1>)^N expanded over the collective ladder.
 
     Binomial amplitudes are assembled in log space so this stays finite for
-    N far beyond the overflow point of the raw binomial coefficients.
+    N far beyond the overflow point of the raw binomial coefficients.  Summing
+    neighbour log-ratios outward from the binomial peak keeps the rounding
+    small where the weight is (differenced gammaln values lose ~1e-9 at N = 10^6).
     """
     if n_atoms < 1:
         raise ValueError("need at least one atom")
     n_up = np.arange(n_atoms + 1)  # atoms in |0>, carrying c1
-    log_binom = 0.5 * (gammaln(n_atoms + 1) - gammaln(n_up + 1) - gammaln(n_atoms - n_up + 1))
     with np.errstate(divide="ignore"):
-        log_c1 = np.where(n_up > 0, n_up * np.log(np.abs(sup.c1) + 1e-300), 0.0)
-        log_c2 = np.where(n_atoms - n_up > 0,
-                          (n_atoms - n_up) * np.log(np.abs(sup.c2) + 1e-300), 0.0)
-    amp = np.exp(log_binom + log_c1 + log_c2)
+        log_ratio = np.log(abs(sup.c1)) - np.log(abs(sup.c2))  # +-inf if one is 0
+    steps = 0.5 * (np.log(n_atoms - n_up[:-1]) - np.log(n_up[1:])) + log_ratio
+    peak = min(int((n_atoms + 1) * sup.c1**2), n_atoms)
+    log_amp = np.zeros(n_atoms + 1)
+    log_amp[peak + 1:] = np.cumsum(steps[peak:])
+    log_amp[:peak] = -np.cumsum(steps[:peak][::-1])[::-1]
+    amp = np.exp(log_amp)
     amp *= np.sign(sup.c1) ** n_up * np.sign(sup.c2) ** (n_atoms - n_up)
     amp = amp.astype(complex)
     amp /= np.linalg.norm(amp)
@@ -142,43 +148,41 @@ def _apply_component(values: np.ndarray, n_atoms: int, component: str) -> np.nda
     raise ValueError(f"unknown spin component {component!r}")
 
 
+def _spread(p: np.ndarray, h: np.ndarray) -> float:
+    """Two-pass variance sum p (h - <h>)^2 of a diagonal generator."""
+    return float(np.dot(p, (h - np.dot(p, h)) ** 2))
+
+
+def _moments(values: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
+    """Mean and two-pass variance ||(A - <A>) psi||^2 from psi and A psi."""
+    mean = np.vdot(values, applied).real
+    dev = applied - mean * values
+    return mean, np.vdot(dev, dev).real
+
+
 def expectation(state: DickeState, component: str) -> tuple[float, float]:
     """Exact (mean, variance) of a collective spin component."""
-    av = _apply_component(state.amplitudes, state.n_atoms, component)
-    mean = np.vdot(state.amplitudes, av).real
-    second = np.vdot(av, av).real
-    return mean, max(second - mean**2, 0.0)
-
-
-@lru_cache(maxsize=8)
-def _jx_eigensystem(n_atoms: int):
-    off = 0.5 * _ladder_coeffs(n_atoms)
-    return eigh_tridiagonal(np.zeros(n_atoms + 1), off)
-
-
-def _rotate_values(values: np.ndarray, n_atoms: int, axis: str, angle: float) -> np.ndarray:
-    m = np.arange(n_atoms + 1) - n_atoms / 2.0
-    if axis == "z":
-        return np.exp(-1j * angle * m) * values
-    w, v = _jx_eigensystem(n_atoms)
-    if axis == "x":
-        return v @ (np.exp(-1j * angle * w) * (v.T @ values))
-    if axis == "y":
-        # J_y = R J_x R^dagger with R the quarter turn about z
-        quarter = np.exp(-1j * (math.pi / 2.0) * m)
-        inner = np.conj(quarter) * values
-        inner = v @ (np.exp(-1j * angle * w) * (v.T @ inner))
-        return quarter * inner
-    raise ValueError(f"unknown rotation axis {axis!r}")
+    return _moments(state.amplitudes, _apply_component(state.amplitudes, state.n_atoms, component))
 
 
 def rotate(state: DickeState, axis: str, angle: float) -> DickeState:
     """Apply exp(-i angle J_axis) in the spin-N/2 representation.
 
-    z-rotations are diagonal; x and y go through a cached dense eigensystem of
-    the ladder coupling, so their memory cost scales as (N+1)^2.
+    z-rotations are diagonal; x and y go through a dense eigensystem of the
+    ladder coupling, built on every call, so they cost O(N^2) memory and
+    time.  No protocol calls this.
     """
-    return DickeState(state.n_atoms, _rotate_values(state.amplitudes, state.n_atoms, axis, angle))
+    n = state.n_atoms
+    m = np.arange(n + 1) - n / 2.0
+    if axis == "z":
+        return DickeState(n, np.exp(-1j * angle * m) * state.amplitudes)
+    if axis not in ("x", "y"):
+        raise ValueError(f"unknown rotation axis {axis!r}")
+    # J_y = R J_x R^dagger with R the quarter turn about z
+    quarter = np.exp(-1j * (math.pi / 2.0) * m) if axis == "y" else np.ones(n + 1)
+    w, v = eigh_tridiagonal(np.zeros(n + 1), 0.5 * _ladder_coeffs(n))
+    inner = v @ (np.exp(-1j * angle * w) * (v.T @ (np.conj(quarter) * state.amplitudes)))
+    return DickeState(n, quarter * inner)
 
 
 def evolve(state: DickeState, ham: CollectiveHamiltonian, gamma: float | None,
@@ -197,10 +201,7 @@ def evolve(state: DickeState, ham: CollectiveHamiltonian, gamma: float | None,
 def qfi_pure(state: DickeState, generator: CollectiveHamiltonian, t: float) -> float:
     """Quantum Fisher information 4 <Delta^2 K> of a pure state, K = t h."""
     h = generator_eigenvalues(generator, state.n_atoms)
-    p = np.abs(state.amplitudes) ** 2
-    mean = float(np.dot(p, h))
-    var = float(np.dot(p, h**2)) - mean**2
-    return 4.0 * t**2 * max(var, 0.0)
+    return 4.0 * t**2 * _spread(np.abs(state.amplitudes) ** 2, h)
 
 
 def single_qubit_purity(state: DickeState) -> float:
@@ -307,7 +308,7 @@ def ramsey_uncertainty(n_atoms: int, t: float) -> SensitivityResult:
         raise ValueError("need at least one atom")
     if t <= 0:
         raise ValueError("time must be positive")
-    return SensitivityResult(1.0 / (t * math.sqrt(n_atoms)), scaling_exponent_estimate=-0.5)
+    return SensitivityResult(1.0 / (t * math.sqrt(n_atoms)))
 
 
 def cat_signal(n_atoms: int, phi: float) -> tuple[float, float]:
@@ -321,14 +322,15 @@ def cat_uncertainty(n_atoms: int, t: float) -> SensitivityResult:
         raise ValueError("need at least one atom")
     if t <= 0:
         raise ValueError("time must be positive")
-    return SensitivityResult(1.0 / (t * n_atoms), scaling_exponent_estimate=-1.0)
+    return SensitivityResult(1.0 / (t * n_atoms))
 
 
 # --- simulated protocols ---------------------------------------------------
 #
 # Each simulation propagates the state together with its exact derivative with
 # respect to the coupling (the generators are diagonal, so the derivative is
-# available in closed form and survives subsequent rotations unchanged).
+# available in closed form).  A closing rotation is folded into the readout
+# (Heisenberg picture); it would not change the one-atom purity either.
 
 @dataclass(frozen=True)
 class ProtocolResult:
@@ -351,15 +353,12 @@ def _evolved_pair(n_atoms: int, sup: Superposition, kind: HamiltonianKind,
     phases = np.exp(-1j * gamma * t * h)
     psi = phases * state.amplitudes
     dpsi = -1j * t * h * psi
-    p = np.abs(psi) ** 2
-    var_h = float(np.dot(p, h**2)) - float(np.dot(p, h)) ** 2
-    return psi, dpsi, t * math.sqrt(max(var_h, 0.0))
+    return psi, dpsi, t * math.sqrt(_spread(np.abs(psi) ** 2, h))
 
 
 def _readout(psi, dpsi, n_atoms, observable_apply) -> tuple[float, float, float]:
     av = observable_apply(psi)
-    mean = np.vdot(psi, av).real
-    var = max(np.vdot(av, av).real - mean**2, 0.0)
+    mean, var = _moments(psi, av)
     slope = 2.0 * np.real(np.vdot(av, dpsi))
     return mean, var, slope
 
@@ -375,12 +374,10 @@ def _finish(protocol, n_atoms, gamma, t, psi, dpsi, generator_sd, observable_app
 
 def simulate_ramsey(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
     """Full product-state interferometer: equal superposition, linear evolution,
-    closing half-rotation, population-difference readout."""
+    closing half-rotation, population-difference readout (J_x before R_y(-pi/2))."""
     psi, dpsi, gsd = _evolved_pair(n_atoms, Superposition.equal(), "linear_Jz", gamma, t)
-    psi = _rotate_values(psi, n_atoms, "y", -math.pi / 2.0)
-    dpsi = _rotate_values(dpsi, n_atoms, "y", -math.pi / 2.0)
     return _finish("ramsey", n_atoms, gamma, t, psi, dpsi, gsd,
-                   lambda v: _apply_component(v, n_atoms, "z"))
+                   lambda v: _apply_component(v, n_atoms, "x"))
 
 
 def simulate_cat(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
@@ -410,10 +407,8 @@ def simulate_enhanced(n_atoms: int, gamma: float, t: float,
     if sup is None:
         sup = Superposition.equal()
     psi, dpsi, gsd = _evolved_pair(n_atoms, sup, "enhanced_NJz", gamma, t)
-    psi = _rotate_values(psi, n_atoms, "y", -math.pi / 2.0)
-    dpsi = _rotate_values(dpsi, n_atoms, "y", -math.pi / 2.0)
     return _finish("enhanced", n_atoms, gamma, t, psi, dpsi, gsd,
-                   lambda v: _apply_component(v, n_atoms, "z"))
+                   lambda v: _apply_component(v, n_atoms, "x"))
 
 
 def simulate_quadratic(n_atoms: int, gamma: float, t: float,

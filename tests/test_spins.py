@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,3 +383,38 @@ def test_mandelstam_tamm_and_crb_ordering():
         ]:
             assert res.delta_gamma >= bound - 1e-9
             assert res.delta_gamma * res.generator_sd >= 0.5 - 1e-9
+
+
+@pytest.mark.parametrize("n", [100, 1000, 4000])
+def test_protocols_stable_at_small_phase(n):
+    # variances must be two-pass: <A^2> - <A>^2 cancels to round-off at these
+    # phases and can report delta_gamma below the Cramer-Rao bound
+    t = 2.0
+    for phase in (1e-3, 1e-5, 1e-7):
+        ramsey = spins.simulate_ramsey(n, phase / t, t)
+        assert abs(ramsey.delta_gamma * t * math.sqrt(n) - 1.0) <= 1e-6
+        enhanced = spins.simulate_enhanced(n, phase / (t * n), t)
+        assert abs(enhanced.delta_gamma * t * n**1.5 - 1.0) <= 1e-6
+        for res in (ramsey, enhanced):
+            assert res.delta_gamma * res.generator_sd >= 0.5 * (1.0 - 1e-9)
+
+
+def test_protocols_memory_linear_in_n():
+    # a dense (N+1)^2 basis at this N would need terabytes
+    n = 10**6
+    tracemalloc.start()
+    try:
+        ramsey = spins.simulate_ramsey(n, 1.0, 1.0)
+        enhanced = spins.simulate_enhanced(n, 1e-9, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250e6
+    assert ramsey.delta_gamma == pytest.approx(1.0 / math.sqrt(n), rel=1e-9)
+    assert ramsey.signal_mean == pytest.approx(0.5 * n * math.cos(1.0), rel=1e-9)
+    assert ramsey.signal_variance == pytest.approx(0.25 * n * math.sin(1.0) ** 2, rel=1e-9)
+    assert enhanced.delta_gamma == pytest.approx(n**-1.5, rel=1e-9)
+    assert enhanced.signal_mean == pytest.approx(0.5 * n * math.cos(1e-3), rel=1e-9)
+    assert enhanced.signal_variance == pytest.approx(0.25 * n * math.sin(1e-3) ** 2, rel=1e-9)
+    for res in (ramsey, enhanced):
+        assert res.purity == pytest.approx(1.0, abs=1e-12)
