@@ -21,20 +21,13 @@ from dataclasses import dataclass, field, replace
 
 from . import counting as cnt
 from . import csvio, gp, scaling, spins, thomas_fermi as tf
-from .physconfig import (SI, SPECIES_PRESETS, Species, Superposition,
-                         TrapGeometry, atomic_mass, species_from_mapping,
-                         trap_from_lengths, trap_from_mapping)
-
-NM = 1e-9
-UM = 1e-6
+from .physconfig import (CM3, NM, SI, SPECIES_PRESETS, UM, Species,
+                         Superposition, TrapGeometry, atomic_mass,
+                         trap_from_lengths)
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
 
 
 @dataclass
@@ -60,7 +53,6 @@ class RunConfig:
     counting_n: int = 400
     trials: int = 100_000
     seed: int = 20240901
-    threads: int = 1  # accepted and recorded for compatibility; unused
 
     def trap(self) -> TrapGeometry:
         return trap_from_lengths(self.trap_d, self.trap_q, self.rho0, self.r0,
@@ -70,93 +62,113 @@ class RunConfig:
         return Superposition(self.c1, self.c2)
 
 
+# The configuration file format: (section, key, RunConfig attribute, SI value
+# of one file unit), in file order.  The attribute's default is the key's
+# default and fixes its type; `preset = inline` is never written, the
+# SPECIES_KEYS are written in its place.
+KEYS = (("species", "preset", "species_preset", 1.0),
+        ("trap", "d", "trap_d", 1.0),
+        ("trap", "q", "trap_q", 1.0),  # also "hard" or "hard_wall" for inf
+        ("trap", "rho0_um", "rho0", UM),
+        ("trap", "r0_um", "r0", UM),
+        ("grid", "points", "grid_points", 1.0),
+        ("grid", "extent_factor", "grid_extent_factor", 1.0),
+        ("sweep", "n_values", "n_values", 1.0),
+        ("sweep", "n_over_nl", "n_over_nl", 1.0),
+        ("sweep", "sigma_over_sqrtn", "sigma_over_sqrtn", 1.0),
+        ("sweep", "q_values", "q_values", 1.0),
+        ("sweep", "counting_n", "counting_n", 1.0),
+        ("sweep", "trials", "trials", 1.0),
+        ("protocol", "gamma", "gamma", 1.0),
+        ("protocol", "t", "t", 1.0),
+        ("protocol", "c1", "c1", 1.0),
+        ("protocol", "c2", "c2", 1.0),
+        ("protocol", "seed", "seed", 1.0))
+# Inline [species] keys: (key, Species attribute, SI value of one file unit).
+SPECIES_KEYS = (("mass_u", "mass", atomic_mass),
+                ("a11_nm", "a11", NM),
+                ("a22_nm", "a22", NM),
+                ("a12_nm", "a12", NM),
+                ("loss12_cm3_per_s", "gamma12_loss", CM3),
+                ("loss22_cm3_per_s", "gamma22_loss", CM3))
+
+
+def _format(value, unit: float) -> str:
+    if isinstance(value, list):
+        return " ".join(_format(v, unit) for v in value)
+    return repr(value / unit) if isinstance(value, float) else str(value)
+
+
+def _parse(text: str, like, unit: float):
+    """Parse text as a value of the same type as like, in file units."""
+    if isinstance(like, list):
+        return [_parse(tok, like[0], unit) for tok in text.replace(",", " ").split()]
+    if isinstance(like, float):
+        return float(text) * unit
+    return int(text) if isinstance(like, int) else text.lower()
+
+
 def config_to_text(cfg: RunConfig) -> str:
     """Canonical key-value serialization; parsing it back reproduces cfg."""
-    lines = ["[species]"]
-    if cfg.species_preset != "inline":
-        lines.append(f"preset = {cfg.species_preset}")
-    else:
-        sp = cfg.species
-        lines += [f"mass_u = {sp.mass / atomic_mass!r}",
-                  f"a11_nm = {sp.a11 / NM!r}",
-                  f"a22_nm = {sp.a22 / NM!r}",
-                  f"a12_nm = {sp.a12 / NM!r}",
-                  f"loss12_cm3_per_s = {sp.gamma12_loss * 1e6!r}",
-                  f"loss22_cm3_per_s = {sp.gamma22_loss * 1e6!r}"]
-    qtext = "inf" if math.isinf(cfg.trap_q) else repr(cfg.trap_q)
-    lines += ["", "[trap]",
-              f"d = {cfg.trap_d}",
-              f"q = {qtext}",
-              f"rho0_um = {cfg.rho0 / UM!r}",
-              f"r0_um = {cfg.r0 / UM!r}",
-              "", "[grid]",
-              f"points = {cfg.grid_points}",
-              f"extent_factor = {cfg.grid_extent_factor!r}",
-              "", "[sweep]",
-              "n_values = " + " ".join(str(n) for n in cfg.n_values),
-              "n_over_nl = " + " ".join(repr(y) for y in cfg.n_over_nl),
-              "sigma_over_sqrtn = " + " ".join(repr(s) for s in cfg.sigma_over_sqrtn),
-              "q_values = " + " ".join(repr(q) for q in cfg.q_values),
-              f"counting_n = {cfg.counting_n}",
-              f"trials = {cfg.trials}",
-              "", "[protocol]",
-              f"gamma = {cfg.gamma!r}",
-              f"t = {cfg.t!r}",
-              f"c1 = {cfg.c1!r}",
-              f"c2 = {cfg.c2!r}",
-              f"seed = {cfg.seed}",
-              f"threads = {cfg.threads}"]
-    return "\n".join(lines) + "\n"
+    lines, section = [], None
+    for sec, key, attr, unit in KEYS:
+        if sec != section:
+            lines += ["", f"[{sec}]"]
+            section = sec
+        if attr == "species_preset" and cfg.species_preset == "inline":
+            lines += [f"{k} = {_format(getattr(cfg.species, a), u)}"
+                      for k, a, u in SPECIES_KEYS]
+        else:
+            lines.append(f"{key} = {_format(getattr(cfg, attr), unit)}")
+    return "\n".join(lines[1:]) + "\n"
 
 
 def config_from_text(text: str) -> RunConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed configuration: {exc}") from exc
+    known = {(sec, key) for sec, key, _, _ in KEYS}
+    known |= {("species", key) for key, _, _ in SPECIES_KEYS}
+    if cp.defaults():  # keys under [DEFAULT] would apply to every section
+        raise ConfigError(f"unknown section [{cp.default_section}]")
+    for sec in cp.sections():
+        if sec not in {known_sec for known_sec, _ in known}:
+            raise ConfigError(f"unknown section [{sec}]")
+        for key in cp[sec]:
+            if (sec, key) not in known:
+                raise ConfigError(f"unknown key '{key}' in [{sec}]")
     cfg = RunConfig()
     try:
-        if "species" in cp:
-            sec = cp["species"]
-            cfg.species = species_from_mapping(sec)
-            cfg.species_preset = sec.get("preset", "inline").strip().lower() \
-                if "preset" in sec else "inline"
-        if "trap" in cp:
-            sec = cp["trap"]
-            trap = trap_from_mapping(sec, cfg.species.mass)
-            cfg.trap_d, cfg.trap_q = trap.d, trap.q
-            cfg.rho0, cfg.r0 = trap.rho0, trap.r0
-        if "grid" in cp:
-            sec = cp["grid"]
-            cfg.grid_points = int(sec.get("points", cfg.grid_points))
-            cfg.grid_extent_factor = float(sec.get("extent_factor", cfg.grid_extent_factor))
-        if "sweep" in cp:
-            sec = cp["sweep"]
-            if "n_values" in sec:
-                cfg.n_values = [int(v) for v in _float_list(sec["n_values"])]
-            if "n_over_nl" in sec:
-                cfg.n_over_nl = _float_list(sec["n_over_nl"])
-            if "sigma_over_sqrtn" in sec:
-                cfg.sigma_over_sqrtn = _float_list(sec["sigma_over_sqrtn"])
-            if "q_values" in sec:
-                cfg.q_values = _float_list(sec["q_values"])
-            cfg.counting_n = int(sec.get("counting_n", cfg.counting_n))
-            cfg.trials = int(sec.get("trials", cfg.trials))
-        if "protocol" in cp:
-            sec = cp["protocol"]
-            cfg.gamma = float(sec.get("gamma", cfg.gamma))
-            cfg.t = float(sec.get("t", cfg.t))
-            cfg.c1 = float(sec.get("c1", cfg.c1))
-            cfg.c2 = float(sec.get("c2", cfg.c2))
-            cfg.seed = int(sec.get("seed", cfg.seed))
-            cfg.threads = int(sec.get("threads", cfg.threads))
-        cfg.superposition()  # validate amplitudes
+        for sec, key, attr, unit in KEYS:
+            if cp.has_option(sec, key):
+                value = cp[sec][key]
+                if key == "q" and value.lower() in ("hard", "hard_wall"):
+                    value = "inf"
+                setattr(cfg, attr, _parse(value, getattr(cfg, attr), unit))
+        inline = {attr: _parse(cp["species"][key], 0.0, unit)
+                  for key, attr, unit in SPECIES_KEYS if cp.has_option("species", key)}
+        if inline:
+            if len(cp["species"]) > len(inline):  # a preset is given too
+                raise ConfigError("[species] takes a preset or inline keys, not both")
+            # Species fields without a default are not class attributes
+            missing = [key for key, attr, _ in SPECIES_KEYS
+                       if attr not in inline and not hasattr(Species, attr)]
+            if missing:
+                raise ConfigError(f"missing configuration key(s) {', '.join(missing)}")
+            cfg.species_preset, cfg.species = "inline", Species(**inline)
+        elif cfg.species_preset in SPECIES_PRESETS:
+            cfg.species = SPECIES_PRESETS[cfg.species_preset]()
+        else:
+            raise ConfigError(f"unknown species preset '{cfg.species_preset}'")
+        cfg.trap()
+        cfg.superposition()
         if not cfg.n_values or not cfg.n_over_nl or not cfg.q_values:
             raise ConfigError("sweep ranges must be nonempty")
     except ConfigError:
         raise
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
     return cfg
 
@@ -352,9 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="key-value configuration file")
     parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
     parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument("--threads", type=int,
-                        help="accepted for compatibility and recorded in the output "
-                             "headers; has no effect (sweeps are solved as one batch)")
     parser.add_argument("--preset", choices=sorted(SPECIES_PRESETS),
                         help="species preset override")
     return parser
@@ -377,8 +386,6 @@ def main(argv=None) -> int:
                           species=SPECIES_PRESETS[args.preset]())
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        if args.threads is not None:
-            cfg = replace(cfg, threads=args.threads)
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
         if not os.access(out_dir, os.W_OK):

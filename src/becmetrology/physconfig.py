@@ -1,13 +1,11 @@
 """Physical constants, atomic species data, trap geometry, and derived couplings.
 
-Everything downstream works in SI units.  Configuration files and presets
-accept the experimentalist's units (nm, um, u, cm^3/s) and convert here,
-at the boundary.
+Everything downstream works in SI units; NM, UM and CM3 convert the
+experimentalist's nm, um and cm^3 at the boundary.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 import warnings
 from dataclasses import dataclass
@@ -186,7 +184,11 @@ def trap_from_lengths(d: int, q: float, rho0: float, r0: float, mass: float,
     hb = constants.hbar
     omega_T = hb / (2.0 * mass * rho0**2)
     omega_L = hb / (mass * r0**2)
-    k = None if math.isinf(q) else hb**2 / (mass * r0 ** (q + 2.0))
+    try:
+        k = None if math.isinf(q) else hb**2 / (mass * r0 ** (q + 2.0))
+    except ArithmeticError:  # r0^(q+2) under- or overflows
+        raise ValueError(f"hardness exponent q = {q:g} is out of float range for "
+                         f"r0 = {r0:g} m; use q = inf for a hard wall") from None
     return TrapGeometry(d=d, q=float(q), rho0=rho0, r0=r0, mass=mass,
                         k=k, omega_T=omega_T, omega_L=omega_L)
 
@@ -211,68 +213,3 @@ def typical_trap(d: int, q: float = 2.0, mass: float | None = None,
         mass = typical_species().mass
     return trap_from_lengths(d, q, 1.0 * UM, 100.0 * UM, mass, constants)
 
-
-# --- configuration files ------------------------------------------------
-#
-# Key-value text files (configparser syntax).  Recognized keys:
-#   [species] preset | mass_u, a11_nm, a22_nm, a12_nm,
-#             loss12_cm3_per_s, loss22_cm3_per_s
-#   [trap]    d, q ("inf" or "hard" for a hard wall), rho0_um, r0_um
-
-def _getfloat(section, key, default=None):
-    if key in section:
-        return float(section[key])
-    if default is None:
-        raise ValueError(f"missing configuration key '{key}'")
-    return default
-
-
-def species_from_mapping(section) -> Species:
-    if "preset" in section:
-        name = section["preset"].strip().lower()
-        if name not in SPECIES_PRESETS:
-            raise ValueError(f"unknown species preset '{name}'")
-        return SPECIES_PRESETS[name]()
-    return Species(
-        mass=_getfloat(section, "mass_u") * atomic_mass,
-        a11=_getfloat(section, "a11_nm") * NM,
-        a22=_getfloat(section, "a22_nm") * NM,
-        a12=_getfloat(section, "a12_nm") * NM,
-        gamma12_loss=_getfloat(section, "loss12_cm3_per_s", 0.0) * CM3,
-        gamma22_loss=_getfloat(section, "loss22_cm3_per_s", 0.0) * CM3,
-    )
-
-
-def trap_from_mapping(section, mass: float,
-                      constants: PhysicalConstants = SI) -> TrapGeometry:
-    qtext = str(section.get("q", "2")).strip().lower()
-    q = math.inf if qtext in ("inf", "hard", "hard_wall") else float(qtext)
-    return trap_from_lengths(
-        d=int(section.get("d", 1)),
-        q=q,
-        rho0=_getfloat(section, "rho0_um", 1.0) * UM,
-        r0=_getfloat(section, "r0_um", 100.0) * UM,
-        mass=mass,
-        constants=constants,
-    )
-
-
-def load_species(path) -> Species:
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise ValueError(f"cannot read configuration file {path}")
-    if "species" not in cp:
-        raise ValueError("configuration file has no [species] section")
-    return species_from_mapping(cp["species"])
-
-
-def load_trap(path, mass: float | None = None) -> TrapGeometry:
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise ValueError(f"cannot read configuration file {path}")
-    if "trap" not in cp:
-        raise ValueError("configuration file has no [trap] section")
-    if mass is None:
-        mass = species_from_mapping(cp["species"]).mass if "species" in cp \
-            else typical_species().mass
-    return trap_from_mapping(cp["trap"], mass)

@@ -356,7 +356,7 @@ def _evolved_pair(n_atoms: int, sup: Superposition, kind: HamiltonianKind,
     return psi, dpsi, t * math.sqrt(_spread(np.abs(psi) ** 2, h))
 
 
-def _readout(psi, dpsi, n_atoms, observable_apply) -> tuple[float, float, float]:
+def _readout(psi, dpsi, observable_apply) -> tuple[float, float, float]:
     av = observable_apply(psi)
     mean, var = _moments(psi, av)
     slope = 2.0 * np.real(np.vdot(av, dpsi))
@@ -364,7 +364,7 @@ def _readout(psi, dpsi, n_atoms, observable_apply) -> tuple[float, float, float]
 
 
 def _finish(protocol, n_atoms, gamma, t, psi, dpsi, generator_sd, observable_apply):
-    mean, var, slope = _readout(psi, dpsi, n_atoms, observable_apply)
+    mean, var, slope = _readout(psi, dpsi, observable_apply)
     delta = math.sqrt(var) / abs(slope) if slope != 0.0 else math.inf
     purity = single_qubit_purity(DickeState(n_atoms, psi))
     return ProtocolResult(protocol=protocol, n_atoms=n_atoms, gamma=gamma, t=t,

@@ -37,26 +37,6 @@ def j_integral(l: float, d: int, q: float) -> float:
                     - math.lgamma(d / q + l + 1.0)) / q
 
 
-def j_integral_factorial(l: int, d: int, q: float) -> float:
-    """Closed form l! q^l / (d (d+q) (d+2q) ... (d+lq)) for nonnegative integer l."""
-    if not isinstance(l, int) or l < 0:
-        raise ValueError("the factorial form needs a nonnegative integer order")
-    if math.isinf(q):
-        return 1.0 / d
-    value = math.factorial(l) * q**l
-    for j in range(l + 1):
-        value /= d + j * q
-    return value
-
-
-def j_integral_q2(l: float, d: int) -> float:
-    """Closed form for a harmonic profile, q = 2: Gamma(d/2) Gamma(l+1) / (2 Gamma(d/2+l+1))."""
-    if l <= -1:
-        raise ValueError("the integral diverges for l <= -1")
-    return math.exp(math.lgamma(d / 2.0) + math.lgamma(l + 1.0)
-                    - math.lgamma(d / 2.0 + l + 1.0)) / 2.0
-
-
 def _intermediate_pieces(geom: TrapGeometry, a: float, n_atoms: float,
                          constants: PhysicalConstants = SI):
     """(r_tilde, mu_L, X) for the intermediate-regime TF profile.
@@ -152,14 +132,13 @@ class TFProfile:
 
 
 def tf_profile(geom: TrapGeometry, species: Species, n_atoms: float,
-               regime: Regime | None = None, sup: Superposition | None = None,
+               regime: Regime | None = None,
                constants: PhysicalConstants = SI) -> TFProfile:
     """TF profile of the single-mode condensate (all atoms in state 1, a = a11).
 
     If regime is given, it is honored but checked against the critical numbers;
     a mismatch only warns, since the closed forms remain evaluable.
     """
-    del sup  # initial state is single-mode; kept for signature symmetry
     if n_atoms <= 1:
         raise ValueError("need more than one atom for a mean-field profile")
     if regime == Regime.BARE:

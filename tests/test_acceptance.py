@@ -18,6 +18,7 @@ import pytest
 from scipy.integrate import quad
 
 import dense_oracle as oracle
+import tf_closed_forms as closed_forms
 from becmetrology import counting as cnt
 from becmetrology import gp
 from becmetrology import physconfig as pc
@@ -150,10 +151,10 @@ def test_acceptance_4_tf_integrals():
                                      0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
                 assert beta_form == pytest.approx(quadrature, rel=1e-10)
                 if l == int(l):
-                    assert tf.j_integral_factorial(int(l), d, q) == \
+                    assert closed_forms.j_integral_factorial(int(l), d, q) == \
                         pytest.approx(beta_form, rel=1e-12)
                 if q == 2.0:
-                    assert tf.j_integral_q2(l, d) == pytest.approx(beta_form, rel=1e-12)
+                    assert closed_forms.j_integral_q2(l, d) == pytest.approx(beta_form, rel=1e-12)
             # ratio identity J_{x+l}/J_x for the orders the closed forms rely on
             for x in (0.0, 1.0, d / q):
                 for l in (1, 2):

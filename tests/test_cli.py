@@ -1,8 +1,13 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from becmetrology import cli, csvio, gp
+from becmetrology.physconfig import atomic_mass
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_csv_roundtrip(tmp_path):
@@ -34,22 +39,42 @@ def test_config_roundtrip_idempotent():
     assert cli.config_to_text(cli.config_from_text(canon)) == canon
     parsed = cli.config_from_text(canon)
     assert parsed.trap_d == 2 and parsed.trap_q == 4.0 and parsed.t == 0.5
+    for hard in ("hard", "inf", "hard_wall"):
+        parsed = cli.config_from_text(f"[species]\npreset = rb87\n\n[trap]\nd = 1\nq = {hard}\n")
+        assert parsed.trap().hard_wall and parsed.species.a11 == pytest.approx(5.31e-9)
+        assert "q = inf" in cli.config_to_text(parsed)
 
 
-def test_config_inline_species_roundtrip():
-    text = """
+INLINE = """
 [species]
 mass_u = 86.909
 a11_nm = 5.31
-a22_nm = 5.0
-a12_nm = 5.15
-loss12_cm3_per_s = 1e-13
+a22_nm = 5.0007
+a12_nm = 5.1553
+loss12_cm3_per_s = 0.78e-13
+
+[trap]
+d = 2
+q = 2
+rho0_um = 1.5
 """
-    cfg = cli.config_from_text(text)
+
+
+def test_config_inline_species_roundtrip():
+    cfg = cli.config_from_text(INLINE)
     assert cfg.species_preset == "inline"
-    again = cli.config_from_text(cli.config_to_text(cfg))
-    assert again.species.a22 == pytest.approx(cfg.species.a22, rel=1e-15)
-    assert again.species.gamma12_loss == pytest.approx(1e-19, rel=1e-12)
+    assert cfg.species.mass == pytest.approx(86.909 * atomic_mass, rel=1e-15)
+    assert cfg.species.a11 == pytest.approx(5.31e-9, rel=1e-15)
+    assert cfg.species.gamma12_loss == pytest.approx(0.78e-19, rel=1e-15)
+    assert cfg.species.gamma22_loss == 0.0
+    geom = cfg.trap()
+    assert geom.d == 2 and geom.q == 2.0 and geom.rho0 == pytest.approx(1.5e-6, rel=1e-15)
+    text = cli.config_to_text(cfg)
+    assert "loss12_cm3_per_s = 7.8e-14\n" in text  # same unit both ways
+    assert "a22_nm = 5.0007\n" in text and "rho0_um = 1.5\n" in text
+    again = cli.config_from_text(text)
+    assert again == cfg
+    assert cli.config_to_text(again) == text
 
 
 def test_config_errors(tmp_path):
@@ -59,10 +84,45 @@ def test_config_errors(tmp_path):
         cli.config_from_text("[trap]\nd = seven\n")
     with pytest.raises(cli.ConfigError):
         cli.config_from_text("[protocol]\nc1 = 0.9\nc2 = 0.9\n")
+    with pytest.raises(cli.ConfigError, match="unknown species preset 'unobtainium'"):
+        cli.config_from_text("[species]\npreset = unobtainium\n")
+    with pytest.raises(cli.ConfigError, match="a12_nm"):
+        cli.config_from_text("[species]\nmass_u = 86.9\na11_nm = 5.3\na22_nm = 5.0\n")
+    with pytest.raises(cli.ConfigError, match="not both"):
+        cli.config_from_text("[species]\npreset = rb87\na11_nm = 5.3\n")
+    with pytest.raises(cli.ConfigError):
+        cli.config_from_text("[trap]\nd = 4\n")  # the trap is validated at parse time
+    with pytest.raises(cli.ConfigError):
+        cli.config_from_text("[trap]\nq = 62\nr0_um = 20\n")  # stiffness underflows
     assert cli.main(["bounds", "--config", str(tmp_path / "nope.cfg")]) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("[species]\npreset = unobtainium\n")
     assert cli.main(["bounds", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("text, name", [
+    ("[sweep]\nn_value = 10\n", "'n_value' in [sweep]"),
+    ("[protocl]\nt = 3\n", "[protocl]"),
+    ("[protocol]\nthreads = 4\n", "'threads' in [protocol]"),
+    ("[trap]\nrho0 = 2\n", "'rho0' in [trap]"),
+    ("[DEFAULT]\nseed = 3\n", "[DEFAULT]"),
+])
+def test_config_rejects_unknown_keys(tmp_path, capsys, text, name):
+    with pytest.raises(cli.ConfigError, match=re.escape(name)):
+        cli.config_from_text(text)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    assert cli.main(["scaling", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_readme_config_example_loads(tmp_path):
+    block = re.search(r"^```ini\n(.*?)^```", README.read_text(), re.S | re.M).group(1)
+    cfg = cli.config_from_text(block)
+    assert cfg.species_preset == "rb87" and cfg.trap_d == 1 and cfg.trap_q == 2.0
+    assert cfg.r0 == pytest.approx(100e-6, rel=1e-15)
+    assert cfg.n_over_nl == [100.0, 316.0, 1000.0] and cfg.q_values == [1.0, 2.0, 4.0, 10.0]
+    assert cfg.seed == 20240901
 
 
 def test_bounds_command(tmp_path):
@@ -132,11 +192,27 @@ def test_counting_command(tmp_path):
     assert (tmp_path / "counting.csv").read_bytes() == first  # same seed: same bytes
 
 
+def test_counting_header_reruns_the_same_bytes(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(INLINE + "\n[sweep]\nsigma_over_sqrtn = 0 1\ncounting_n = 100\n"
+                       "trials = 2000\n")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["counting", "--config", str(cfgfile), "--out", str(first),
+                     "--seed", "11"]) == 0
+    header, _, _ = csvio.read_csv(first / "counting.csv")
+    assert header[:2] == ["becmetrology counting", "resolved configuration:"]
+    resolved = tmp_path / "resolved.cfg"
+    resolved.write_text("\n".join(header[2:]) + "\n")
+    assert cli.main(["counting", "--config", str(resolved), "--out", str(second),
+                     "--seed", "11"]) == 0
+    for name in ("counting.csv", "counting_index.json"):
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
 def test_condensate_command(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("[grid]\npoints = 256\n\n[sweep]\nn_over_nl = 100 180 320\n")
-    rc = cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path),
-                   "--threads", "2"])
+    rc = cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)])
     assert rc == 0
     _, _, eta_rows = csvio.read_csv(tmp_path / "eta_sweep.csv")
     assert len(eta_rows) == 3

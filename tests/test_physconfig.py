@@ -97,6 +97,10 @@ def test_trap_validation_and_hard_wall(rb87):
         pc.trap_from_lengths(4, 2, 1e-6, 100e-6, rb87.mass)
     with pytest.raises(ValueError):
         pc.trap_from_lengths(1, 0.5, 1e-6, 100e-6, rb87.mass)
+    with pytest.raises(ValueError, match="q = inf"):
+        pc.trap_from_lengths(1, 62.0, 1e-6, 20e-6, rb87.mass)  # r0^(q+2) underflows
+    with pytest.raises(ValueError, match="q = inf"):
+        pc.trap_from_lengths(1, 400.0, 1e-6, 20.0, rb87.mass)  # r0^(q+2) overflows
     hard = pc.trap_from_lengths(2, math.inf, 1e-6, 100e-6, rb87.mass)
     assert hard.hard_wall and hard.k is None
     with pytest.warns(UserWarning):
@@ -119,50 +123,3 @@ def test_differential_coupling(rb87):
     sup = pc.Superposition(1.0, 0.0)
     assert pc.differential_coupling(rb87, sup) == pytest.approx(gamma1 + gamma2, rel=1e-10)
 
-
-def test_config_file_loading(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("""
-[species]
-mass_u = 86.909
-a11_nm = 5.31
-a22_nm = 5.0007
-a12_nm = 5.1553
-loss12_cm3_per_s = 0.780e-13
-loss22_cm3_per_s = 1.194e-13
-
-[trap]
-d = 2
-q = 2
-rho0_um = 1.0
-r0_um = 100.0
-""")
-    sp = pc.load_species(cfg)
-    assert sp.mass == pytest.approx(86.909 * pc.atomic_mass)
-    assert sp.a11 == pytest.approx(5.31e-9)
-    assert sp.gamma12_loss == pytest.approx(0.780e-19)
-    geom = pc.load_trap(cfg)
-    assert geom.d == 2 and geom.q == 2.0
-    assert geom.rho0 == pytest.approx(1e-6)
-
-
-def test_config_preset_and_hard_wall(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("[species]\npreset = rb87\n\n[trap]\nd = 1\nq = hard\n")
-    sp = pc.load_species(cfg)
-    assert sp.a11 == pytest.approx(5.31e-9)
-    geom = pc.load_trap(cfg)
-    assert geom.hard_wall
-
-
-def test_config_errors(tmp_path):
-    with pytest.raises(ValueError):
-        pc.load_species(tmp_path / "missing.cfg")
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("[species]\npreset = unobtainium\n")
-    with pytest.raises(ValueError):
-        pc.load_species(bad)
-    nosec = tmp_path / "nosec.cfg"
-    nosec.write_text("[other]\nx = 1\n")
-    with pytest.raises(ValueError):
-        pc.load_species(nosec)
