@@ -116,7 +116,7 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, text, name):
     assert name in capsys.readouterr().err
 
 
-def test_readme_config_example_loads(tmp_path):
+def test_readme_config_example_loads():
     block = re.search(r"^```ini\n(.*?)^```", README.read_text(), re.S | re.M).group(1)
     cfg = cli.config_from_text(block)
     assert cfg.species_preset == "rb87" and cfg.trap_d == 1 and cfg.trap_q == 2.0
