@@ -166,6 +166,18 @@ def config_from_text(text: str) -> RunConfig:
         cfg.superposition()
         if not cfg.n_values or not cfg.n_over_nl or not cfg.q_values:
             raise ConfigError("sweep ranges must be nonempty")
+        gp.Grid(1, cfg.grid_points, 1.0)  # the solver's point-count rule
+        # the ranges the commands need, so that no run fails halfway
+        for ok, rule in ((all(n >= 2 for n in cfg.n_values), "n_values must be at least 2"),
+                         (all(y > 0 for y in cfg.n_over_nl), "n_over_nl must be positive"),
+                         (all(q >= 1 for q in cfg.q_values), "q_values must be at least 1"),
+                         (all(s >= 0 for s in cfg.sigma_over_sqrtn),
+                          "sigma_over_sqrtn must be nonnegative"),
+                         (cfg.counting_n >= 1 and cfg.trials >= 2,
+                          "counting_n must be at least 1 and trials at least 2"),
+                         (cfg.gamma > 0 and cfg.t > 0, "gamma and t must be positive")):
+            if not ok:
+                raise ConfigError(f"invalid configuration value: {rule}")
     except ConfigError:
         raise
     except ValueError as exc:

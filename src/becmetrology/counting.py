@@ -195,8 +195,8 @@ def simulate_counts(model: QuantumSignalModel, prior: NumberPrior,
     the posterior-refined atom number; the spread of the estimates is the
     empirical delta-gamma.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if trials < 2:
+        raise ValueError("need at least two trials to estimate a spread")
     rng = np.random.default_rng(seed)
     estimates = np.empty(trials)
     chunk = 20_000

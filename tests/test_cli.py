@@ -116,6 +116,27 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, text, name):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("condensate", "[grid]\npoints = 1\n"),
+    ("counting", "[sweep]\ntrials = 0\n"),
+    ("counting", "[sweep]\ntrials = 1\n"),
+    ("counting", "[sweep]\ncounting_n = 0\n"),
+    ("counting", "[sweep]\nsigma_over_sqrtn = 0 -1\n"),
+    ("bounds", "[sweep]\nn_values = 0\n"),
+    ("bounds", "[sweep]\nn_values = 8 1\n"),
+    ("condensate", "[sweep]\nn_over_nl = -5\n"),
+    ("condensate", "[sweep]\nn_over_nl = 0 100\n"),
+    ("scaling", "[sweep]\nq_values = 0.5 2\n"),
+    ("bounds", "[protocol]\ngamma = 0\n"),
+    ("counting", "[protocol]\nt = -1\n"),
+])
+def test_config_rejects_out_of_range_values(tmp_path, capsys, command, text):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    assert cli.main([command, "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    assert re.search(r"^configuration error: ", capsys.readouterr().err, re.M)
+
+
 def test_readme_config_example_loads():
     block = re.search(r"^```ini\n(.*?)^```", README.read_text(), re.S | re.M).group(1)
     cfg = cli.config_from_text(block)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from becmetrology import cli
 from becmetrology.physconfig import SPECIES_PRESETS, Species
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(1e-3, 1e3, allow_subnormal=False)
 hardness = st.floats(1.0, 20.0) | st.just(math.inf)
 
@@ -27,13 +26,13 @@ def run_configs(draw):
         species_preset=preset, species=species,
         trap_d=draw(st.integers(1, 3)), trap_q=draw(hardness),
         rho0=draw(st.floats(0.1, 10.0)) * 1e-6, r0=draw(st.floats(20.0, 1e3)) * 1e-6,
-        grid_points=draw(st.integers(2, 4096)), grid_extent_factor=draw(positive),
-        n_values=draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=5)),
+        grid_points=draw(st.integers(64, 4096)), grid_extent_factor=draw(positive),
+        n_values=draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=5)),
         n_over_nl=draw(st.lists(positive, min_size=1, max_size=5)),
         sigma_over_sqrtn=draw(st.lists(positive, max_size=5)),
         q_values=draw(st.lists(hardness, min_size=1, max_size=5)),
-        gamma=draw(finite), t=draw(finite), c1=math.cos(angle), c2=math.sin(angle),
-        counting_n=draw(st.integers(1, 10**6)), trials=draw(st.integers(1, 10**8)),
+        gamma=draw(positive), t=draw(positive), c1=math.cos(angle), c2=math.sin(angle),
+        counting_n=draw(st.integers(1, 10**6)), trials=draw(st.integers(2, 10**8)),
         seed=draw(st.integers(0, 2**64 - 1)))
 
 

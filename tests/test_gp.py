@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -281,6 +282,93 @@ def test_loss_decay(geom_rb, rb87, tf_state):
     for i in range(1, len(lossy.times)):
         ratio = abs(lossy.overlap[i]) / abs(lossless.overlap[i])
         assert ratio == pytest.approx(math.exp(-budget.gamma * lossy.times[i]), rel=0.1)
+
+
+def _evolve_two_mode_reference(field, sup, species, geom, t_final, steps, loss,
+                               record_every):
+    """The two-mode Strang loop step by step: each mode FFT'd on its own and
+    both potential half-steps of every step applied separately."""
+    grid, n = field.grid, field.n_atoms
+    x, dx = grid.coordinates(), grid.spacing
+    kx = 2.0 * math.pi * np.fft.fftfreq(grid.points, dx)
+    V = 0.5 * geom.k * np.abs(x) ** geom.q
+    scale = (n - 1.0) * sc.eta_transverse(geom)
+    g11, g12, g22 = (pc.coupling_constant(a, species.mass) * scale
+                     for a in (species.a11, species.a12, species.a22))
+    w1, w2 = sup.c1**2, sup.c2**2
+    loss12, loss22 = species.gamma12_loss * scale, species.gamma22_loss * scale
+    dt = t_final / steps
+    kin = np.exp(-1j * (HBAR * kx**2 / (2.0 * species.mass)) * dt)
+
+    def half(psi1, psi2):
+        d1, d2 = np.abs(psi1) ** 2, np.abs(psi2) ** 2
+        f1 = np.exp(-0.5j * (V + g11 * w1 * d1 + g12 * w2 * d2) / HBAR * dt)
+        f2 = np.exp(-0.5j * (V + g12 * w1 * d1 + g22 * w2 * d2) / HBAR * dt)
+        if loss:
+            f1 = f1 * np.exp(-0.25 * dt * loss12 * w2 * d2)
+            f2 = f2 * np.exp(-0.25 * dt * (loss12 * w1 * d1 + loss22 * w2 * d2))
+        return f1 * psi1, f2 * psi2
+
+    psi1 = field.values.astype(complex)
+    psi2 = psi1.copy()
+    rows = []
+
+    def snapshot(t):
+        n1, n2 = np.sum(np.abs(psi1) ** 2) * dx, np.sum(np.abs(psi2) ** 2) * dx
+        ov = np.vdot(psi2, psi1) * dx
+        fringe = 2.0 * sup.c1 * sup.c2 * ov.imag
+        mean = 0.5 * (w1 * n1 + w2 * n2)
+        rows.append((t, ov, mean - 0.5 * fringe, mean + 0.5 * fringe, n1, n2))
+
+    snapshot(0.0)
+    for step in range(1, steps + 1):
+        psi1, psi2 = half(psi1, psi2)
+        psi1 = np.fft.ifft(kin * np.fft.fft(psi1))
+        psi2 = np.fft.ifft(kin * np.fft.fft(psi2))
+        psi1, psi2 = half(psi1, psi2)
+        if step % record_every == 0 or step == steps:
+            snapshot(step * dt)
+    return [np.array(col) for col in zip(*rows)], (psi1, psi2)
+
+
+@pytest.fixture(scope="module")
+def moving_state(geom_rb, rb87):
+    """A 256-point ground state given a momentum kick, so both steps of the
+    splitting act; its chemical potential sets the time step."""
+    crit = sc.critical_numbers(geom_rb, rb87.a11)
+    n = 1.0 + 100.0 * (crit.n_lower - 1.0)
+    ground = gp.ground_state(geom_rb, rb87, n, gp.default_grid(geom_rb, rb87, n, points=256))
+    grid = ground.field.grid
+    kick = np.exp(2j * math.pi * 3.0 * grid.coordinates() / grid.extent)
+    return gp.Field(grid, ground.field.values * kick, n), ground.mu
+
+
+@pytest.mark.parametrize("loss", [False, True])
+@pytest.mark.parametrize("steps, record_every", [(1, 1), (1, 3), (8, 1), (8, 3), (8, 8),
+                                                 (50, 1), (50, 3), (50, 50)])
+def test_two_mode_merged_half_steps_match_reference(geom_rb, rb87, moving_state, loss,
+                                                    steps, record_every):
+    field, mu = moving_state
+    # loss constants scaled up so that mode 2 loses about 2% of its norm in 50 steps
+    species = dataclasses.replace(rb87, gamma12_loss=5.0 * rb87.gamma12_loss,
+                                  gamma22_loss=5.0 * rb87.gamma22_loss)
+    sup = pc.Superposition(0.6, 0.8)
+    t_final = steps * 0.05 * HBAR / mu
+    rec = gp.evolve_two_mode(field, sup, species, geom_rb, t_final, steps, loss=loss,
+                             record_every=record_every)
+    (times, overlap, p1, p2, norm1, norm2), final = _evolve_two_mode_reference(
+        field, sup, species, geom_rb, t_final, steps, loss, record_every)
+
+    def rel(a, b):
+        return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
+
+    assert np.array_equal(rec.times, times)
+    for got, want in ((rec.overlap, overlap), (rec.p1, p1), (rec.p2, p2),
+                      (rec.norm1, norm1), (rec.norm2, norm2),
+                      (rec.final_fields[0], final[0]), (rec.final_fields[1], final[1])):
+        assert rel(got, want) < 1e-10
+    if loss and steps == 50:
+        assert 1e-3 < 1.0 - norm2[-1] < 0.1
 
 
 def test_loss_budget_values(geom_rb, rb87):
