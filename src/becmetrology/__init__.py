@@ -16,18 +16,17 @@ from .physconfig import (PhysicalConstants, SI, Species, Superposition,
 from .scaling import (CriticalNumbers, Regime, classify_regime,
                       critical_numbers, eta_estimate, fig1_table,
                       longitudinal_radius, radii_full, scaling_exponent)
-from .spins import (CollectiveHamiltonian, DickeState, SensitivityResult,
-                    SpectrumBound, cat_state, cat_uncertainty, classical_fisher,
+from .spins import (CollectiveHamiltonian, DickeState, SpectrumBound, cat_state,
                     crb_linear, crb_nonlinear, evolve, expectation,
                     prepare_product, product_nonlinear_protocol, qfi_pure,
-                    ramsey_uncertainty, rotate, simulate_cat, simulate_enhanced,
-                    simulate_quadratic, simulate_ramsey, single_qubit_purity)
+                    simulate_cat, simulate_enhanced, simulate_quadratic,
+                    simulate_ramsey, single_qubit_purity)
 from .thomas_fermi import (PhaseDynamics, TFProfile, fringe_probabilities,
                            i_integral, j_integral, k_integral, overlap_gaussian,
                            phase_dynamics, tf_profile)
 from .gp import (ConvergenceError, EvolutionRecord, Field, Grid,
                  GroundStateResult, StepSizeError, eta_sweep, evolve_two_mode,
-                 ground_state, ground_states, load_field, loss_budget, save_field)
+                 ground_state, ground_states, loss_budget)
 from .counting import (CountingNoise, MonteCarloResult, NumberPrior,
                        QuantumSignalModel, corrected_moments,
                        corrected_uncertainty, posterior_n0, ramsey_model,

@@ -315,7 +315,9 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> list[str]:
     ground = results[-1]
     t_final = 0.5 / abs(phase.omega_N)
     rate = ground.mu / SI.hbar
-    steps = max(200, int(math.ceil(t_final * rate / 0.05)))
+    # the guard in evolve_two_mode uses max(V + g rho), far above mu near N_L
+    steps = max(200, int(math.ceil(t_final * rate / 0.05)),
+                gp.min_two_mode_steps(ground.field, species, geom, t_final))
     record = gp.evolve_two_mode(ground, sup, species, geom, t_final, steps,
                                 loss=False, record_every=max(1, steps // 100))
     overlap_rows = []
@@ -354,7 +356,7 @@ def cmd_counting(cfg: RunConfig, out_dir: str) -> list[str]:
         analytic = cnt.corrected_uncertainty(model, posterior, noise, gamma)
         mc = cnt.simulate_counts(model, cnt.NumberPrior.point(n), noise, gamma,
                                  cfg.trials, cfg.seed + i)
-        rows.append((noise.sigma, n, gamma, analytic.delta_gamma,
+        rows.append((noise.sigma, n, gamma, analytic,
                      mc.delta_gamma, mc.stderr))
     path = os.path.join(out_dir, "counting.csv")
     csvio.write_csv(path,
@@ -399,7 +401,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         out_dir = args.out
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
         if not os.access(out_dir, os.W_OK):
             raise ConfigError(f"output directory {out_dir} is not writable")
     except ConfigError as exc:

@@ -16,8 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .spins import SensitivityResult
-
 
 @dataclass(frozen=True)
 class CountingNoise:
@@ -153,26 +151,18 @@ def corrected_moments(model: QuantumSignalModel, posterior: NumberPrior,
 
 
 def corrected_uncertainty(model: QuantumSignalModel, posterior: NumberPrior,
-                          noise: CountingNoise, gamma: float,
-                          at_posterior_mean: bool = False) -> SensitivityResult:
-    """Parameter uncertainty from the noise-corrected signal moments.
+                          noise: CountingNoise, gamma: float) -> float:
+    """Parameter uncertainty delta-gamma from the noise-corrected signal moments.
 
-    delta-gamma^2 = (sigma^2/2 + Var J_z) / |d<J_z>/dgamma|^2.  The default
-    averages the moments over the posterior exactly; at_posterior_mean=True
-    instead evaluates them at the posterior mean number (the cheap
-    approximation, good once sigma << N).
+    delta-gamma^2 = (sigma^2/2 + Var J_z) / |d<J_z>/dgamma|^2, with the
+    moments averaged over the posterior exactly.
     """
-    if at_posterior_mean:
-        n_eff = np.array([posterior.mean()])
-        mean_var = noise.difference_variance + float(model.var_fn(n_eff, gamma)[0])
-        slope = float(model.derivative_fn(n_eff, gamma)[0])
-    else:
-        _, mean_var = corrected_moments(model, posterior, noise, gamma)
-        slope = float(np.dot(model.derivative_fn(posterior.support, gamma),
-                             posterior.probabilities))
+    _, mean_var = corrected_moments(model, posterior, noise, gamma)
+    slope = float(np.dot(model.derivative_fn(posterior.support, gamma),
+                         posterior.probabilities))
     if slope == 0.0:
         raise ValueError("signal slope vanishes: sensitivity undefined at this gamma")
-    return SensitivityResult(delta_gamma=math.sqrt(mean_var) / abs(slope))
+    return math.sqrt(mean_var) / abs(slope)
 
 
 @dataclass(frozen=True)

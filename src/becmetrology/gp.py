@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .physconfig import (SI, PhysicalConstants, Species, Superposition,
-                         TrapGeometry, coupling_constant, differential_coupling)
+from .physconfig import (SI, Species, Superposition, TrapGeometry,
+                         coupling_constant, differential_coupling)
 from .scaling import Regime, critical_numbers, eta_transverse, unit_sphere_area
 from .thomas_fermi import phase_dynamics, tf_profile
 
@@ -240,8 +240,8 @@ def _relax(kinetic, V, w, geff, n_list, e_floor, tolerance, max_steps, hb):
 
 
 def ground_states(geom: TrapGeometry, species: Species, n_list,
-                  grids=None, tolerance: float = 1e-10, max_steps: int = 400_000,
-                  constants: PhysicalConstants = SI) -> list[GroundStateResult]:
+                  grids=None, tolerance: float = 1e-10,
+                  max_steps: int = 400_000) -> list[GroundStateResult]:
     """Imaginary-time ground states of the reduced longitudinal GP equation.
 
     All atom numbers relax together as rows of one real array, on one grid
@@ -251,7 +251,7 @@ def ground_states(geom: TrapGeometry, species: Species, n_list,
     turns the interaction off and recovers the bare trap ground state.
     """
     n_list = list(n_list)
-    g = coupling_constant(species.a11, species.mass, constants)
+    g = coupling_constant(species.a11, species.mass)
     eta_t = eta_transverse(geom)
     geff = np.array([g * (n - 1.0) * eta_t for n in n_list])
     if np.any(geff < 0):
@@ -270,18 +270,17 @@ def ground_states(geom: TrapGeometry, species: Species, n_list,
     for n, grid in zip(n_list, grids):
         if n <= max(1.0, n_lower):
             continue
-        r_tf = tf_profile(geom, species, n, Regime.INTERMEDIATE,
-                          constants=constants).r_tilde
+        r_tf = tf_profile(geom, species, n, Regime.INTERMEDIATE).r_tilde
         if grid.extent < 1.5 * r_tf:
             warnings.warn(f"N = {n:.6g}: grid extent is below 1.5x the TF radius; "
                           "the cloud may be clipped", stacklevel=2)
         mu_tf = 0.5 * geom.k * r_tf**geom.q
-        healing = constants.hbar / math.sqrt(2.0 * geom.mass * mu_tf)
+        healing = SI.hbar / math.sqrt(2.0 * geom.mass * mu_tf)
         if grid.spacing > healing:
             warnings.warn(f"N = {n:.6g}: grid spacing does not resolve the healing "
                           "length", stacklevel=2)
 
-    hb = constants.hbar
+    hb = SI.hbar
     w = np.array([grid.weights() for grid in grids])
     kinetic = _spectral_kinetic if geom.d == 1 else _radial_kinetic
     psi, e0, e_int, residual, steps = _relax(
@@ -301,11 +300,10 @@ def ground_states(geom: TrapGeometry, species: Species, n_list,
 
 def ground_state(geom: TrapGeometry, species: Species, n_atoms: float,
                  grid: Grid | None = None, tolerance: float = 1e-10,
-                 max_steps: int = 400_000,
-                 constants: PhysicalConstants = SI) -> GroundStateResult:
+                 max_steps: int = 400_000) -> GroundStateResult:
     """Imaginary-time ground state for one atom number; see ground_states."""
     return ground_states(geom, species, [n_atoms], None if grid is None else [grid],
-                         tolerance, max_steps, constants)[0]
+                         tolerance, max_steps)[0]
 
 
 def local_log_slopes(n_list, etas) -> list[float]:
@@ -318,8 +316,8 @@ def local_log_slopes(n_list, etas) -> list[float]:
 
 
 def eta_sweep(geom: TrapGeometry, species: Species, n_list,
-              points: int = 512, tolerance: float = 1e-10,
-              constants: PhysicalConstants = SI) -> list[tuple[float, float, float]]:
+              points: int = 512,
+              tolerance: float = 1e-10) -> list[tuple[float, float, float]]:
     """Ground-state eta_N over an ascending list of atom numbers.
 
     Returns (N, eta_N, local log-log slope) rows; the slope is a centered
@@ -329,9 +327,21 @@ def eta_sweep(geom: TrapGeometry, species: Species, n_list,
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("atom numbers must be strictly ascending")
     grids = [default_grid(geom, species, n, points=points) for n in n_list]
-    etas = [res.eta_n for res in ground_states(geom, species, n_list, grids, tolerance,
-                                               constants=constants)]
+    etas = [res.eta_n for res in ground_states(geom, species, n_list, grids, tolerance)]
     return list(zip(n_list, etas, local_log_slopes(n_list, etas)))
+
+
+def min_two_mode_steps(field: Field, species: Species, geom: TrapGeometry,
+                       t_final: float) -> int:
+    """Fewest steps evolve_two_mode accepts for t_final: at most 0.1 rad of
+    phase per step at the largest V + g rho (strongest channel) in the cloud."""
+    dens = np.abs(field.values) ** 2
+    occupied = dens > 1e-6 * dens.max()
+    g_max = max(coupling_constant(a, geom.mass) for a in (species.a11, species.a12, species.a22))
+    g_max *= (field.n_atoms - 1.0) * eta_transverse(geom)
+    potential = _potential(geom, field.grid.coordinates())
+    rate = float(np.max((potential[occupied] + g_max * dens[occupied]) / SI.hbar))
+    return int(math.ceil(t_final * rate / 0.1))
 
 
 @dataclass(frozen=True)
@@ -347,8 +357,8 @@ class EvolutionRecord:
 
 def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
                     species: Species, geom: TrapGeometry, t_final: float,
-                    steps: int, loss: bool = False, record_every: int = 1,
-                    constants: PhysicalConstants = SI) -> EvolutionRecord:
+                    steps: int, loss: bool = False,
+                    record_every: int = 1) -> EvolutionRecord:
     """Coupled two-mode evolution from a shared initial ground state.
 
     Both modes start in the supplied single-mode ground state (computed with
@@ -362,7 +372,8 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     recorded steps the trailing potential half-step of one step and the
     leading half-step of the next are applied as one factor, which is exact
     because the second half-step's density follows from the first's in
-    closed form; a recorded step ends on its own half-step.
+    closed form; a recorded step ends on its own half-step.  Fewer steps
+    than min_two_mode_steps raise StepSizeError.
     """
     field = initial.field if isinstance(initial, GroundStateResult) else initial
     grid, n_atoms = field.grid, field.n_atoms
@@ -370,28 +381,25 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
         raise ValueError("two-mode evolution is implemented for 1D longitudinal grids")
     if steps < 1 or t_final <= 0:
         raise ValueError("need a positive final time and at least one step")
-    hb, mass = constants.hbar, geom.mass
+    hb, mass = SI.hbar, geom.mass
     x, dx = grid.coordinates(), grid.spacing
     kx = 2.0 * math.pi * np.fft.fftfreq(grid.points, dx)
     V = _potential(geom, x)
     eta_t = eta_transverse(geom)
-    gmat = np.array([[coupling_constant(species.a11, mass, constants),
-                      coupling_constant(species.a12, mass, constants)],
-                     [coupling_constant(species.a12, mass, constants),
-                      coupling_constant(species.a22, mass, constants)]])
+    gmat = np.array([[coupling_constant(species.a11, mass),
+                      coupling_constant(species.a12, mass)],
+                     [coupling_constant(species.a12, mass),
+                      coupling_constant(species.a22, mass)]])
     gmat *= (n_atoms - 1.0) * eta_t
     weights = np.array([sup.c1**2, sup.c2**2])
     loss12 = species.gamma12_loss * (n_atoms - 1.0) * eta_t
     loss22 = species.gamma22_loss * (n_atoms - 1.0) * eta_t
 
+    needed = min_two_mode_steps(field, species, geom, t_final)
+    if steps < needed:
+        raise StepSizeError(f"step too coarse: {steps} steps advance the phase by "
+                            f"more than 0.1 rad per step; use at least {needed} steps")
     dt = t_final / steps
-    dens0 = np.abs(field.values) ** 2
-    occupied = dens0 > 1e-6 * dens0.max()
-    rate_scale = float(np.max((V[occupied] + gmat.max() * dens0[occupied]) / hb))
-    if dt * rate_scale > 0.1:
-        needed = int(math.ceil(t_final * rate_scale / 0.1))
-        raise StepSizeError(f"step too coarse: phase advance per step is "
-                            f"{dt * rate_scale:.2f} rad; use at least {needed} steps")
 
     kin_factor = np.exp(-1j * (hb * kx**2 / (2.0 * mass)) * dt)
     psi = np.array([field.values, field.values], dtype=complex)  # row i is mode i + 1
@@ -470,59 +478,19 @@ class LossBudget:
 
 
 def loss_budget(species: Species, geom: TrapGeometry, n_atoms: float,
-                sup: Superposition,
-                constants: PhysicalConstants = SI) -> LossBudget:
+                sup: Superposition) -> LossBudget:
     """Spin-exchange decay rate against the phase-accumulation rate.
 
     The ratio hbar (Gamma12 + Gamma22 c2^2) / (2 Delta-g) is independent of the
     atom number and of every trap parameter; the common eta_N cancels.
     """
-    delta_g = differential_coupling(species, sup, constants)
+    delta_g = differential_coupling(species, sup)
     if delta_g == 0.0:
         raise ValueError("no relative-phase signal: the differential coupling "
                          "vanishes for this species and superposition")
-    profile = tf_profile(geom, species, n_atoms, Regime.INTERMEDIATE,
-                         constants=constants)
+    profile = tf_profile(geom, species, n_atoms, Regime.INTERMEDIATE)
     gamma = (n_atoms - 1.0) * profile.eta_N * \
         (species.gamma12_loss + species.gamma22_loss * sup.c2**2) / 2.0
-    omega = phase_dynamics(geom, species, n_atoms, sup, constants).omega_N
+    omega = phase_dynamics(geom, species, n_atoms, sup).omega_N
     return LossBudget(gamma=gamma, omega_N=omega, ratio=gamma / abs(omega))
 
-
-# --- field snapshots -------------------------------------------------------
-#
-# Self-describing text format: four header lines (dimension, points, spacing,
-# atom number) then one "re im" pair per grid point.
-
-def save_field(field: Field, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# dimension: {field.grid.dimension}\n")
-        fh.write(f"# points: {field.grid.points}\n")
-        fh.write(f"# spacing: {float(field.grid.spacing)!r}\n")
-        fh.write(f"# n_atoms: {float(field.n_atoms)!r}\n")
-        for v in field.values:
-            fh.write(f"{float(v.real)!r} {float(v.imag)!r}\n")
-
-
-def load_field(path) -> Field:
-    header = {}
-    values = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition(":")
-                header[key.strip()] = val.strip()
-            else:
-                re_part, im_part = line.split()
-                values.append(complex(float(re_part), float(im_part)))
-    dimension = int(header["dimension"])
-    points = int(header["points"])
-    spacing = float(header["spacing"])
-    if len(values) != points:
-        raise ValueError("field payload does not match the declared point count")
-    extent = 0.5 * spacing * points if dimension == 1 else spacing * points
-    grid = Grid(dimension=dimension, points=points, extent=extent)
-    return Field(grid=grid, values=np.array(values), n_atoms=float(header["n_atoms"]))

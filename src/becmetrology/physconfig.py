@@ -1,7 +1,7 @@
-"""Physical constants, atomic species data, trap geometry, and derived couplings.
+"""hbar, atomic species data, trap geometry, and derived couplings.
 
-Everything downstream works in SI units; NM, UM and CM3 convert the
-experimentalist's nm, um and cm^3 at the boundary.
+Everything downstream works in SI units and reads hbar from SI; NM, UM and
+CM3 convert the experimentalist's nm, um and cm^3 at the boundary.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ CM3 = 1e-6  # cm^3 in m^3
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """SI values of hbar and the atomic mass unit."""
+    """SI value of hbar."""
 
-    hbar: float = _hbar_si              # J s
-    atomic_mass_unit: float = atomic_mass  # kg
+    hbar: float = _hbar_si  # J s
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.atomic_mass_unit <= 0:
-            raise ValueError("physical constants must be strictly positive")
+        if self.hbar <= 0:
+            raise ValueError("hbar must be strictly positive")
 
 
 SI = PhysicalConstants()
@@ -85,22 +84,22 @@ def typical_species() -> Species:
 SPECIES_PRESETS = {"rb87": rb87, "typical": typical_species}
 
 
-def coupling_constant(a: float, mass: float, constants: PhysicalConstants = SI) -> float:
+def coupling_constant(a: float, mass: float) -> float:
     """Mean-field coupling g = 4 pi hbar^2 a / m for scattering length a."""
     if a <= 0 or mass <= 0:
         raise ValueError("scattering length and mass must be positive")
-    return 4.0 * math.pi * constants.hbar**2 * a / mass
+    return 4.0 * math.pi * SI.hbar**2 * a / mass
 
 
-def josephson_couplings(species: Species, constants: PhysicalConstants = SI) -> tuple[float, float]:
+def josephson_couplings(species: Species) -> tuple[float, float]:
     """Two-mode couplings (gamma1, gamma2) built from the channel couplings.
 
     gamma1 = (g11 - g22)/2 multiplies the collective population difference,
     gamma2 = (g11 + g22)/2 - g12 multiplies its square.
     """
-    g11 = coupling_constant(species.a11, species.mass, constants)
-    g22 = coupling_constant(species.a22, species.mass, constants)
-    g12 = coupling_constant(species.a12, species.mass, constants)
+    g11 = coupling_constant(species.a11, species.mass)
+    g22 = coupling_constant(species.a22, species.mass)
+    g12 = coupling_constant(species.a12, species.mass)
     return 0.5 * (g11 - g22), 0.5 * (g11 + g22) - g12
 
 
@@ -125,13 +124,12 @@ class Superposition:
         return cls(math.cos(math.pi / 8.0), math.sin(math.pi / 8.0))
 
 
-def differential_coupling(species: Species, sup: Superposition,
-                          constants: PhysicalConstants = SI) -> float:
+def differential_coupling(species: Species, sup: Superposition) -> float:
     """Density-weighted coupling difference between the two modes.
 
     Delta g = c1^2 (g11 - g12) - c2^2 (g22 - g12) = gamma1 + (c1^2 - c2^2) gamma2.
     """
-    gamma1, gamma2 = josephson_couplings(species, constants)
+    gamma1, gamma2 = josephson_couplings(species)
     return gamma1 + (sup.c1**2 - sup.c2**2) * gamma2
 
 
@@ -175,13 +173,13 @@ class TrapGeometry:
                 "scaling formulas is violated", stacklevel=3)
 
 
-def trap_from_lengths(d: int, q: float, rho0: float, r0: float, mass: float,
-                      constants: PhysicalConstants = SI) -> TrapGeometry:
+def trap_from_lengths(d: int, q: float, rho0: float, r0: float,
+                      mass: float) -> TrapGeometry:
     """Build a TrapGeometry from its two bare half-widths.
 
     rho0^2 = hbar/(2 m omega_T), r0^(q+2) = hbar^2/(m k), omega_L = hbar/(m r0^2).
     """
-    hb = constants.hbar
+    hb = SI.hbar
     omega_T = hb / (2.0 * mass * rho0**2)
     omega_L = hb / (mass * r0**2)
     try:
@@ -193,23 +191,22 @@ def trap_from_lengths(d: int, q: float, rho0: float, r0: float, mass: float,
                         k=k, omega_T=omega_T, omega_L=omega_L)
 
 
-def trap_from_strengths(d: int, q: float, k: float, omega_T: float, mass: float,
-                        constants: PhysicalConstants = SI) -> TrapGeometry:
+def trap_from_strengths(d: int, q: float, k: float, omega_T: float,
+                        mass: float) -> TrapGeometry:
     """Inverse construction from the stiffness k and transverse frequency."""
     if math.isinf(q):
         raise ValueError("a hard-wall trap has no finite stiffness; use trap_from_lengths")
     if k <= 0 or omega_T <= 0:
         raise ValueError("trap strengths must be positive")
-    hb = constants.hbar
+    hb = SI.hbar
     rho0 = math.sqrt(hb / (2.0 * mass * omega_T))
     r0 = (hb**2 / (mass * k)) ** (1.0 / (q + 2.0))
-    return trap_from_lengths(d, q, rho0, r0, mass, constants)
+    return trap_from_lengths(d, q, rho0, r0, mass)
 
 
-def typical_trap(d: int, q: float = 2.0, mass: float | None = None,
-                 constants: PhysicalConstants = SI) -> TrapGeometry:
+def typical_trap(d: int, q: float = 2.0, mass: float | None = None) -> TrapGeometry:
     """The workhorse geometry for estimates: rho0 = 1 um, r0 = 100 um."""
     if mass is None:
         mass = typical_species().mass
-    return trap_from_lengths(d, q, 1.0 * UM, 100.0 * UM, mass, constants)
+    return trap_from_lengths(d, q, 1.0 * UM, 100.0 * UM, mass)
 

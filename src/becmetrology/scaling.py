@@ -17,6 +17,7 @@ from fractions import Fraction
 from .physconfig import TrapGeometry
 
 UNIT_SPHERE_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
+_WARN_BAND = 10.0
 
 
 def unit_sphere_volume(d: int) -> float:
@@ -31,17 +32,6 @@ def unit_sphere_area(d: int) -> float:
 def beta_factor(d: int) -> float:
     """Geometric factor V_d / (2 (4 pi)^((d-1)/2)); 1, sqrt(pi)/4, 1/6 for d = 1, 2, 3."""
     return UNIT_SPHERE_VOLUME[d] / (2.0 * (4.0 * math.pi) ** ((d - 1) / 2.0))
-
-
-@dataclass(frozen=True)
-class GeometryFactors:
-    v_d: float
-    s_dminus1: float
-    beta_d: float
-
-
-def geometry_factors(d: int) -> GeometryFactors:
-    return GeometryFactors(unit_sphere_volume(d), unit_sphere_area(d), beta_factor(d))
 
 
 @dataclass(frozen=True)
@@ -79,21 +69,20 @@ class Regime(enum.Enum):
     FULL_TF = "full_TF"
 
 
-def classify_regime(geom: TrapGeometry, a: float, n_atoms: float,
-                    warn_band: float = 10.0) -> Regime:
+def classify_regime(geom: TrapGeometry, a: float, n_atoms: float) -> Regime:
     """Label the atom number: bare below N_L, full TF above N_T, else intermediate.
 
     The underlying scalings hold only well away from the boundaries, so a
-    warning is issued within a factor warn_band of either critical number.
+    warning is issued within a factor _WARN_BAND of either critical number.
     """
     crit = critical_numbers(geom, a)
     near = []
-    if crit.n_lower / warn_band < n_atoms < crit.n_lower * warn_band:
+    if crit.n_lower / _WARN_BAND < n_atoms < crit.n_lower * _WARN_BAND:
         near.append("N_L")
-    if crit.n_upper is not None and crit.n_upper / warn_band < n_atoms < crit.n_upper * warn_band:
+    if crit.n_upper is not None and crit.n_upper / _WARN_BAND < n_atoms < crit.n_upper * _WARN_BAND:
         near.append("N_T")
     if near:
-        warnings.warn(f"atom number {n_atoms:g} is within a factor {warn_band:g} "
+        warnings.warn(f"atom number {n_atoms:g} is within a factor {_WARN_BAND:g} "
                       f"of {' and '.join(near)}; regime label is approximate",
                       stacklevel=2)
     if n_atoms <= crit.n_lower:

@@ -3,13 +3,13 @@
 N symmetric qubits live in the (N+1)-dimensional ladder of collective J_z
 eigenvalues m = -N/2 ... N/2, which makes exact simulation cheap out to very
 large N.  Everything here works directly on that amplitude vector: state
-preparation, rotations, diagonal evolutions, moments, Fisher information,
-and the Cramer-Rao / quantum-noise-limit / Heisenberg bounds.
+preparation, diagonal evolutions, moments, quantum Fisher information, and
+the Cramer-Rao / quantum-noise-limit / Heisenberg bounds.
 
 The simulated protocols read out in the Heisenberg picture: a closing
 rotation is folded into the measured observable (J_z after R_y(-pi/2) is
 J_x before it), so every protocol costs O(N) time and memory and N = 10^6
-runs in about a second.  Only the explicit `rotate` builds a dense basis.
+runs in about a second.  Nothing here builds a dense basis.
 
 Couplings are expressed as angular rates (the energy divided by hbar), so a
 coupling gamma evolved for time t advances phases by gamma*t.
@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .physconfig import Superposition
 
@@ -46,17 +45,12 @@ class DickeState:
             raise ValueError("state is not normalized")
         object.__setattr__(self, "amplitudes", amp)
 
-    @property
-    def m_values(self) -> np.ndarray:
-        return np.arange(self.n_atoms + 1) - self.n_atoms / 2.0
-
 
 @dataclass(frozen=True)
 class CollectiveHamiltonian:
     """Generator kind for H = gamma * h, with h one of J_z, J_z^2, or N J_z."""
 
     kind: HamiltonianKind
-    gamma: float | None = None
 
 
 @dataclass(frozen=True)
@@ -72,11 +66,6 @@ class SpectrumBound:
             raise ValueError("Lambda must be >= lam")
         if self.k_body < 1:
             raise ValueError("k_body must be a positive integer")
-
-
-@dataclass(frozen=True)
-class SensitivityResult:
-    delta_gamma: float
 
 
 def generator_eigenvalues(ham: CollectiveHamiltonian, n_atoms: int) -> np.ndarray:
@@ -165,35 +154,11 @@ def expectation(state: DickeState, component: str) -> tuple[float, float]:
     return _moments(state.amplitudes, _apply_component(state.amplitudes, state.n_atoms, component))
 
 
-def rotate(state: DickeState, axis: str, angle: float) -> DickeState:
-    """Apply exp(-i angle J_axis) in the spin-N/2 representation.
-
-    z-rotations are diagonal; x and y go through a dense eigensystem of the
-    ladder coupling, built on every call, so they cost O(N^2) memory and
-    time.  No protocol calls this.
-    """
-    n = state.n_atoms
-    m = np.arange(n + 1) - n / 2.0
-    if axis == "z":
-        return DickeState(n, np.exp(-1j * angle * m) * state.amplitudes)
-    if axis not in ("x", "y"):
-        raise ValueError(f"unknown rotation axis {axis!r}")
-    # J_y = R J_x R^dagger with R the quarter turn about z
-    quarter = np.exp(-1j * (math.pi / 2.0) * m) if axis == "y" else np.ones(n + 1)
-    w, v = eigh_tridiagonal(np.zeros(n + 1), 0.5 * _ladder_coeffs(n))
-    inner = v @ (np.exp(-1j * angle * w) * (v.T @ (np.conj(quarter) * state.amplitudes)))
-    return DickeState(n, quarter * inner)
-
-
-def evolve(state: DickeState, ham: CollectiveHamiltonian, gamma: float | None,
+def evolve(state: DickeState, ham: CollectiveHamiltonian, gamma: float,
            t: float) -> DickeState:
     """Evolve under H = gamma*h for time t (diagonal phases in the Dicke basis)."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    if gamma is None:
-        gamma = ham.gamma
-    if gamma is None:
-        raise ValueError("no coupling value given")
     h = generator_eigenvalues(ham, state.n_atoms)
     return DickeState(state.n_atoms, np.exp(-1j * gamma * t * h) * state.amplitudes)
 
@@ -209,40 +174,6 @@ def single_qubit_purity(state: DickeState) -> float:
     n = state.n_atoms
     bloch = np.array([expectation(state, c)[0] for c in ("x", "y", "z")]) * (2.0 / n)
     return 0.5 * (1.0 + float(np.dot(bloch, bloch)))
-
-
-@dataclass(frozen=True)
-class FisherEstimate:
-    """Classical Fisher information estimate with the probability mass excluded
-    by the small-probability floor."""
-
-    value: float
-    excluded_mass: float
-    step: float
-
-
-def classical_fisher(outcome_dist: Callable[[float], np.ndarray], gamma: float,
-                     step: float, p_floor: float = 1e-12) -> FisherEstimate:
-    """Central-difference Fisher information of a gamma-dependent distribution.
-
-    Outcomes with probability below p_floor are excluded from the sum (their
-    p -> 0 limit is otherwise numerically ill-conditioned) and the excluded
-    mass is reported alongside the estimate.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    p0 = np.asarray(outcome_dist(gamma), dtype=float)
-    pp = np.asarray(outcome_dist(gamma + step), dtype=float)
-    pm = np.asarray(outcome_dist(gamma - step), dtype=float)
-    for p in (p0, pp, pm):
-        if np.any(p < -1e-12):
-            raise ValueError("distribution has negative entries")
-        if abs(p.sum() - 1.0) > 1e-8:
-            raise ValueError("distribution is not normalized")
-    dp = (pp - pm) / (2.0 * step)
-    mask = p0 > p_floor
-    value = float(np.sum(dp[mask] ** 2 / p0[mask]))
-    return FisherEstimate(value=value, excluded_mass=float(p0[~mask].sum()), step=step)
 
 
 # --- closed-form bounds and signals ---------------------------------------
@@ -302,27 +233,9 @@ def ramsey_signal(n_atoms: int, phi: float) -> tuple[float, float]:
     return 0.5 * n_atoms * math.cos(phi), 0.25 * n_atoms * math.sin(phi) ** 2
 
 
-def ramsey_uncertainty(n_atoms: int, t: float) -> SensitivityResult:
-    """Phase-estimation uncertainty 1/(t sqrt(N)) of the product-state interferometer."""
-    if n_atoms < 1:
-        raise ValueError("need at least one atom")
-    if t <= 0:
-        raise ValueError("time must be positive")
-    return SensitivityResult(1.0 / (t * math.sqrt(n_atoms)))
-
-
 def cat_signal(n_atoms: int, phi: float) -> tuple[float, float]:
     """Analytic single-qubit readout signal and variance for the cat interferometer."""
     return math.cos(n_atoms * phi), math.sin(n_atoms * phi) ** 2
-
-
-def cat_uncertainty(n_atoms: int, t: float) -> SensitivityResult:
-    """Optimal 1/(t N) uncertainty reached by the entangled cat input."""
-    if n_atoms < 1:
-        raise ValueError("need at least one atom")
-    if t <= 0:
-        raise ValueError("time must be positive")
-    return SensitivityResult(1.0 / (t * n_atoms))
 
 
 # --- simulated protocols ---------------------------------------------------

@@ -15,8 +15,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .physconfig import (SI, PhysicalConstants, Species, Superposition,
-                         TrapGeometry, coupling_constant, differential_coupling)
+from .physconfig import (SI, Species, Superposition, TrapGeometry,
+                         coupling_constant, differential_coupling)
 from .scaling import (Regime, critical_numbers, eta_transverse,
                       unit_sphere_area, unit_sphere_volume)
 
@@ -37,8 +37,7 @@ def j_integral(l: float, d: int, q: float) -> float:
                     - math.lgamma(d / q + l + 1.0)) / q
 
 
-def _intermediate_pieces(geom: TrapGeometry, a: float, n_atoms: float,
-                         constants: PhysicalConstants = SI):
+def _intermediate_pieces(geom: TrapGeometry, a: float, n_atoms: float):
     """(r_tilde, mu_L, X) for the intermediate-regime TF profile.
 
     X = mu_L / ((N-1) g eta_T) is the peak longitudinal density; it carries all
@@ -47,7 +46,7 @@ def _intermediate_pieces(geom: TrapGeometry, a: float, n_atoms: float,
     d, q = geom.d, geom.q
     crit = critical_numbers(geom, a)
     y = (n_atoms - 1.0) / (crit.n_lower - 1.0)
-    g = coupling_constant(a, geom.mass, constants)
+    g = coupling_constant(a, geom.mass)
     eta_t = eta_transverse(geom)
     if geom.hard_wall:
         r_tilde = geom.r0
@@ -60,8 +59,7 @@ def _intermediate_pieces(geom: TrapGeometry, a: float, n_atoms: float,
     return r_tilde, mu, peak
 
 
-def i_integral(l: float, n_atoms: float, geom: TrapGeometry, a: float,
-               constants: PhysicalConstants = SI) -> float:
+def i_integral(l: float, n_atoms: float, geom: TrapGeometry, a: float) -> float:
     """Integral of the intermediate-regime TF density to the l-th power (m^(-d(l-1))).
 
     Normalization makes I_1 = 1 identically; I_2 is the longitudinal inverse
@@ -69,13 +67,12 @@ def i_integral(l: float, n_atoms: float, geom: TrapGeometry, a: float,
     """
     if n_atoms <= 1:
         raise ValueError("need more than one atom for a mean-field profile")
-    _, _, peak = _intermediate_pieces(geom, a, n_atoms, constants)
+    _, _, peak = _intermediate_pieces(geom, a, n_atoms)
     ratio = j_integral(l, geom.d, geom.q) / j_integral(1.0, geom.d, geom.q)
     return ratio * peak ** (l - 1.0)
 
 
-def _full_pieces(geom: TrapGeometry, a: float, n_atoms: float,
-                 constants: PhysicalConstants = SI):
+def _full_pieces(geom: TrapGeometry, a: float, n_atoms: float):
     """(rho_tilde, r_tilde, mu_N, Y) for the full-regime TF profile, Y = mu_N/((N-1)g)."""
     d, q, D = geom.d, geom.q, geom.transverse_dimensions
     if d == 3:
@@ -88,7 +85,7 @@ def _full_pieces(geom: TrapGeometry, a: float, n_atoms: float,
     prefactor = 4.0 * (4.0 * math.pi) ** (D / 2.0) * 2.0 ** (2.0 * dq) / unit_sphere_area(D)
     rho_tilde = geom.rho0 * (prefactor * y_t / denom) ** (1.0 / expo)
     mu = 0.5 * geom.mass * geom.omega_T**2 * rho_tilde**2
-    g = coupling_constant(a, geom.mass, constants)
+    g = coupling_constant(a, geom.mass)
     y_units = mu / ((n_atoms - 1.0) * g)
     if geom.hard_wall:
         r_tilde = geom.r0
@@ -97,8 +94,7 @@ def _full_pieces(geom: TrapGeometry, a: float, n_atoms: float,
     return rho_tilde, r_tilde, mu, y_units
 
 
-def k_integral(l: float, n_atoms: float, geom: TrapGeometry, a: float,
-               constants: PhysicalConstants = SI) -> float:
+def k_integral(l: float, n_atoms: float, geom: TrapGeometry, a: float) -> float:
     """Integral of the full-regime TF density to the l-th power (m^(-3(l-1))).
 
     K_1 = 1 fixes the transverse radius; K_2 is the inverse occupied volume eta_N.
@@ -106,7 +102,7 @@ def k_integral(l: float, n_atoms: float, geom: TrapGeometry, a: float,
     if n_atoms <= 1:
         raise ValueError("need more than one atom for a mean-field profile")
     d, q, D = geom.d, geom.q, geom.transverse_dimensions
-    _, _, _, y_units = _full_pieces(geom, a, n_atoms, constants)
+    _, _, _, y_units = _full_pieces(geom, a, n_atoms)
     dq = 0.0 if geom.hard_wall else d / q
     ratio = (j_integral(l + dq, D, 2.0) * j_integral(l, d, q)) / \
             (j_integral(1.0 + dq, D, 2.0) * j_integral(1.0, d, q))
@@ -132,8 +128,7 @@ class TFProfile:
 
 
 def tf_profile(geom: TrapGeometry, species: Species, n_atoms: float,
-               regime: Regime | None = None,
-               constants: PhysicalConstants = SI) -> TFProfile:
+               regime: Regime | None = None) -> TFProfile:
     """TF profile of the single-mode condensate (all atoms in state 1, a = a11).
 
     If regime is given, it is honored but checked against the critical numbers;
@@ -158,15 +153,15 @@ def tf_profile(geom: TrapGeometry, species: Species, n_atoms: float,
                       f"not the requested {regime.value}; TF validity is marginal",
                       stacklevel=2)
     if regime == Regime.INTERMEDIATE:
-        r_tilde, mu, peak = _intermediate_pieces(geom, a, n_atoms, constants)
+        r_tilde, mu, peak = _intermediate_pieces(geom, a, n_atoms)
         j1 = j_integral(1.0, geom.d, geom.q)
         eta_l = (j_integral(2.0, geom.d, geom.q) / j1) * peak
         eta_t = eta_transverse(geom)
         return TFProfile(regime=Regime.INTERMEDIATE, mu=mu, r_tilde=r_tilde,
                          rho_tilde=None, eta_L=eta_l, eta_T=eta_t,
                          eta_N=eta_t * eta_l)
-    rho_tilde, r_tilde, mu, _ = _full_pieces(geom, a, n_atoms, constants)
-    eta_n = k_integral(2.0, n_atoms, geom, a, constants)
+    rho_tilde, r_tilde, mu, _ = _full_pieces(geom, a, n_atoms)
+    eta_n = k_integral(2.0, n_atoms, geom, a)
     return TFProfile(regime=Regime.FULL_TF, mu=mu, r_tilde=r_tilde,
                      rho_tilde=rho_tilde, eta_L=None, eta_T=None, eta_N=eta_n)
 
@@ -193,21 +188,19 @@ class PhaseDynamics:
 
 
 def phase_dynamics(geom: TrapGeometry, species: Species, n_atoms: float,
-                   sup: Superposition,
-                   constants: PhysicalConstants = SI) -> PhaseDynamics:
-    profile = tf_profile(geom, species, n_atoms, Regime.INTERMEDIATE,
-                         constants=constants)
-    delta_g = differential_coupling(species, sup, constants)
-    omega = (n_atoms - 1.0) * profile.eta_N * delta_g / constants.hbar
+                   sup: Superposition) -> PhaseDynamics:
+    profile = tf_profile(geom, species, n_atoms, Regime.INTERMEDIATE)
+    delta_g = differential_coupling(species, sup)
+    omega = (n_atoms - 1.0) * profile.eta_N * delta_g / SI.hbar
     if delta_g == 0.0:
         warnings.warn("the two modes have identical mean-field couplings; no "
                       "relative phase accumulates and tau_pd is undefined",
                       stacklevel=2)
         return PhaseDynamics(omega_N=0.0, tau_pd=math.nan, delta_g=0.0)
     a = species.a11
-    i1 = i_integral(1.0, n_atoms, geom, a, constants)
-    i2 = i_integral(2.0, n_atoms, geom, a, constants)
-    i3 = i_integral(3.0, n_atoms, geom, a, constants)
+    i1 = i_integral(1.0, n_atoms, geom, a)
+    i2 = i_integral(2.0, n_atoms, geom, a)
+    i3 = i_integral(3.0, n_atoms, geom, a)
     spread = i3 - 2.0 * profile.eta_L * i2 + profile.eta_L**2 * i1
     if spread <= 0.0:
         tau = math.inf  # flat-topped density: no position-dependent phase

@@ -1,4 +1,5 @@
-"""Brute-force 2^N product-basis simulator used as the test oracle (N <= 12).
+"""Brute-force 2^N product-basis simulator used as the test oracle (N <= 12),
+plus the dense Dicke-basis references the library does not need.
 
 Index convention: basis index b has bit j set when qubit j is in |1>; |0>
 carries collective-spin projection +1/2, so m_total(b) = N/2 - popcount(b).
@@ -6,7 +7,10 @@ The Dicke amplitude with i atoms in |0> (m = i - N/2) collects the
 C(N, i) bitstrings with popcount N - i.
 """
 
+import math
+
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import binom
 
 
@@ -116,3 +120,33 @@ def single_qubit_purity(state: np.ndarray) -> float:
     view = state.reshape(-1, 2)
     rho = np.einsum("ia,ib->ab", view, view.conj())
     return float(np.trace(rho @ rho).real)
+
+
+# --- dense Dicke-basis references (N + 1 amplitudes, any N) ----------------
+
+def rotate_dicke(amplitudes: np.ndarray, axis: str, angle: float) -> np.ndarray:
+    """exp(-i angle J_axis) on Dicke amplitudes (m = -N/2 ... N/2), Schroedinger
+    picture, through a dense eigensystem of J_x: O(N^2) memory and time."""
+    n = len(amplitudes) - 1
+    m = np.arange(n + 1) - n / 2.0
+    if axis == "z":
+        return np.exp(-1j * angle * m) * amplitudes
+    if axis not in ("x", "y"):
+        raise ValueError(axis)
+    # J_y = R J_x R^dagger with R the quarter turn about z
+    quarter = np.exp(-1j * (math.pi / 2.0) * m) if axis == "y" else np.ones(n + 1)
+    ladder = np.sqrt((n / 2.0 - m[:-1]) * (n / 2.0 + m[:-1] + 1.0))  # <m+1|J_+|m>
+    w, v = eigh_tridiagonal(np.zeros(n + 1), 0.5 * ladder)
+    return quarter * (v @ (np.exp(-1j * angle * w) * (v.T @ (np.conj(quarter) * amplitudes))))
+
+
+def classical_fisher(outcome_dist, gamma: float, step: float,
+                     p_floor: float = 1e-12) -> tuple[float, float]:
+    """Central-difference Fisher information of a gamma-dependent outcome
+    distribution, and the probability mass below p_floor left out of the sum
+    (the p -> 0 terms are ill-conditioned)."""
+    p0, pp, pm = (np.asarray(outcome_dist(g), dtype=float)
+                  for g in (gamma, gamma + step, gamma - step))
+    dp = (pp - pm) / (2.0 * step)
+    kept = p0 > p_floor
+    return float(np.sum(dp[kept] ** 2 / p0[kept])), float(p0[~kept].sum())

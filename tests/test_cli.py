@@ -100,6 +100,14 @@ def test_config_errors(tmp_path):
     assert cli.main(["bounds", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
+def test_unusable_output_path_is_a_configuration_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):  # a regular file, and a path under one
+        assert cli.main(["scaling", "--out", str(out)]) == 2
+        assert "configuration error: cannot create output directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, name", [
     ("[sweep]\nn_value = 10\n", "'n_value' in [sweep]"),
     ("[protocl]\nt = 3\n", "[protocl]"),
@@ -245,6 +253,17 @@ def test_condensate_command(tmp_path):
     assert abs(float(ov_rows[-1]["overlap_abs"]) - float(ov_rows[-1]["model_abs"])) < 0.02
     _, _, loss_rows = csvio.read_csv(tmp_path / "loss_budget.csv")
     assert float(loss_rows[0]["inverse_ratio"]) == pytest.approx(19.0, rel=0.20)
+
+
+@pytest.mark.parametrize("n_over_nl", ["1 3", "10 30"])
+def test_condensate_runs_near_the_lower_critical_number(tmp_path, n_over_nl):
+    # near N_L the largest V + g rho, which the step guard of the two-mode
+    # evolution reads, lies well above mu
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"[sweep]\nn_over_nl = {n_over_nl}\n")
+    assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    _, _, ov_rows = csvio.read_csv(tmp_path / "overlap.csv")
+    assert float(ov_rows[-1]["norm1"]) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_condensate_rejects_unsolvable_traps(tmp_path):

@@ -392,15 +392,3 @@ def test_loss_budget_values(geom_rb, rb87):
     with pytest.raises(ValueError, match="no relative-phase signal"):
         gp.loss_budget(flat, geom_rb, 2000.0, sup)
 
-
-def test_field_save_load_roundtrip(tmp_path, geom_rb, rb87):
-    res = gp.ground_state(geom_rb, rb87, 50.0,
-                          gp.default_grid(geom_rb, rb87, 50.0, points=128))
-    path = tmp_path / "field.dat"
-    gp.save_field(res.field, path)
-    back = gp.load_field(path)
-    assert back.grid.dimension == 1
-    assert back.grid.points == 128
-    assert back.n_atoms == res.field.n_atoms
-    assert back.grid.spacing == pytest.approx(res.field.grid.spacing, rel=1e-15)
-    assert np.allclose(back.values, res.field.values, atol=1e-15)
