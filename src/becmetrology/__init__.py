@@ -25,8 +25,8 @@ from .thomas_fermi import (PhaseDynamics, TFProfile, fringe_probabilities,
                            i_integral, j_integral, k_integral, overlap_gaussian,
                            phase_dynamics, tf_profile)
 from .gp import (ConvergenceError, EvolutionRecord, Field, Grid,
-                 GroundStateResult, StepSizeError, eta_sweep, evolve_two_mode,
-                 ground_state, ground_states, loss_budget)
+                 GroundStateResult, StepSizeError, evolve_two_mode,
+                 ground_state, loss_budget)
 from .counting import (CountingNoise, MonteCarloResult, NumberPrior,
                        QuantumSignalModel, corrected_moments,
                        corrected_uncertainty, posterior_n0, ramsey_model,

@@ -170,6 +170,8 @@ def config_from_text(text: str) -> RunConfig:
         # the ranges the commands need, so that no run fails halfway
         for ok, rule in ((all(n >= 2 for n in cfg.n_values), "n_values must be at least 2"),
                          (all(y > 0 for y in cfg.n_over_nl), "n_over_nl must be positive"),
+                         (len(set(cfg.n_over_nl)) == len(cfg.n_over_nl),
+                          "n_over_nl values must be distinct"),
                          (all(q >= 1 for q in cfg.q_values), "q_values must be at least 1"),
                          (all(s >= 0 for s in cfg.sigma_over_sqrtn),
                           "sigma_over_sqrtn must be nonnegative"),
@@ -294,9 +296,10 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> list[str]:
     crit = scaling.critical_numbers(geom, species.a11)
     n_list = [1.0 + y * (crit.n_lower - 1.0) for y in sorted(cfg.n_over_nl)]
 
-    grids = [gp.default_grid(geom, species, n, points=cfg.grid_points,
-                             extent_factor=cfg.grid_extent_factor) for n in n_list]
-    results = gp.ground_states(geom, species, n_list, grids)
+    results = [gp.ground_state(geom, species, n,
+                               gp.default_grid(geom, species, n, points=cfg.grid_points,
+                                               extent_factor=cfg.grid_extent_factor))
+               for n in n_list]
     slopes = gp.local_log_slopes(n_list, [res.eta_n for res in results])
     eta_rows = []
     for n, res, slope in zip(n_list, results, slopes):

@@ -2,13 +2,14 @@
 
 The solver works on the longitudinal problem after the tight transverse
 directions have been integrated out against their Gaussian ground state, so
-the effective coupling is g (N-1) eta_T.  One-dimensional longitudinal grids
-use FFT split-step propagation (imaginary time for ground states, real time
-for the coupled two-mode evolution); 2D and 3D longitudinal traps are solved
-for ground states on a radial grid with a Crank-Nicolson kinetic step.
-Ground states of a sweep relax together as rows of one real array; the two
-modes of the real-time evolution step as the rows of one complex array, with
-the two potential half-steps that meet between recorded steps merged into one.
+the effective coupling is g (N-1) eta_T.  A ground state minimizes the
+discrete GP energy over unit-normalized real states by preconditioned
+nonlinear conjugate gradients, one state per call; the kinetic operator is
+spectral on one-dimensional longitudinal grids and a tridiagonal finite
+difference on the radial grids of 2D and 3D traps.  The coupled two-mode
+real-time evolution (1D only) uses FFT split steps, with the two modes as the
+rows of one complex array and the two potential half-steps that meet between
+recorded steps merged into one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .thomas_fermi import phase_dynamics, tf_profile
 
 
 class ConvergenceError(RuntimeError):
-    """Imaginary-time relaxation did not reach the requested tolerance."""
+    """The energy minimizer did not reach the requested gradient norm."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -98,8 +99,8 @@ class GroundStateResult:
     e0: float               # single-particle kinetic + trap energy (longitudinal)
     eta_longitudinal: float
     eta_n: float            # eta_T * eta_longitudinal
-    residual: float
-    steps: int
+    residual: float         # relative gradient norm |H psi - mu psi| / mu
+    steps: int              # minimizer iterations
 
 
 def _potential(geom: TrapGeometry, x: np.ndarray) -> np.ndarray:
@@ -121,189 +122,151 @@ def default_grid(geom: TrapGeometry, species: Species, n_atoms: float,
     return Grid(dimension=geom.d, points=points, extent=extent)
 
 
-_DTAU_LADDER = (1.0, 0.25, 0.0625)  # successive step reductions kill the Trotter bias
-_CHECK_EVERY = 50
+_MAX_ITERATIONS = 20_000
+_MAX_ANGLE = 0.5  # radians; bounds a secant step extrapolated from a nearly flat slope
 
 
-def _spectral_kinetic(grids, mass, hb):
+def _spectral_kinetic(grid, mass, hb):
     """1D kinetic operator T, diagonal in Fourier space (real states: real FFTs).
 
-    Returns apply(psi) = T psi and propagator(dtau), the exact step
-    psi -> exp(-T dtau / hbar) psi, for a batch with one row per grid.
+    Returns apply(psi) = T psi and inverse(lam), the solve psi -> (lam + T)^-1 psi.
     """
-    points = grids[0].points
-    t_k = np.array([hb**2 / (2.0 * mass) * (2.0 * math.pi * np.fft.rfftfreq(points, g.spacing))**2
-                    for g in grids])
+    points = grid.points
+    t_k = hb**2 / (2.0 * mass) * (2.0 * math.pi * np.fft.rfftfreq(points, grid.spacing))**2
 
-    def propagator(dtau):
-        factor = np.exp(-t_k / hb * dtau[:, None])
+    def inverse(lam):
+        factor = 1.0 / (lam + t_k)
         return lambda psi: np.fft.irfft(factor * np.fft.rfft(psi), n=points)
 
-    return (lambda psi: np.fft.irfft(t_k * np.fft.rfft(psi), n=points)), propagator
+    return (lambda psi: np.fft.irfft(t_k * np.fft.rfft(psi), n=points)), inverse
 
 
-def _radial_kinetic(grids, mass, hb):
+def _radial_kinetic(grid, mass, hb):
     """2D/3D kinetic operator T as the tridiagonal FD form of -(hbar^2/2m)
-    (1/r^(d-1)) d/dr (r^(d-1) d/dr); _spectral_kinetic's contract, Crank-Nicolson steps."""
-    d = grids[0].dimension
-    r = np.array([g.coordinates() for g in grids])
-    dr = np.array([[g.spacing] for g in grids])
+    (1/r^(d-1)) d/dr (r^(d-1) d/dr); _spectral_kinetic's contract, tridiagonal solves."""
+    d = grid.dimension
+    r, dr = grid.coordinates(), grid.spacing
     a_plus = (r + 0.5 * dr) ** (d - 1)
     a_minus = (r - 0.5 * dr) ** (d - 1)
-    a_minus[:, 0] = 0.0  # regularity at the origin
+    a_minus[0] = 0.0  # regularity at the origin
     c = hb**2 / (2.0 * mass * dr**2)
     diag = c * (a_plus + a_minus) / r ** (d - 1)
-    upper = -c * a_plus[:, :-1] / r[:, :-1] ** (d - 1)
-    lower = -c * a_minus[:, 1:] / r[:, 1:] ** (d - 1)
+    upper = -c * a_plus[:-1] / r[:-1] ** (d - 1)
+    lower = -c * a_minus[1:] / r[1:] ** (d - 1)
 
     def apply(psi):
         out = diag * psi
-        out[:, :-1] += upper * psi[:, 1:]
-        out[:, 1:] += lower * psi[:, :-1]
+        out[:-1] += upper * psi[1:]
+        out[1:] += lower * psi[:-1]
         return out
 
-    def propagator(dtau):
-        half = (0.5 * dtau / hb)[:, None]
-
-        def off_band(band):  # the zero at each row's end decouples it from the next
-            return np.pad(half * band, ((0, 0), (0, 1))).ravel()[:-1]
-
-        # the implicit half of every row's step, factored once per rung
-        *factors, info = lapack.dgttrf(off_band(lower), (1.0 + half * diag).ravel(),
-                                       off_band(upper))
+    def inverse(lam):
+        *factors, info = lapack.dgttrf(lower, lam + diag, upper)  # factored once per state
         if info:
-            raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-        return lambda psi: lapack.dgttrs(*factors, (psi - half * apply(psi)).ravel())[0] \
-            .reshape(psi.shape)
+            raise np.linalg.LinAlgError("singular preconditioner")
+        return lambda psi: lapack.dgttrs(*factors, psi)[0]
 
-    return apply, propagator
+    return apply, inverse
 
 
-def _relax(kinetic, V, w, geff, n_list, e_floor, tolerance, max_steps, hb):
-    """Normalized gradient flow (Bao & Du 2004) for a batch of real ground states.
+def _minimize(kinetic, V, w, geff, n_atoms, e_floor, tolerance):
+    """Real ground state by preconditioned nonlinear conjugate gradients on the
+    unit sphere (Antoine, Levitt & Tang, J. Comput. Phys. 343, 92 (2017)).
 
-    Row i of V and w (potential, integration measure) and geff belongs to
-    atom number n_list[i]; kinetic(rows) gives (apply, propagator) for those
-    rows.  Rows step together; each keeps its own Delta-tau rung, step count
-    and residual, and leaves once it converges on the last.
+    kinetic is (apply, inverse) for the grid; V and w are the potential and
+    the integration measure.  Directions are Polak-Ribiere+ in the metric of
+    the preconditioner (lam + T)^-1, with lam the mean kinetic energy of the
+    guess; each step follows the great circle through the direction, by an
+    angle from a secant on the energy's slope.  Returns psi, e0, mu, the
+    relative gradient norm |H psi - mu psi| / mu and the iteration count.
     """
-    def energies(psi, rows, apply_kinetic):
-        dens = psi**2
-        e0 = np.sum(w[rows] * (psi * apply_kinetic(psi) + V[rows] * dens), axis=1)
-        return e0, 0.5 * geff[rows] * np.sum(w[rows] * dens**2, axis=1)
+    apply_t, inverse = kinetic
+
+    def dot(a, b):
+        return float(np.sum(w * a * b))
 
     # TF-shaped guess where interactions dominate, Gaussian otherwise
-    mu_guess = np.maximum(np.percentile(V, 30, axis=1), e_floor)[:, None]
+    mu_guess = max(float(np.percentile(V, 30)), e_floor)
     psi = np.sqrt(np.maximum(mu_guess - V, 0.0) + 1e-3 * mu_guess)
-    psi /= np.sqrt(np.sum(w * psi**2, axis=1))[:, None]
-    active = np.arange(len(V))
-    e0, e_int = energies(psi, active, kinetic(active)[0])
-    energy = e0 + e_int
-    dtau0 = 0.05 * hb / energy
-    rung = np.zeros(len(V), dtype=int)
-    steps = np.zeros(len(V), dtype=int)
-    residual = np.full(len(V), math.inf)
-    result = np.empty_like(psi)
-    while active.size:
-        dtau = dtau0[active] * np.take(_DTAU_LADDER, rung[active])
-        apply_kinetic, propagator = kinetic(active)
-        kinetic_step = propagator(dtau)
-        half = -0.5 * dtau[:, None] / hb
-        hv, hg, wa = half * V[active], half * geff[active, None], w[active]
-        converged = np.zeros(active.size, dtype=bool)
-        while not converged.any():
-            for _ in range(_CHECK_EVERY):
-                psi *= np.exp(hv + hg * psi**2)
-                psi = kinetic_step(psi)
-                psi *= np.exp(hv + hg * psi**2)
-                psi /= np.sqrt(np.sum(wa * psi**2, axis=1))[:, None]
-            steps[active] += _CHECK_EVERY
-            e0[active], e_int[active] = energies(psi, active, apply_kinetic)
-            new_energy = e0[active] + e_int[active]
-            # relative energy drift per characteristic time hbar/E
-            residual[active] = np.abs(new_energy - energy[active]) * hb \
-                / (_CHECK_EVERY * dtau * new_energy**2)
-            energy[active] = new_energy
-            converged = residual[active] < tolerance
-            failed = active[~converged & (steps[active] >= max_steps)]
-            if failed.size:
-                i = failed[0]
-                raise ConvergenceError(
-                    f"N = {n_list[i]:.6g}: no ground state after {steps[i]} "
-                    f"imaginary-time steps (residual {residual[i]:.3e})",
-                    residual=float(residual[i]))
-        rung[active[converged]] += 1
-        done = rung[active] == len(_DTAU_LADDER)
-        result[active[done]] = psi[done]
-        psi, active = psi[~done], active[~done]
-    return result, e0, e_int, residual, steps
+    psi /= math.sqrt(dot(psi, psi))
+    precondition = inverse(dot(psi, apply_t(psi)))
+    direction = None
+    per_length = 1.0  # trial angle per unit length of the direction
+    for iteration in range(_MAX_ITERATIONS + 1):
+        linear = apply_t(psi) + V * psi
+        h_psi = linear + geff * psi**3
+        mu = dot(psi, h_psi)
+        gradient = h_psi - mu * psi
+        residual = math.sqrt(dot(gradient, gradient)) / mu
+        if residual < tolerance:
+            return psi, dot(psi, linear), mu, residual, iteration
+        if iteration == _MAX_ITERATIONS:
+            raise ConvergenceError(f"N = {n_atoms:.6g}: no ground state after {iteration} "
+                                   f"iterations (residual {residual:.3e})", residual=residual)
+        z = precondition(gradient)
+        z -= dot(psi, z) * psi
+        gz = dot(gradient, z)
+        if direction is not None:
+            beta = max(0.0, (gz - dot(gradient, z_old)) / gz_old)
+            direction = beta * (direction - dot(psi, direction) * psi) - z
+        if direction is None or dot(gradient, direction) >= 0.0:
+            direction = -z  # restart: not a descent direction
+        z_old, gz_old = z, gz
+        length = math.sqrt(dot(direction, direction))
+        unit = direction / length
+        linear_unit = apply_t(unit) + V * unit
+
+        # the energy's slope along the great circle, at 0 and at the trial angle
+        trial = min(per_length * length, _MAX_ANGLE)
+        c, s = math.cos(trial), math.sin(trial)
+        h_trial = c * linear + s * linear_unit + geff * (c * psi + s * unit)**3
+        f0, f1 = dot(gradient, unit), dot(h_trial, c * unit - s * psi)
+        theta = min(trial * f0 / (f0 - f1) if f1 > f0 else _MAX_ANGLE, _MAX_ANGLE)
+        per_length = theta / length
+        psi = math.cos(theta) * psi + math.sin(theta) * unit
+        psi /= math.sqrt(dot(psi, psi))
 
 
-def ground_states(geom: TrapGeometry, species: Species, n_list,
-                  grids=None, tolerance: float = 1e-10,
-                  max_steps: int = 400_000) -> list[GroundStateResult]:
-    """Imaginary-time ground states of the reduced longitudinal GP equation.
+def ground_state(geom: TrapGeometry, species: Species, n_atoms: float,
+                 grid: Grid | None = None, tolerance: float = 1e-10) -> GroundStateResult:
+    """Ground state of the reduced longitudinal GP equation for one atom number.
 
-    All atom numbers relax together as rows of one real array, on one grid
-    each (default_grid when None; one point count).  Each state is renormalized
-    after every step; convergence is declared per atom number when the relative
-    energy drift per characteristic time hbar/E falls below tolerance.  N = 1
-    turns the interaction off and recovers the bare trap ground state.
+    Minimizes the discrete GP energy over unit-normalized real states on grid
+    (default_grid when None) until the relative gradient norm
+    |H psi - mu psi| / mu falls below tolerance.  N = 1 turns the interaction
+    off and recovers the bare trap ground state.
     """
-    n_list = list(n_list)
     g = coupling_constant(species.a11, species.mass)
     eta_t = eta_transverse(geom)
-    geff = np.array([g * (n - 1.0) * eta_t for n in n_list])
-    if np.any(geff < 0):
+    geff = g * (n_atoms - 1.0) * eta_t
+    if geff < 0:
         raise ValueError("attractive interactions are not supported")
-    grids = [default_grid(geom, species, n) for n in n_list] if grids is None else list(grids)
-    if len(grids) != len(n_list):
-        raise ValueError("need one grid per atom number")
-    if not n_list:
-        return []
-    if any((grid.dimension, grid.points) != (geom.d, grids[0].points) for grid in grids):
-        raise ValueError("grid dimension does not match the trap geometry, "
-                         "or the grids differ in point count")
-    V = np.array([_potential(geom, grid.coordinates()) for grid in grids])
+    grid = default_grid(geom, species, n_atoms) if grid is None else grid
+    if grid.dimension != geom.d:
+        raise ValueError("grid dimension does not match the trap geometry")
+    V = _potential(geom, grid.coordinates())
 
-    n_lower = critical_numbers(geom, species.a11).n_lower
-    for n, grid in zip(n_list, grids):
-        if n <= max(1.0, n_lower):
-            continue
-        r_tf = tf_profile(geom, species, n, Regime.INTERMEDIATE).r_tilde
+    if n_atoms > max(1.0, critical_numbers(geom, species.a11).n_lower):
+        r_tf = tf_profile(geom, species, n_atoms, Regime.INTERMEDIATE).r_tilde
         if grid.extent < 1.5 * r_tf:
-            warnings.warn(f"N = {n:.6g}: grid extent is below 1.5x the TF radius; "
+            warnings.warn(f"N = {n_atoms:.6g}: grid extent is below 1.5x the TF radius; "
                           "the cloud may be clipped", stacklevel=2)
         mu_tf = 0.5 * geom.k * r_tf**geom.q
         healing = SI.hbar / math.sqrt(2.0 * geom.mass * mu_tf)
         if grid.spacing > healing:
-            warnings.warn(f"N = {n:.6g}: grid spacing does not resolve the healing "
+            warnings.warn(f"N = {n_atoms:.6g}: grid spacing does not resolve the healing "
                           "length", stacklevel=2)
 
     hb = SI.hbar
-    w = np.array([grid.weights() for grid in grids])
-    kinetic = _spectral_kinetic if geom.d == 1 else _radial_kinetic
-    psi, e0, e_int, residual, steps = _relax(
-        lambda rows: kinetic([grids[i] for i in rows], geom.mass, hb),
-        V, w, geff, n_list, hb * geom.omega_L, tolerance, max_steps, hb)
-    eta_l = np.sum(w * psi**4, axis=1)
-    mu = e0 + 2.0 * e_int
+    w = grid.weights()
+    kinetic = (_spectral_kinetic if geom.d == 1 else _radial_kinetic)(grid, geom.mass, hb)
+    psi, e0, mu, residual, iterations = _minimize(kinetic, V, w, geff, n_atoms,
+                                                  hb * geom.omega_L, tolerance)
+    eta_l = float(np.sum(w * psi**4))
     mu_offset = geom.transverse_dimensions * hb * geom.omega_T / 2.0
-    return [GroundStateResult(field=Field(grid=grid, values=psi[i].astype(complex),
-                                          n_atoms=n),
-                              mu=float(mu[i]), mu_total=float(mu[i] + mu_offset),
-                              e0=float(e0[i]), eta_longitudinal=float(eta_l[i]),
-                              eta_n=float(eta_t * eta_l[i]),
-                              residual=float(residual[i]), steps=int(steps[i]))
-            for i, (n, grid) in enumerate(zip(n_list, grids))]
-
-
-def ground_state(geom: TrapGeometry, species: Species, n_atoms: float,
-                 grid: Grid | None = None, tolerance: float = 1e-10,
-                 max_steps: int = 400_000) -> GroundStateResult:
-    """Imaginary-time ground state for one atom number; see ground_states."""
-    return ground_states(geom, species, [n_atoms], None if grid is None else [grid],
-                         tolerance, max_steps)[0]
+    return GroundStateResult(field=Field(grid=grid, values=psi.astype(complex), n_atoms=n_atoms),
+                             mu=mu, mu_total=mu + mu_offset, e0=e0, eta_longitudinal=eta_l,
+                             eta_n=eta_t * eta_l, residual=residual, steps=iterations)
 
 
 def local_log_slopes(n_list, etas) -> list[float]:
@@ -313,22 +276,6 @@ def local_log_slopes(n_list, etas) -> list[float]:
         slopes[i] = (math.log(etas[i + 1]) - math.log(etas[i - 1])) / \
             (math.log(n_list[i + 1] - 1.0) - math.log(n_list[i - 1] - 1.0))
     return slopes
-
-
-def eta_sweep(geom: TrapGeometry, species: Species, n_list,
-              points: int = 512,
-              tolerance: float = 1e-10) -> list[tuple[float, float, float]]:
-    """Ground-state eta_N over an ascending list of atom numbers.
-
-    Returns (N, eta_N, local log-log slope) rows; the slope is a centered
-    difference of ln(eta) against ln(N-1) (nan at the ends).
-    """
-    n_list = list(n_list)
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("atom numbers must be strictly ascending")
-    grids = [default_grid(geom, species, n, points=points) for n in n_list]
-    etas = [res.eta_n for res in ground_states(geom, species, n_list, grids, tolerance)]
-    return list(zip(n_list, etas, local_log_slopes(n_list, etas)))
 
 
 def min_two_mode_steps(field: Field, species: Species, geom: TrapGeometry,

@@ -186,13 +186,14 @@ def test_acceptance_5_gp_vs_tf(rb_geom):
                                                   rel=1e-3)
     crit = sc.critical_numbers(geom, rb.a11)
     n_list = [1.0 + y * (crit.n_lower - 1.0) for y in (100.0, 316.0, 1000.0)]
-    rows = gp.eta_sweep(geom, rb, n_list, points=512)
+    etas = [gp.ground_state(geom, rb, n, gp.default_grid(geom, rb, n, points=512)).eta_n
+            for n in n_list]
     worst = 0.0
-    for n, eta_n, _ in rows:
+    for n, eta_n in zip(n_list, etas):
         eta_tf_val = tf.tf_profile(geom, rb, n, sc.Regime.INTERMEDIATE).eta_N
         worst = max(worst, abs(eta_n / eta_tf_val - 1.0))
     assert worst < 0.05
-    slope = rows[1][2]
+    slope = gp.local_log_slopes(n_list, etas)[1]
     assert slope == pytest.approx(-1.0 / 3.0, abs=0.05)
     acceptance_report(
         f"ACCEPTANCE 5: PASS - eta within {worst:.2%} of the TF closed form; "

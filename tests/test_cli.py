@@ -134,6 +134,7 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, text, name):
     ("bounds", "[sweep]\nn_values = 8 1\n"),
     ("condensate", "[sweep]\nn_over_nl = -5\n"),
     ("condensate", "[sweep]\nn_over_nl = 0 100\n"),
+    ("condensate", "[sweep]\nn_over_nl = 316 316 316\n"),
     ("scaling", "[sweep]\nq_values = 0.5 2\n"),
     ("bounds", "[protocol]\ngamma = 0\n"),
     ("counting", "[protocol]\nt = -1\n"),
@@ -279,7 +280,7 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise gp.ConvergenceError("nope", residual=1.0)
 
-    monkeypatch.setattr(cli.gp, "ground_states", explode)
+    monkeypatch.setattr(cli.gp, "ground_state", explode)
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("[sweep]\nn_over_nl = 100 180 320\n")
     assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
