@@ -123,6 +123,9 @@ def config_to_text(cfg: RunConfig) -> str:
     return "\n".join(lines[1:]) + "\n"
 
 
+_SEED_RULE = "seed must be nonnegative"  # numpy's generators take no negative seed
+
+
 def config_from_text(text: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
@@ -177,7 +180,8 @@ def config_from_text(text: str) -> RunConfig:
                           "sigma_over_sqrtn must be nonnegative"),
                          (cfg.counting_n >= 1 and cfg.trials >= 2,
                           "counting_n must be at least 1 and trials at least 2"),
-                         (cfg.gamma > 0 and cfg.t > 0, "gamma and t must be positive")):
+                         (cfg.gamma > 0 and cfg.t > 0, "gamma and t must be positive"),
+                         (cfg.seed >= 0, _SEED_RULE)):
             if not ok:
                 raise ConfigError(f"invalid configuration value: {rule}")
     except ConfigError:
@@ -402,6 +406,8 @@ def main(argv=None) -> int:
             cfg = replace(cfg, species_preset=args.preset,
                           species=SPECIES_PRESETS[args.preset]())
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"invalid configuration value: {_SEED_RULE}")
             cfg = replace(cfg, seed=args.seed)
         out_dir = args.out
         try:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it on first use, inside the Monte Carlo)
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,20 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.constants import atomic_mass, hbar as _hbar_si
-
 NM = 1e-9
 UM = 1e-6
 CM3 = 1e-6  # cm^3 in m^3
+# CODATA 2022, the values scipy.constants holds: hbar from the Planck constant
+# (exact in the SI since 2019) and the atomic mass constant in kg
+_HBAR_SI = 6.62607015e-34 / (2.0 * math.pi)  # J s
+atomic_mass = 1.66053906892e-27
 
 
 @dataclass(frozen=True)
 class PhysicalConstants:
     """SI value of hbar."""
 
-    hbar: float = _hbar_si  # J s
+    hbar: float = _HBAR_SI  # J s
 
     def __post_init__(self):
         if self.hbar <= 0:

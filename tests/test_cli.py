@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -138,12 +139,20 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, text, name):
     ("scaling", "[sweep]\nq_values = 0.5 2\n"),
     ("bounds", "[protocol]\ngamma = 0\n"),
     ("counting", "[protocol]\nt = -1\n"),
+    ("counting", "[protocol]\nseed = -3\n"),
 ])
 def test_config_rejects_out_of_range_values(tmp_path, capsys, command, text):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(text)
     assert cli.main([command, "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
     assert re.search(r"^configuration error: ", capsys.readouterr().err, re.M)
+
+
+def test_negative_seed_flag_is_a_configuration_error(tmp_path, capsys):
+    assert cli.main(["counting", "--seed", "-3", "--out", str(tmp_path)]) == 2
+    assert "configuration error: invalid configuration value: seed must be nonnegative" \
+        in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_readme_config_example_loads():
@@ -254,6 +263,13 @@ def test_condensate_command(tmp_path):
     assert abs(float(ov_rows[-1]["overlap_abs"]) - float(ov_rows[-1]["model_abs"])) < 0.02
     _, _, loss_rows = csvio.read_csv(tmp_path / "loss_budget.csv")
     assert float(loss_rows[0]["inverse_ratio"]) == pytest.approx(19.0, rel=0.20)
+
+
+def test_default_condensate_run_passes_its_validity_checks(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["condensate", "--out", str(tmp_path)]) == 0
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("n_over_nl", ["1 3", "10 30"])

@@ -142,6 +142,28 @@ def test_ground_state_grid_converged(geom_rb, rb87, y):
         assert res.mu == pytest.approx(coarse.mu, rel=1e-9)
 
 
+@pytest.mark.parametrize("d, steps, eta_n", [(2, 59, 471824201060.2999),
+                                              (3, 26, 5994339578.036011)])
+def test_radial_ground_state_pinned(rb87, d, steps, eta_n):
+    # the benchmark's radial states (N/N_L = 316, 512 points); the pinned
+    # values came from LAPACK's dgttrf/dgttrs preconditioner, which the
+    # elimination on Python floats repeats operation for operation
+    geom = pc.trap_from_lengths(d, 2, 1e-6, 100e-6, rb87.mass)
+    n = 1.0 + 316.0 * (sc.critical_numbers(geom, rb87.a11).n_lower - 1.0)
+    res = gp.ground_state(geom, rb87, n, gp.default_grid(geom, rb87, n, points=512))
+    assert res.steps == steps
+    assert res.eta_n == pytest.approx(eta_n, rel=1e-12)
+
+
+def test_under_resolved_1d_state_warns(geom_rb, rb87):
+    # at 64 points the N/N_L = 1000 state leaves 2.8e-6 of its spectral power
+    # in the top eighth of wavenumbers, and eta_N is 1.6e-4 off
+    crit = sc.critical_numbers(geom_rb, rb87.a11)
+    n = 1.0 + 1000.0 * (crit.n_lower - 1.0)
+    with pytest.warns(UserWarning, match=rf"N = {n:.6g}: grid spacing does not resolve"):
+        gp.ground_state(geom_rb, rb87, n, gp.default_grid(geom_rb, rb87, n, points=64))
+
+
 def test_ground_states_name_the_atom_number(geom_rb, rb87, monkeypatch):
     monkeypatch.setattr(gp, "_MAX_ITERATIONS", 10)
     with pytest.raises(gp.ConvergenceError, match=r"N = 500:") as err:

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import scipy.constants
 
 from becmetrology import physconfig as pc
 
@@ -123,3 +124,10 @@ def test_differential_coupling(rb87):
     sup = pc.Superposition(1.0, 0.0)
     assert pc.differential_coupling(rb87, sup) == pytest.approx(gamma1 + gamma2, rel=1e-10)
 
+
+
+def test_constants_equal_codata_from_scipy():
+    # the package holds the CODATA 2022 values as literals, so that it runs on
+    # numpy alone; they must stay the values scipy ships
+    assert pc.SI.hbar == scipy.constants.hbar
+    assert pc.atomic_mass == scipy.constants.atomic_mass
