@@ -16,7 +16,7 @@ from .physconfig import (PhysicalConstants, SI, Species, Superposition,
 from .scaling import (CriticalNumbers, Regime, classify_regime,
                       critical_numbers, eta_estimate, fig1_table,
                       longitudinal_radius, radii_full, scaling_exponent)
-from .spins import (CollectiveHamiltonian, DickeState, SpectrumBound, cat_state,
+from .spins import (DickeState, SpectrumBound, cat_state,
                     crb_linear, crb_nonlinear, evolve, expectation,
                     prepare_product, product_nonlinear_protocol, qfi_pure,
                     simulate_cat, simulate_enhanced, simulate_quadratic,

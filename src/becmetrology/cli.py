@@ -358,8 +358,7 @@ def cmd_counting(cfg: RunConfig, out_dir: str) -> list[str]:
     rows = []
     for i, s in enumerate(cfg.sigma_over_sqrtn):
         noise = cnt.CountingNoise(sigma=s * math.sqrt(n))
-        posterior = cnt.posterior_n0(prior, n, noise) if noise.sigma > 0 \
-            else cnt.NumberPrior.point(n)
+        posterior = cnt.posterior_n0(prior, n, noise)
         analytic = cnt.corrected_uncertainty(model, posterior, noise, gamma)
         mc = cnt.simulate_counts(model, cnt.NumberPrior.point(n), noise, gamma,
                                  cfg.trials, cfg.seed + i)

@@ -98,15 +98,13 @@ def posterior_n0(prior: NumberPrior, measured_n: float,
 class QuantumSignalModel:
     """Quantum moments of the difference signal as functions of (N0, gamma).
 
-    sample_fn, when provided, draws an exact ideal-measurement outcome m' for
-    Monte Carlo runs; otherwise a Gaussian surrogate with the model's own
-    moments is used.
+    sample_fn draws an exact ideal-measurement outcome m' for Monte Carlo runs.
     """
 
     mean_fn: Callable[[np.ndarray, float], np.ndarray]
     var_fn: Callable[[np.ndarray, float], np.ndarray]
     derivative_fn: Callable[[np.ndarray, float], np.ndarray]
-    sample_fn: Callable[[np.random.Generator, np.ndarray, float], np.ndarray] | None = None
+    sample_fn: Callable[[np.random.Generator, np.ndarray, float], np.ndarray]
 
 
 def ramsey_model(t: float) -> QuantumSignalModel:
@@ -179,9 +177,8 @@ def simulate_counts(model: QuantumSignalModel, prior: NumberPrior,
                     seed: int) -> MonteCarloResult:
     """Monte Carlo of the counting pipeline with a local signal-inversion estimator.
 
-    Each trial draws N0 from the prior, an ideal difference m' from the quantum
-    statistics (exact sampler if the model carries one, Gaussian surrogate
-    otherwise), and adds the counting noise to both the difference and the
+    Each trial draws N0 from the prior, an ideal difference m' from the model's
+    exact sampler, and adds the counting noise to both the difference and the
     total.  gamma is estimated by linearized inversion of the mean signal at
     the posterior-refined atom number; the spread of the estimates is the
     empirical delta-gamma.
@@ -194,11 +191,7 @@ def simulate_counts(model: QuantumSignalModel, prior: NumberPrior,
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
         n0 = rng.choice(prior.support, size=size, p=prior.probabilities)
-        if model.sample_fn is not None:
-            m_ideal = model.sample_fn(rng, n0, gamma)
-        else:
-            m_ideal = model.mean_fn(n0, gamma) + \
-                rng.standard_normal(size) * np.sqrt(model.var_fn(n0, gamma))
+        m_ideal = model.sample_fn(rng, n0, gamma)
         if noise.sigma > 0.0:
             m = m_ideal + rng.standard_normal(size) * math.sqrt(noise.difference_variance)
             n_meas = n0 + rng.standard_normal(size) * math.sqrt(noise.total_variance)

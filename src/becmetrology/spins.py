@@ -47,13 +47,6 @@ class DickeState:
 
 
 @dataclass(frozen=True)
-class CollectiveHamiltonian:
-    """Generator kind for H = gamma * h, with h one of J_z, J_z^2, or N J_z."""
-
-    kind: HamiltonianKind
-
-
-@dataclass(frozen=True)
 class SpectrumBound:
     """Eigenvalue extremes of the per-qubit coupling and the coupling order."""
 
@@ -68,16 +61,16 @@ class SpectrumBound:
             raise ValueError("k_body must be a positive integer")
 
 
-def generator_eigenvalues(ham: CollectiveHamiltonian, n_atoms: int) -> np.ndarray:
+def generator_eigenvalues(kind: HamiltonianKind, n_atoms: int) -> np.ndarray:
     """Diagonal of the coupling h in the Dicke basis (units of the per-qubit scale)."""
     m = np.arange(n_atoms + 1) - n_atoms / 2.0
-    if ham.kind == "linear_Jz":
+    if kind == "linear_Jz":
         return m
-    if ham.kind == "quadratic_Jz2":
+    if kind == "quadratic_Jz2":
         return m**2
-    if ham.kind == "enhanced_NJz":
+    if kind == "enhanced_NJz":
         return n_atoms * m
-    raise ValueError(f"unknown Hamiltonian kind {ham.kind!r}")
+    raise ValueError(f"unknown Hamiltonian kind {kind!r}")
 
 
 def prepare_product(n_atoms: int, sup: Superposition) -> DickeState:
@@ -154,18 +147,17 @@ def expectation(state: DickeState, component: str) -> tuple[float, float]:
     return _moments(state.amplitudes, _apply_component(state.amplitudes, state.n_atoms, component))
 
 
-def evolve(state: DickeState, ham: CollectiveHamiltonian, gamma: float,
-           t: float) -> DickeState:
+def evolve(state: DickeState, kind: HamiltonianKind, gamma: float, t: float) -> DickeState:
     """Evolve under H = gamma*h for time t (diagonal phases in the Dicke basis)."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    h = generator_eigenvalues(ham, state.n_atoms)
+    h = generator_eigenvalues(kind, state.n_atoms)
     return DickeState(state.n_atoms, np.exp(-1j * gamma * t * h) * state.amplitudes)
 
 
-def qfi_pure(state: DickeState, generator: CollectiveHamiltonian, t: float) -> float:
+def qfi_pure(state: DickeState, kind: HamiltonianKind, t: float) -> float:
     """Quantum Fisher information 4 <Delta^2 K> of a pure state, K = t h."""
-    h = generator_eigenvalues(generator, state.n_atoms)
+    h = generator_eigenvalues(kind, state.n_atoms)
     return 4.0 * t**2 * _spread(np.abs(state.amplitudes) ** 2, h)
 
 
@@ -259,38 +251,35 @@ class ProtocolResult:
     generator_sd: float  # sqrt(<Delta^2 K>), K = t * h
 
 
-def _evolved_pair(n_atoms: int, sup: Superposition, kind: HamiltonianKind,
-                  gamma: float, t: float):
-    state = prepare_product(n_atoms, sup)
-    h = generator_eigenvalues(CollectiveHamiltonian(kind), n_atoms)
-    phases = np.exp(-1j * gamma * t * h)
-    psi = phases * state.amplitudes
+def _simulate(protocol: str, state: DickeState, kind: HamiltonianKind, gamma: float,
+              t: float, observable_apply) -> ProtocolResult:
+    """Evolve a prepared state and read out observable_apply (psi -> A psi)."""
+    evolved = evolve(state, kind, gamma, t)
+    psi = evolved.amplitudes
+    h = generator_eigenvalues(kind, state.n_atoms)
     dpsi = -1j * t * h * psi
-    return psi, dpsi, t * math.sqrt(_spread(np.abs(psi) ** 2, h))
-
-
-def _readout(psi, dpsi, observable_apply) -> tuple[float, float, float]:
     av = observable_apply(psi)
     mean, var = _moments(psi, av)
     slope = 2.0 * np.real(np.vdot(av, dpsi))
-    return mean, var, slope
-
-
-def _finish(protocol, n_atoms, gamma, t, psi, dpsi, generator_sd, observable_apply):
-    mean, var, slope = _readout(psi, dpsi, observable_apply)
     delta = math.sqrt(var) / abs(slope) if slope != 0.0 else math.inf
-    purity = single_qubit_purity(DickeState(n_atoms, psi))
-    return ProtocolResult(protocol=protocol, n_atoms=n_atoms, gamma=gamma, t=t,
+    return ProtocolResult(protocol=protocol, n_atoms=state.n_atoms, gamma=gamma, t=t,
                           delta_gamma=delta, signal_mean=mean, signal_variance=var,
-                          signal_slope=slope, purity=purity, generator_sd=generator_sd)
+                          signal_slope=slope, purity=single_qubit_purity(evolved),
+                          generator_sd=t * math.sqrt(_spread(np.abs(psi) ** 2, h)))
+
+
+def _extremal_coherence(values: np.ndarray) -> np.ndarray:
+    """|J><-J| + |-J><J| applied to an amplitude vector."""
+    out = np.zeros_like(values)
+    out[0], out[-1] = values[-1], values[0]
+    return out
 
 
 def simulate_ramsey(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
     """Full product-state interferometer: equal superposition, linear evolution,
     closing half-rotation, population-difference readout (J_x before R_y(-pi/2))."""
-    psi, dpsi, gsd = _evolved_pair(n_atoms, Superposition.equal(), "linear_Jz", gamma, t)
-    return _finish("ramsey", n_atoms, gamma, t, psi, dpsi, gsd,
-                   lambda v: _apply_component(v, n_atoms, "x"))
+    return _simulate("ramsey", prepare_product(n_atoms, Superposition.equal()), "linear_Jz",
+                     gamma, t, lambda v: _apply_component(v, n_atoms, "x"))
 
 
 def simulate_cat(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
@@ -300,56 +289,33 @@ def simulate_cat(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
     representation; the collective observable |J><-J| + |-J><J| has identical
     statistics (signal cos(N phi), variance sin^2(N phi)).
     """
-    state = cat_state(n_atoms)
-    h = generator_eigenvalues(CollectiveHamiltonian("linear_Jz"), n_atoms)
-    psi = np.exp(-1j * gamma * t * h) * state.amplitudes
-    dpsi = -1j * t * h * psi
-    gsd = t * n_atoms / 2.0
-
-    def coherence(v):
-        out = np.zeros_like(v)
-        out[0], out[-1] = v[-1], v[0]
-        return out
-
-    return _finish("cat", n_atoms, gamma, t, psi, dpsi, gsd, coherence)
+    return _simulate("cat", cat_state(n_atoms), "linear_Jz", gamma, t, _extremal_coherence)
 
 
 def simulate_enhanced(n_atoms: int, gamma: float, t: float,
-                      sup: Superposition | None = None) -> ProtocolResult:
+                      sup: Superposition = Superposition.equal()) -> ProtocolResult:
     """Product-state protocol driven by the N-amplified linear coupling."""
-    if sup is None:
-        sup = Superposition.equal()
-    psi, dpsi, gsd = _evolved_pair(n_atoms, sup, "enhanced_NJz", gamma, t)
-    return _finish("enhanced", n_atoms, gamma, t, psi, dpsi, gsd,
-                   lambda v: _apply_component(v, n_atoms, "x"))
+    return _simulate("enhanced", prepare_product(n_atoms, sup), "enhanced_NJz", gamma, t,
+                     lambda v: _apply_component(v, n_atoms, "x"))
 
 
-def simulate_quadratic(n_atoms: int, gamma: float, t: float,
-                       sup: Superposition | None = None) -> ProtocolResult:
+def simulate_quadratic(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
     """Product-state protocol under the quadratic coupling with a J_y readout."""
-    if sup is None:
-        sup = Superposition.quadratic_optimal()
-    psi, dpsi, gsd = _evolved_pair(n_atoms, sup, "quadratic_Jz2", gamma, t)
-    return _finish("quadratic", n_atoms, gamma, t, psi, dpsi, gsd,
-                   lambda v: _apply_component(v, n_atoms, "y"))
+    return _simulate("quadratic", prepare_product(n_atoms, Superposition.quadratic_optimal()),
+                     "quadratic_Jz2", gamma, t, lambda v: _apply_component(v, n_atoms, "y"))
 
 
-def product_nonlinear_protocol(n_atoms: int, gamma: float, t_grid: Sequence[float],
-                               kind: HamiltonianKind = "quadratic_Jz2",
-                               sup: Superposition | None = None) -> list[ProtocolResult]:
-    """Sensitivity trace of the product-state nonlinear protocol over a time grid.
+def product_nonlinear_protocol(n_atoms: int, gamma: float,
+                               t_grid: Sequence[float]) -> list[ProtocolResult]:
+    """Sensitivity trace of the product-state quadratic protocol over a time grid.
 
-    For the quadratic coupling the short-time sensitivity approaches
-    2/(t sqrt(N) (N-1)), i.e. 2/(t N^(3/2)) at large N; times where the signal
-    slope vanishes are reported with infinite delta_gamma.
+    The short-time sensitivity approaches 2/(t sqrt(N) (N-1)), i.e.
+    2/(t N^(3/2)) at large N; times where the signal slope vanishes are
+    reported with infinite delta_gamma.
     """
     if n_atoms < 2:
         raise ValueError("a nonlinear protocol needs at least two atoms")
-    if kind == "quadratic_Jz2":
-        return [simulate_quadratic(n_atoms, gamma, t, sup) for t in t_grid]
-    if kind == "enhanced_NJz":
-        return [simulate_enhanced(n_atoms, gamma, t, sup) for t in t_grid]
-    raise ValueError(f"unsupported protocol kind {kind!r}")
+    return [simulate_quadratic(n_atoms, gamma, t) for t in t_grid]
 
 
 def fit_loglog_slope(n_values: Sequence[float], delta_gammas: Sequence[float]) -> float:

@@ -349,8 +349,7 @@ def test_acceptance_9_cross_cutting():
             theirs_amp = oracle.dicke_from_dense(oracle.rotate(dense, axis, angle))
             assert np.allclose(ours_amp, theirs_amp, atol=1e-10)
         for kind in ("linear_Jz", "quadratic_Jz2", "enhanced_NJz"):
-            ours_amp = spins.evolve(state, spins.CollectiveHamiltonian(kind),
-                                    0.37, 1.0).amplitudes
+            ours_amp = spins.evolve(state, kind, 0.37, 1.0).amplitudes
             theirs_amp = oracle.dicke_from_dense(
                 oracle.evolve_diagonal(dense, kind, 0.37, 1.0))
             assert np.allclose(ours_amp, theirs_amp, atol=1e-10)

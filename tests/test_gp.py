@@ -155,6 +155,17 @@ def test_radial_ground_state_pinned(rb87, d, steps, eta_n):
     assert res.eta_n == pytest.approx(eta_n, rel=1e-12)
 
 
+def test_fine_radial_grid_reaches_the_default_tolerance(rb87, monkeypatch):
+    # on 4096 points, T psi summed as diagonal plus off-diagonals cancels to a
+    # round-off that held the residual at 1.4e-10 for 20000 iterations; in
+    # flux form the state converges in 23
+    monkeypatch.setattr(gp, "_MAX_ITERATIONS", 2000)
+    geom = pc.trap_from_lengths(2, 2, 1e-6, 100e-6, rb87.mass)
+    n = 1.0 + 0.01 * (sc.critical_numbers(geom, rb87.a11).n_lower - 1.0)
+    res = gp.ground_state(geom, rb87, n, gp.default_grid(geom, rb87, n, points=4096))
+    assert res.residual < 1e-10
+
+
 def test_under_resolved_1d_state_warns(geom_rb, rb87):
     # at 64 points the N/N_L = 1000 state leaves 2.8e-6 of its spectral power
     # in the top eighth of wavenumbers, and eta_N is 1.6e-4 off

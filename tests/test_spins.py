@@ -114,13 +114,13 @@ def test_norm_preserved():
     rng = np.random.default_rng(17)
     st = random_dicke(30, rng)
     for out in (rotate(st, "y", 0.7),
-                spins.evolve(st, spins.CollectiveHamiltonian("quadratic_Jz2"), 0.3, 1.2)):
+                spins.evolve(st, "quadratic_Jz2", 0.3, 1.2)):
         assert np.vdot(out.amplitudes, out.amplitudes).real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_evolve_cases():
     st = spins.prepare_product(4, Superposition.equal())
-    ham = spins.CollectiveHamiltonian("linear_Jz")
+    ham = "linear_Jz"
     assert np.allclose(spins.evolve(st, ham, 0.8, 0.0).amplitudes, st.amplitudes)
     # a pi rotation about z flips the equatorial Bloch vector
     one = spins.prepare_product(1, Superposition.equal())
@@ -133,7 +133,7 @@ def test_evolve_cases():
 def test_evolve_quadratic_matches_dense():
     sup = Superposition.quadratic_optimal()
     st = spins.prepare_product(4, sup)
-    out = spins.evolve(st, spins.CollectiveHamiltonian("quadratic_Jz2"), 0.3, 1.0)
+    out = spins.evolve(st, "quadratic_Jz2", 0.3, 1.0)
     dense = oracle.evolve_diagonal(oracle.product_state(4, sup.c1, sup.c2), "quadratic_Jz2", 0.3, 1.0)
     dense /= np.linalg.norm(dense)
     assert np.allclose(out.amplitudes, oracle.dicke_from_dense(dense), atol=1e-10)
@@ -182,7 +182,7 @@ def test_simulated_cat_signal(n):
 
 
 def test_qfi_pure():
-    lin = spins.CollectiveHamiltonian("linear_Jz")
+    lin = "linear_Jz"
     st = spins.prepare_product(64, Superposition.equal())
     assert spins.qfi_pure(st, lin, 1.0) == pytest.approx(64.0, rel=1e-12)
     eig = spins.prepare_product(5, Superposition(1.0, 0.0))
@@ -200,7 +200,7 @@ def test_classical_fisher_ramsey():
         res = spins.simulate_ramsey(n, g, t)
         # binomial readout distribution reproduced from the simulated state
         st = spins.prepare_product(n, Superposition.equal())
-        st = spins.evolve(st, spins.CollectiveHamiltonian("linear_Jz"), g, t)
+        st = spins.evolve(st, "linear_Jz", g, t)
         return np.abs(oracle.rotate_dicke(st.amplitudes, "y", -math.pi / 2)) ** 2
 
     # hand-differentiated binomial oracle: the information is N t^2 at any phase
@@ -216,7 +216,7 @@ def test_classical_fisher_ramsey():
 
 def test_classical_fisher_bounded_by_qfi():
     rng = np.random.default_rng(23)
-    lin = spins.CollectiveHamiltonian("linear_Jz")
+    lin = "linear_Jz"
     for _ in range(50):
         n = int(rng.integers(2, 11))
         st = random_dicke(n, rng)
@@ -309,8 +309,6 @@ def test_product_nonlinear_protocol_api():
     results = spins.product_nonlinear_protocol(100, 1.0, t_grid)
     assert [r.t for r in results] == t_grid
     assert all(r.protocol == "quadratic" for r in results)
-    enh = spins.product_nonlinear_protocol(100, 1.0, t_grid, kind="enhanced_NJz")
-    assert all(r.protocol == "enhanced" for r in enh)
     with pytest.raises(ValueError):
         spins.product_nonlinear_protocol(1, 1.0, t_grid)
 
@@ -337,7 +335,7 @@ def test_purity_matches_dense():
     sup = Superposition.quadratic_optimal()
     for n in (4, 8, 12):
         st = spins.prepare_product(n, sup)
-        ev = spins.evolve(st, spins.CollectiveHamiltonian("quadratic_Jz2"), 0.1, 1.0)
+        ev = spins.evolve(st, "quadratic_Jz2", 0.1, 1.0)
         dense = oracle.evolve_diagonal(oracle.product_state(n, sup.c1, sup.c2), "quadratic_Jz2", 0.1, 1.0)
         dense /= np.linalg.norm(dense)
         assert spins.single_qubit_purity(ev) == \

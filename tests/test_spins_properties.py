@@ -12,7 +12,7 @@ from becmetrology.physconfig import Superposition
 
 
 def schroedinger_readout(n, sup, kind, gamma, t):
-    state = spins.evolve(spins.prepare_product(n, sup), spins.CollectiveHamiltonian(kind), gamma, t)
+    state = spins.evolve(spins.prepare_product(n, sup), kind, gamma, t)
     state = spins.DickeState(n, oracle.rotate_dicke(state.amplitudes, "y", -math.pi / 2.0))
     mean, var = spins.expectation(state, "z")
     return mean, var, spins.single_qubit_purity(state)
