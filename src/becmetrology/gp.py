@@ -19,10 +19,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-# numpy loads these on first use; load them with the package instead of
-# inside the first solve (np.percentile reaches numpy.ma)
+# numpy loads this on first use; load it with the package instead of inside
+# the first solve
 import numpy.fft  # noqa: F401
-import numpy.ma  # noqa: F401
 
 from .physconfig import (SI, Species, Superposition, TrapGeometry,
                          coupling_constant, differential_coupling)
@@ -128,18 +127,27 @@ _MAX_ANGLE = 0.5  # radians; bounds a secant step extrapolated from a nearly fla
 # under-resolved: at most 2.3e-23 on the default sweep, where eta_N is converged
 # to 8e-12; 2.8e-6 for N/N_L = 1000 on 64 points, where eta_N is 1.6e-4 off
 _SPECTRAL_TAIL = 1e-10
+# minority-sign share of the norm above which a radial state has a node: at
+# most 6.4e-21 on the nodeless states of a 144-case sweep (d = 2, 3; q = 1 to
+# 10; 64 to 2048 points; N/N_L = 0.01 to 1e4); 3.6e-2 and 3.4e-1 on the two
+# states with a node that 64 points first gave at q = 10, N/N_L = 1e4
+_NODE_SHARE = 1e-8
 
 
 def _spectral_kinetic(grid, mass, hb):
     """1D kinetic operator T, diagonal in Fourier space (real states: real FFTs).
 
-    Returns apply(psi) = T psi and inverse(lam), the solve psi -> (lam + T)^-1 psi.
+    Returns apply(psi) = T psi and inverse(kinetic, interaction), the solve
+    psi -> (lam + T)^-1 psi for a state of mean kinetic energy <T> and mean
+    interaction potential <g psi^2>.  The shift lam is the larger of the two:
+    in the Thomas-Fermi regime <T> alone lies far below mu and over-weights
+    the low wavenumbers.
     """
     points = grid.points
     t_k = hb**2 / (2.0 * mass) * (2.0 * math.pi * np.fft.rfftfreq(points, grid.spacing))**2
 
-    def inverse(lam):
-        factor = 1.0 / (lam + t_k)
+    def inverse(kinetic, interaction):
+        factor = 1.0 / (max(kinetic, interaction) + t_k)
         return lambda psi: np.fft.irfft(factor * np.fft.rfft(psi), n=points)
 
     return (lambda psi: np.fft.irfft(t_k * np.fft.rfft(psi), n=points)), inverse
@@ -147,7 +155,13 @@ def _spectral_kinetic(grid, mass, hb):
 
 def _radial_kinetic(grid, mass, hb):
     """2D/3D kinetic operator T as the tridiagonal FD form of -(hbar^2/2m)
-    (1/r^(d-1)) d/dr (r^(d-1) d/dr); _spectral_kinetic's contract, tridiagonal solves."""
+    (1/r^(d-1)) d/dr (r^(d-1) d/dr); _spectral_kinetic's contract, tridiagonal solves.
+
+    The shift lam is <T> alone: on 96 radial cases (d = 2, 3; q = 1 to 10;
+    64 to 2048 points; N/N_L = 0.01 to 1e4), <T> + <g psi^2> and
+    <T + V + g psi^2> slowed 12 and 33 of them by more than 10%, by up to
+    1.6 and 2.0 times.
+    """
     d = grid.dimension
     r, dr = grid.coordinates(), grid.spacing
     a_plus = (r + 0.5 * dr) ** (d - 1)
@@ -169,7 +183,8 @@ def _radial_kinetic(grid, mass, hb):
         flux[1:] *= a_plus
         return scale * (flux[1:] - flux[:-1])
 
-    def inverse(lam):
+    def inverse(kinetic, interaction):
+        lam = kinetic
         # LU factors of lam + T, once per state, on Python floats: lam + T is
         # diagonally dominant, so elimination needs no pivoting (nor does
         # LAPACK's dgttrf pivot here) and the arithmetic is dgttrf's and dgttrs'
@@ -196,27 +211,49 @@ def _radial_kinetic(grid, mass, hb):
     return apply, inverse
 
 
-def _minimize(kinetic, V, w, geff, n_atoms, e_floor, tolerance):
+def _quantile(a, q):
+    """np.quantile(a, q) for 0 <= q < 1 by numpy's default (linear) rule, to
+    the bit, from np.partition: np.quantile would load numpy.ma."""
+    k = (a.size - 1) * q
+    i = int(k)
+    lo, hi = (float(v) for v in np.partition(a, (i, i + 1))[i:i + 2])
+    t = k - i
+    return lo + (hi - lo) * t if t < 0.5 else hi - (hi - lo) * (1.0 - t)
+
+
+def _minority_share(psi, w):
+    """Share of the norm on the minority sign of psi; 0 for a state of one sign."""
+    density = w * psi**2
+    positive, negative = float(np.sum(density[psi > 0])), float(np.sum(density[psi < 0]))
+    return min(positive, negative) / (positive + negative)
+
+
+def _minimize(kinetic, V, w, geff, n_atoms, e_floor, tolerance, start=None):
     """Real ground state by preconditioned nonlinear conjugate gradients on the
     unit sphere (Antoine, Levitt & Tang, J. Comput. Phys. 343, 92 (2017)).
 
     kinetic is (apply, inverse) for the grid; V and w are the potential and
-    the integration measure.  Directions are Polak-Ribiere+ in the metric of
-    the preconditioner (lam + T)^-1, with lam the mean kinetic energy of the
-    guess; each step follows the great circle through the direction, by an
-    angle from a secant on the energy's slope.  Returns psi, e0, mu, the
-    relative gradient norm |H psi - mu psi| / mu and the iteration count.
+    the integration measure.  The iteration starts from start (a TF-shaped or
+    Gaussian guess when None).  Directions are Polak-Ribiere+ in the metric of
+    the preconditioner (lam + T)^-1, whose shift lam the grid's inverse takes
+    from the start state's mean kinetic energy <T> and mean interaction
+    potential <g psi^2>; each step follows the great circle through the
+    direction, by an angle from a secant on the energy's slope.  Returns psi,
+    e0, mu, the relative gradient norm |H psi - mu psi| / mu and the
+    iteration count.
     """
     apply_t, inverse = kinetic
 
     def dot(a, b):
         return float(np.sum(w * a * b))
 
-    # TF-shaped guess where interactions dominate, Gaussian otherwise
-    mu_guess = max(float(np.percentile(V, 30)), e_floor)
-    psi = np.sqrt(np.maximum(mu_guess - V, 0.0) + 1e-3 * mu_guess)
-    psi /= math.sqrt(dot(psi, psi))
-    precondition = inverse(dot(psi, apply_t(psi)))
+    if start is None:
+        # TF-shaped guess where interactions dominate, Gaussian otherwise
+        mu_guess = max(_quantile(V, 0.3), e_floor)
+        start = np.sqrt(np.maximum(mu_guess - V, 0.0) + 1e-3 * mu_guess)
+    psi = start / math.sqrt(dot(start, start))
+    density = psi**2
+    precondition = inverse(dot(psi, apply_t(psi)), geff * dot(density, density))
     direction = None
     per_length = 1.0  # trial angle per unit length of the direction
     for iteration in range(_MAX_ITERATIONS + 1):
@@ -260,8 +297,10 @@ def ground_state(geom: TrapGeometry, species: Species, n_atoms: float,
 
     Minimizes the discrete GP energy over unit-normalized real states on grid
     (default_grid when None) until the relative gradient norm
-    |H psi - mu psi| / mu falls below tolerance.  N = 1 turns the interaction
-    off and recovers the bare trap ground state.
+    |H psi - mu psi| / mu falls below tolerance.  On radial grids a state
+    with a node is restarted once from |psi|, and raises ConvergenceError if
+    it keeps one.  N = 1 turns the interaction off and recovers the bare trap
+    ground state.
     """
     g = coupling_constant(species.a11, species.mass)
     eta_t = eta_transverse(geom)
@@ -289,8 +328,22 @@ def ground_state(geom: TrapGeometry, species: Species, n_atoms: float,
     hb = SI.hbar
     w = grid.weights()
     kinetic = (_spectral_kinetic if geom.d == 1 else _radial_kinetic)(grid, geom.mass, hb)
-    psi, e0, mu, residual, iterations = _minimize(kinetic, V, w, geff, n_atoms,
-                                                  hb * geom.omega_L, tolerance)
+    e_floor = hb * geom.omega_L
+    psi, e0, mu, residual, iterations = _minimize(kinetic, V, w, geff, n_atoms, e_floor,
+                                                  tolerance)
+    # on radial grids H = T + V + g psi^2 has negative off-diagonals, so its
+    # lowest state has one sign: a state with a node is an excited stationary
+    # state, which the minimizer leaves when restarted from |psi|.  The 1D
+    # spectral T has no such sign structure.
+    if geom.d > 1 and _minority_share(psi, w) > _NODE_SHARE:
+        psi, e0, mu, residual, more = _minimize(kinetic, V, w, geff, n_atoms, e_floor,
+                                                tolerance, start=np.abs(psi))
+        iterations += more
+        share = _minority_share(psi, w)
+        if share > _NODE_SHARE:
+            raise ConvergenceError(f"N = {n_atoms:.6g}: the stationary state has a node "
+                                   f"({share:.1e} of its norm has the minority sign), "
+                                   "also when restarted from |psi|", residual=residual)
     if geom.d == 1:
         power = np.abs(np.fft.rfft(psi))**2
         tail = float(np.sum(power[len(power) * 7 // 8:]) / np.sum(power))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from becmetrology import gp
+from becmetrology import cli, gp
 from becmetrology import physconfig as pc
 from becmetrology import scaling as sc
 from becmetrology import thomas_fermi as tf
@@ -121,8 +121,10 @@ def test_ground_state_pinned_solution(geom_rb, rb87):
     crit = sc.critical_numbers(geom_rb, rb87.a11)
     n = 1.0 + 100.0 * (crit.n_lower - 1.0)
     res = gp.ground_state(geom_rb, rb87, n, gp.default_grid(geom_rb, rb87, n, points=512))
-    assert res.steps == 86
+    assert res.steps == 35
     assert res.eta_n == pytest.approx(8.95368194e13, rel=1e-6)
+    # the discrete minimum that the kinetic-only shift <T> reached in 86 steps
+    assert res.eta_n == pytest.approx(89536756522690.28, rel=1e-10)
     assert res.mu == pytest.approx(1.08920988e-34, rel=1e-6)
     assert res.residual < 1e-10
     assert res.field.values.dtype == np.complex128
@@ -153,6 +155,47 @@ def test_radial_ground_state_pinned(rb87, d, steps, eta_n):
     res = gp.ground_state(geom, rb87, n, gp.default_grid(geom, rb87, n, points=512))
     assert res.steps == steps
     assert res.eta_n == pytest.approx(eta_n, rel=1e-12)
+
+
+def test_default_sweep_iteration_budget():
+    # the five default 1D states (512 points) took 1010 iterations with the
+    # preconditioner shifted by <T> alone; max(<T>, <g psi^2>) takes 217
+    cfg = cli.RunConfig()
+    geom = cfg.trap()
+    n_lower = sc.critical_numbers(geom, cfg.species.a11).n_lower
+    steps = 0
+    for y in cfg.n_over_nl:
+        n = 1.0 + y * (n_lower - 1.0)
+        grid = gp.default_grid(geom, cfg.species, n, points=cfg.grid_points,
+                               extent_factor=cfg.grid_extent_factor)
+        steps += gp.ground_state(geom, cfg.species, n, grid).steps
+    assert steps <= 250
+
+
+@pytest.mark.filterwarnings("ignore:.*healing length")
+@pytest.mark.parametrize("d, noded_energy", [(2, 5.403191055180383e-33),
+                                             (3, 3.2375556468072464e-33)])
+def test_radial_ground_state_has_no_node(rb87, d, noded_energy):
+    # on 64 points at q = 10, N/N_L = 1e4 the minimizer first converges to an
+    # excited stationary state with a node (3.4e-1 and 3.6e-2 of its norm on
+    # the minority sign) at noded_energy; the restart from |psi| leaves it
+    geom = pc.typical_trap(d, 10.0, mass=rb87.mass)
+    n = 1.0 + 1e4 * (sc.critical_numbers(geom, rb87.a11).n_lower - 1.0)
+    grid = gp.default_grid(geom, rb87, n, points=64)
+    res = gp.ground_state(geom, rb87, n, grid)
+    psi, w = res.field.values.real, grid.weights()
+    minority = min(np.sum(w * np.minimum(psi, 0.0)**2), np.sum(w * np.maximum(psi, 0.0)**2))
+    assert minority / np.sum(w * psi**2) < 1e-12
+    geff = pc.coupling_constant(rb87.a11, rb87.mass) * (n - 1.0) * sc.eta_transverse(geom)
+    assert res.e0 + 0.5 * geff * res.eta_longitudinal < 0.99 * noded_energy
+    assert res.residual < 1e-10
+
+
+def test_radial_state_that_keeps_a_node_raises(rb87, monkeypatch):
+    monkeypatch.setattr(gp, "_NODE_SHARE", -1.0)  # every state counts as noded
+    geom = pc.trap_from_lengths(2, 2, 1e-6, 100e-6, rb87.mass)
+    with pytest.raises(gp.ConvergenceError, match=r"N = 1: the stationary state has a node"):
+        gp.ground_state(geom, rb87, 1.0, gp.Grid(dimension=2, points=64, extent=4.0 * geom.r0))
 
 
 def test_fine_radial_grid_reaches_the_default_tolerance(rb87, monkeypatch):

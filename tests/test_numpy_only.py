@@ -12,7 +12,8 @@ SRC = Path(becmetrology.__file__).resolve().parents[1]
 # Every command on a small configuration, plus a radial (d = 2) ground state,
 # in an interpreter where importing scipy fails.  numpy submodules that a run
 # loads on first use would move import time into the run, so none may appear
-# after the package import.
+# after the package import; numpy.ma, which nothing uses, may not appear at
+# all.
 SCRIPT = r"""
 import os, sys, tempfile, warnings
 
@@ -44,6 +45,7 @@ result = gp.ground_state(geom, species, n, gp.default_grid(geom, species, n, poi
 assert result.residual < 1e-10
 late = sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy")
 assert not late, late
+assert "numpy.ma" not in sys.modules
 print("ok")
 """
 
