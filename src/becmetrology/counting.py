@@ -11,6 +11,8 @@ inflated by sigma^2/2.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -164,12 +166,64 @@ def corrected_uncertainty(model: QuantumSignalModel, posterior: NumberPrior,
     return math.sqrt(mean_var) / abs(slope)
 
 
+_CHUNK = 20_000  # Monte Carlo trials per random stream
+
+
 @dataclass(frozen=True)
 class MonteCarloResult:
     delta_gamma: float
     stderr: float
     trials: int
     bias: float
+
+
+def _available_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_moments(model: QuantumSignalModel, prior: NumberPrior,
+                   noise: CountingNoise, gamma: float, rng: np.random.Generator,
+                   err: np.ndarray, z: np.ndarray,
+                   n_point: np.ndarray | None) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations) of one chunk's errors gamma_est - gamma.
+
+    err and z are the worker's float buffers, cut to the chunk size; n_point is
+    a read-only N0 array when the prior is a point, else None.  Only numpy and
+    the model's callables run here, so it is safe on a worker thread.
+    """
+    size = err.size
+    if n_point is not None:
+        # a point prior fixes N0, and every posterior estimate of it, to its one value
+        n0 = n_point[:size]
+        n_hat = prior.support
+    else:
+        n0 = rng.choice(prior.support, size=size, p=prior.probabilities)
+    err[:] = model.sample_fn(rng, n0, gamma)
+    if noise.sigma > 0.0:
+        rng.standard_normal(out=z)
+        z *= math.sqrt(noise.difference_variance)
+        err += z
+        if n_point is None:
+            rng.standard_normal(out=z)
+            z *= math.sqrt(noise.total_variance)
+            n_meas = n0 + z
+            # posterior mean of N0 given each measured total, batched
+            log_like = -((n_meas[:, None] - prior.support[None, :]) ** 2) \
+                / (2.0 * noise.total_variance)
+            weights = prior.probabilities[None, :] * \
+                np.exp(log_like - log_like.max(axis=1, keepdims=True))
+            n_hat = weights @ prior.support / weights.sum(axis=1)
+    elif n_point is None:
+        n_hat = n0.astype(float)
+    err -= model.mean_fn(n_hat, gamma)
+    err /= model.derivative_fn(n_hat, gamma)
+    mean = float(err.mean())
+    err -= mean
+    err *= err
+    return size, mean, float(err.sum())
 
 
 def simulate_counts(model: QuantumSignalModel, prior: NumberPrior,
@@ -181,33 +235,61 @@ def simulate_counts(model: QuantumSignalModel, prior: NumberPrior,
     exact sampler, and adds the counting noise to both the difference and the
     total.  gamma is estimated by linearized inversion of the mean signal at
     the posterior-refined atom number; the spread of the estimates is the
-    empirical delta-gamma.
+    empirical delta-gamma.  A point prior draws neither N0 nor the total count,
+    since its posterior estimate of N0 is its one value whatever the count.
+
+    The trials run in chunks of 20 000, chunk i drawing from the i-th stream
+    spawned by np.random.SeedSequence(seed).  The chunks run concurrently on as
+    many threads as the process has CPUs (at most one per chunk), and their
+    moments are combined in chunk order, so the result depends only on the
+    arguments, never on the CPU count.
     """
     if trials < 2:
         raise ValueError("need at least two trials to estimate a spread")
-    rng = np.random.default_rng(seed)
-    estimates = np.empty(trials)
-    chunk = 20_000
-    for start in range(0, trials, chunk):
-        size = min(chunk, trials - start)
-        n0 = rng.choice(prior.support, size=size, p=prior.probabilities)
-        m_ideal = model.sample_fn(rng, n0, gamma)
-        if noise.sigma > 0.0:
-            m = m_ideal + rng.standard_normal(size) * math.sqrt(noise.difference_variance)
-            n_meas = n0 + rng.standard_normal(size) * math.sqrt(noise.total_variance)
-            # posterior mean of N0 given each measured total, batched
-            log_like = -((n_meas[:, None] - prior.support[None, :]) ** 2) \
-                / (2.0 * noise.total_variance)
-            weights = prior.probabilities[None, :] * \
-                np.exp(log_like - log_like.max(axis=1, keepdims=True))
-            n_hat = weights @ prior.support / weights.sum(axis=1)
-        else:
-            m = m_ideal
-            n_hat = n0.astype(float)
-        slope = model.derivative_fn(n_hat, gamma)
-        estimates[start:start + size] = gamma + (m - model.mean_fn(n_hat, gamma)) / slope
-    delta = float(np.std(estimates, ddof=1))
-    bias = float(np.mean(estimates) - gamma)
-    return MonteCarloResult(delta_gamma=delta,
-                            stderr=delta / math.sqrt(2.0 * (trials - 1)),
+    n_chunks = -(-trials // _CHUNK)
+    streams = np.random.SeedSequence(seed).spawn(n_chunks)
+    workers = min(n_chunks, _available_cpus())
+    moments: list[tuple[int, float, float] | None] = [None] * n_chunks
+    errors: list[BaseException] = []
+    failed = threading.Event()
+    n_point = None
+    if prior.support.size == 1:
+        n_point = np.full(min(_CHUNK, trials), prior.support[0])
+        n_point.flags.writeable = False  # shared by the workers
+
+    def work(first: int) -> None:
+        # chunks first, first + workers, ...; the buffers live as long as the worker
+        try:
+            buffers = np.empty((2, min(_CHUNK, trials)))
+            for i in range(first, n_chunks, workers):
+                if failed.is_set():
+                    return
+                size = min(_CHUNK, trials - i * _CHUNK)
+                moments[i] = _chunk_moments(model, prior, noise, gamma,
+                                            np.random.default_rng(streams[i]),
+                                            buffers[0, :size], buffers[1, :size],
+                                            n_point)
+        except BaseException as exc:  # re-raised on the calling thread below
+            failed.set()
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    # Chan, Golub & LeVeque's pairwise update of (count, mean, M2)
+    count, bias, m2 = 0, 0.0, 0.0
+    for n_b, mean_b, m2_b in moments:
+        total = count + n_b
+        delta = mean_b - bias
+        bias += delta * n_b / total
+        m2 += m2_b + delta * delta * count * n_b / total
+        count = total
+    delta_gamma = math.sqrt(m2 / (trials - 1))
+    return MonteCarloResult(delta_gamma=delta_gamma,
+                            stderr=delta_gamma / math.sqrt(2.0 * (trials - 1)),
                             trials=trials, bias=bias)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -177,3 +179,106 @@ def test_monte_carlo_matches_analytic_with_noise(gamma):
     mc = cnt.simulate_counts(model, cnt.NumberPrior.point(n), noise, gamma,
                              trials=100_000, seed=11)
     assert abs(mc.delta_gamma - analytic) < 3 * mc.stderr
+
+
+def _reference_monte_carlo(model, prior, noise, gamma, trials, seed):
+    """simulate_counts with every estimate kept: chunk i draws from the i-th
+    spawned stream, and the concatenated estimates go through np.std."""
+    chunk = 20_000
+    streams = np.random.SeedSequence(seed).spawn(-(-trials // chunk))
+    estimates = []
+    for i, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        size = min(chunk, trials - i * chunk)
+        point = prior.support.size == 1
+        if point:
+            n0 = np.full(size, prior.support[0])
+        else:
+            n0 = rng.choice(prior.support, size=size, p=prior.probabilities)
+        m = model.sample_fn(rng, n0, gamma)
+        if noise.sigma > 0.0:
+            m = m + rng.standard_normal(size) * math.sqrt(noise.difference_variance)
+        if noise.sigma > 0.0 and not point:
+            n_meas = n0 + rng.standard_normal(size) * math.sqrt(noise.total_variance)
+            log_like = -((n_meas[:, None] - prior.support[None, :]) ** 2) \
+                / (2.0 * noise.total_variance)
+            weights = prior.probabilities[None, :] * \
+                np.exp(log_like - log_like.max(axis=1, keepdims=True))
+            n_hat = weights @ prior.support / weights.sum(axis=1)
+        else:
+            n_hat = n0.astype(float)
+        estimates.append(gamma + (m - model.mean_fn(n_hat, gamma))
+                         / model.derivative_fn(n_hat, gamma))
+    estimates = np.concatenate(estimates)
+    assert estimates.size == trials
+    return float(np.std(estimates, ddof=1)), float(np.mean(estimates) - gamma)
+
+
+PRIORS = {"point": cnt.NumberPrior.point(100), "flat": cnt.NumberPrior.flat(100, 0.1)}
+
+
+@pytest.mark.parametrize("trials", [2, 3, 19_999, 20_001, 45_678])
+@pytest.mark.parametrize("sigma", [0.0, 3.0])
+@pytest.mark.parametrize("prior", PRIORS.values(), ids=PRIORS.keys())
+def test_monte_carlo_chunk_moments_match_one_array(prior, sigma, trials):
+    model = cnt.ramsey_model(1.0)
+    noise = cnt.CountingNoise(sigma)
+    gamma = 1.2
+    res = cnt.simulate_counts(model, prior, noise, gamma, trials=trials, seed=31)
+    delta, bias = _reference_monte_carlo(model, prior, noise, gamma, trials, seed=31)
+    assert res.trials == trials
+    assert res.delta_gamma == pytest.approx(delta, rel=1e-13, abs=0.0)
+    assert res.stderr == pytest.approx(delta / math.sqrt(2.0 * (trials - 1)), rel=1e-13)
+    # the reference loses the bias's low digits in gamma + error; the chunks do not
+    assert abs(res.bias - bias) <= 1e-13 * gamma
+
+
+@pytest.mark.parametrize("sigma", [0.0, 3.0])
+@pytest.mark.parametrize("prior", PRIORS.values(), ids=PRIORS.keys())
+def test_monte_carlo_is_independent_of_the_cpu_count(monkeypatch, prior, sigma):
+    model = cnt.ramsey_model(1.0)
+    noise = cnt.CountingNoise(sigma)
+    trials = 8 * 20_000 + 7  # nine chunks, the last one short
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for cpus in (1, 2, 8):  # 8: more threads than CPUs on most hosts
+            monkeypatch.setattr(cnt, "_available_cpus", lambda: cpus)
+            results[cpus] = cnt.simulate_counts(model, prior, noise, 1.0, trials, seed=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[2] == results[1]
+    assert results[8] == results[1]
+
+
+def test_counting_csv_is_independent_of_the_cpu_count(monkeypatch, tmp_path):
+    from becmetrology import cli
+
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cnt, "_available_cpus", lambda: cpus)
+        out = tmp_path / str(cpus)
+        assert cli.main(["counting", "--out", str(out)]) == 0
+        outputs.append((out / "counting.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+# With two CPUs the calling thread runs the even chunks and a worker the odd ones.
+@pytest.mark.parametrize("n_chunks", [3, 4], ids=["calling-thread", "worker-thread"])
+def test_monte_carlo_error_in_a_chunk_propagates(monkeypatch, n_chunks):
+    ramsey = cnt.ramsey_model(1.0)
+
+    def sample(rng, n0, gamma):
+        if n0.size < 20_000:  # the last chunk, the only short one
+            raise RuntimeError("detector fault")
+        return ramsey.sample_fn(rng, n0, gamma)
+
+    model = cnt.QuantumSignalModel(ramsey.mean_fn, ramsey.var_fn, ramsey.derivative_fn,
+                                   sample)
+    monkeypatch.setattr(cnt, "_available_cpus", lambda: 2)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="detector fault"):
+        cnt.simulate_counts(model, cnt.NumberPrior.point(100), cnt.CountingNoise(1.0),
+                            1.0, trials=(n_chunks - 1) * 20_000 + 5, seed=1)
+    assert set(threading.enumerate()) == before
