@@ -8,8 +8,9 @@ nonlinear conjugate gradients, one state per call; the kinetic operator is
 spectral on one-dimensional longitudinal grids and a tridiagonal finite
 difference on the radial grids of 2D and 3D traps.  The coupled two-mode
 real-time evolution (1D only) uses FFT split steps, with the two modes as the
-rows of one complex array and the two potential half-steps that meet between
-recorded steps merged into one.
+rows of one complex array transformed in place, the two potential half-steps
+that meet between recorded steps merged into one, and each potential factor
+built from the tangent of half its phase.
 """
 
 from __future__ import annotations
@@ -408,8 +409,13 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     recorded steps the trailing potential half-step of one step and the
     leading half-step of the next are applied as one factor, which is exact
     because the second half-step's density follows from the first's in
-    closed form; a recorded step ends on its own half-step.  Fewer steps
-    than min_two_mode_steps raise StepSizeError.
+    closed form; a recorded step ends on its own half-step.  The FFTs write
+    into two preallocated arrays, and each potential factor exp(decay + i
+    phase) is built from t = tan(phase / 2) by rational arithmetic, which
+    holds its modulus to a few ulp.  The state is recorded at t = 0, after
+    every record_every-th step and after the last step.  Fewer steps than
+    min_two_mode_steps raise StepSizeError; record_every < 1 raises
+    ValueError.
     """
     field = initial.field if isinstance(initial, GroundStateResult) else initial
     grid, n_atoms = field.grid, field.n_atoms
@@ -417,6 +423,8 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
         raise ValueError("two-mode evolution is implemented for 1D longitudinal grids")
     if steps < 1 or t_final <= 0:
         raise ValueError("need a positive final time and at least one step")
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
     hb, mass = SI.hbar, geom.mass
     x, dx = grid.coordinates(), grid.spacing
     kx = 2.0 * math.pi * np.fft.fftfreq(grid.points, dx)
@@ -437,17 +445,26 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
                             f"more than 0.1 rad per step; use at least {needed} steps")
     dt = t_final / steps
 
-    kin_factor = np.exp(-1j * (hb * kx**2 / (2.0 * mass)) * dt)
+    # the inverse FFT runs unscaled (norm="forward"); its 1/points rides on
+    # the kinetic factor
+    kin_factor = np.exp(-1j * (hb * kx**2 / (2.0 * mass)) * dt) / grid.points
     psi = np.array([field.values, field.values], dtype=complex)  # row i is mode i + 1
+    spectrum = np.empty_like(psi)
     # one potential half-step multiplies psi by exp(decay + i phase), with the
-    # phase -dt/(2 hbar) (V + G rho) and the decay -dt/4 L rho at density rho
-    v_phase = -0.5 * dt / hb * V
-    g_phase = -0.5 * dt / hb * gmat * weights
-    v_phases = (v_phase, 2.0 * v_phase)  # one half-step, two merged
+    # phase -dt/(2 hbar) (V + G rho) and the decay -dt/4 L rho at density rho;
+    # the *_half coefficients give half that phase, whose tangent builds the
+    # factor
+    v_half = -0.25 * dt / hb * V
+    g_half = -0.25 * dt / hb * gmat * weights
+    v_halves = (v_half, 2.0 * v_half)  # one half-step, two merged
+    # two merged half-steps without loss see one density twice; with loss,
+    # g_half acts on the sum of their two densities
+    g_halves = (g_half, 2.0 * g_half)
     if loss:
         l_decay = -0.25 * dt * np.array([[0.0, loss12], [loss12, loss22]]) * weights
+        l_decay2 = 2.0 * l_decay
     rho, phase = np.empty(psi.shape), np.empty(psi.shape)
-    decay = np.empty(psi.shape) if loss else None
+    decay = np.empty(psi.shape) if loss else 1.0
     factor = np.empty_like(psi)
 
     def couple(m, rho, out):
@@ -459,25 +476,32 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     def potential_step(psi, merged):
         """One potential half-step on psi in place; with merged, two in a row
         (the second at the density the first leaves) as one factor."""
-        np.square(psi.real, out=rho)
-        np.square(psi.imag, out=phase)
-        np.add(rho, phase, out=rho)
-        if merged:
-            # the second half-step sees rho exp(2 decay) (rho itself without
-            # loss); both exponents are linear in rho, so they come from the
-            # two densities' sum
-            if loss:
-                np.exp(2.0 * couple(l_decay, rho, decay), out=decay)
-                np.add(rho, rho * decay, out=rho)
-            else:
-                np.add(rho, rho, out=rho)
-        np.add(couple(g_phase, rho, phase), v_phases[merged], out=phase)
-        # exp(decay + i phase) by Euler's formula: numpy's complex exp is not
-        # vectorized and takes about 1.5 times as long as cos and sin together
-        np.cos(phase, out=factor.real)
-        np.sin(phase, out=factor.imag)
+        # |psi|^2: both parts squared in one pass over factor's memory
+        np.square(psi.view(float), out=factor.view(float))
+        np.add(factor.real, factor.imag, out=rho)
         if loss:
-            np.multiply(factor, np.exp(couple(l_decay, rho, decay), out=decay), out=factor)
+            if merged:
+                # the second half-step sees rho exp(2 decay); both exponents
+                # are linear in rho, so they come from the two densities' sum
+                np.exp(couple(l_decay2, rho, decay), out=decay)
+                np.multiply(rho, decay, out=decay)
+                np.add(rho, decay, out=rho)
+            np.exp(couple(l_decay, rho, decay), out=decay)
+        np.add(couple(g_halves[merged and not loss], rho, phase), v_halves[merged], out=phase)
+        # exp(decay + i phase) from t = tan(phase / 2), the tangent of what
+        # the phase array holds: with D = exp(decay), which the decay array
+        # now holds (1 without loss), and r = 2 D / (1 + t^2), D cos(phase)
+        # is r - D and D sin(phase) is t r.
+        # numpy's float64 tan is vectorized where its cos and sin are not
+        # (about 3 against 10 ns per element), and its complex exp is slower
+        # still.  Past a pole of tan, t is huge and r tiny, which gives -D.
+        np.tan(phase, out=phase)
+        np.square(phase, out=rho)
+        np.add(rho, 1.0, out=rho)
+        np.divide(decay, rho, out=rho)
+        np.add(rho, rho, out=rho)
+        np.subtract(rho, decay, out=factor.real)
+        np.multiply(phase, rho, out=factor.imag)
         psi *= factor
 
     def snapshot(psi, t):
@@ -497,11 +521,11 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     snapshot(psi, 0.0)
     potential_step(psi, merged=False)
     for step in range(1, steps + 1):
-        psi = np.fft.fft(psi)
+        np.fft.fft(psi, out=spectrum)
         # kin_factor first: the complex product is not symmetric in its
         # operands' rounding where it uses fused multiply-adds
-        np.multiply(kin_factor, psi, out=psi)
-        psi = np.fft.ifft(psi)
+        np.multiply(kin_factor, spectrum, out=spectrum)
+        np.fft.ifft(spectrum, out=psi, norm="forward")
         recorded = step % record_every == 0 or step == steps
         potential_step(psi, merged=not recorded)
         if recorded:

@@ -400,21 +400,13 @@ def moving_state(geom_rb, rb87):
     return gp.Field(grid, ground.field.values * kick, n), ground.mu
 
 
-@pytest.mark.parametrize("loss", [False, True])
-@pytest.mark.parametrize("steps, record_every", [(1, 1), (1, 3), (8, 1), (8, 3), (8, 8),
-                                                 (50, 1), (50, 3), (50, 50)])
-def test_two_mode_merged_half_steps_match_reference(geom_rb, rb87, moving_state, loss,
-                                                    steps, record_every):
-    field, mu = moving_state
-    # loss constants scaled up so that mode 2 loses about 2% of its norm in 50 steps
-    species = dataclasses.replace(rb87, gamma12_loss=5.0 * rb87.gamma12_loss,
-                                  gamma22_loss=5.0 * rb87.gamma22_loss)
-    sup = pc.Superposition(0.6, 0.8)
-    t_final = steps * 0.05 * HBAR / mu
-    rec = gp.evolve_two_mode(field, sup, species, geom_rb, t_final, steps, loss=loss,
+def _assert_matches_reference(field, sup, species, geom, t_final, steps, loss, record_every):
+    """evolve_two_mode against the step-by-step reference to 1e-10; returns
+    the reference norms."""
+    rec = gp.evolve_two_mode(field, sup, species, geom, t_final, steps, loss=loss,
                              record_every=record_every)
     (times, overlap, p1, p2, norm1, norm2), final = _evolve_two_mode_reference(
-        field, sup, species, geom_rb, t_final, steps, loss, record_every)
+        field, sup, species, geom, t_final, steps, loss, record_every)
 
     def rel(a, b):
         return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
@@ -424,8 +416,76 @@ def test_two_mode_merged_half_steps_match_reference(geom_rb, rb87, moving_state,
                       (rec.norm1, norm1), (rec.norm2, norm2),
                       (rec.final_fields[0], final[0]), (rec.final_fields[1], final[1])):
         assert rel(got, want) < 1e-10
+    return norm1, norm2
+
+
+@pytest.fixture(scope="module")
+def lossier(rb87):
+    """rb87 with loss constants scaled up so that mode 2 loses about 2% of its
+    norm in 50 steps of the moving state."""
+    return dataclasses.replace(rb87, gamma12_loss=5.0 * rb87.gamma12_loss,
+                               gamma22_loss=5.0 * rb87.gamma22_loss)
+
+
+@pytest.mark.parametrize("loss", [False, True])
+@pytest.mark.parametrize("steps, record_every", [(1, 1), (1, 3), (8, 1), (8, 3), (8, 8),
+                                                 (50, 1), (50, 3), (50, 50)])
+def test_two_mode_merged_half_steps_match_reference(geom_rb, lossier, moving_state, loss,
+                                                    steps, record_every):
+    field, mu = moving_state
+    t_final = steps * 0.05 * HBAR / mu
+    norm1, norm2 = _assert_matches_reference(field, pc.Superposition(0.6, 0.8), lossier,
+                                             geom_rb, t_final, steps, loss, record_every)
     if loss and steps == 50:
         assert 1e-3 < 1.0 - norm2[-1] < 0.1
+
+
+@pytest.fixture(scope="module")
+def moving_state_q10(rb87):
+    """The moving state's recipe in a q = 10 trap at N = 2000, with the trap."""
+    geom = pc.trap_from_lengths(1, 10, 1e-6, 100e-6, rb87.mass)
+    n = 2000.0
+    ground = gp.ground_state(geom, rb87, n, gp.default_grid(geom, rb87, n, points=256))
+    grid = ground.field.grid
+    kick = np.exp(2j * math.pi * 3.0 * grid.coordinates() / grid.extent)
+    return geom, gp.Field(grid, ground.field.values * kick, n), ground.mu
+
+
+@pytest.mark.parametrize("loss", [False, True])
+@pytest.mark.parametrize("steps, record_every", [(8, 3), (50, 1)])
+def test_two_mode_tangent_factor_past_its_poles_matches_reference(lossier, moving_state_q10,
+                                                                  loss, steps, record_every):
+    # in a q = 10 trap the potential at the grid edge, where the state has
+    # almost no density, turns the half-step phase through several multiples
+    # of pi: tan(phase / 2) crosses its poles there
+    geom, field, mu = moving_state_q10
+    dt = 0.02 * HBAR / mu
+    edge_phase = 0.5 * dt / HBAR * 0.5 * geom.k * field.grid.extent ** geom.q
+    assert edge_phase > 3.0 * math.pi
+    _assert_matches_reference(field, pc.Superposition(0.6, 0.8), lossier, geom,
+                              steps * dt, steps, loss, record_every)
+
+
+def test_two_mode_norm_holds_over_a_long_lossless_run(geom_rb, rb87):
+    # |exp(i phase)| = 1 is rounded afresh on every step; over thousands of
+    # steps a biased rounding would show as norm drift
+    crit = sc.critical_numbers(geom_rb, rb87.a11)
+    n = 1.0 + 1000.0 * (crit.n_lower - 1.0)
+    ground = gp.ground_state(geom_rb, rb87, n, gp.default_grid(geom_rb, rb87, n, points=256))
+    steps = 2000
+    rec = gp.evolve_two_mode(ground, pc.Superposition.equal(), rb87, geom_rb,
+                             steps * 0.05 * HBAR / ground.mu, steps, record_every=100)
+    assert len(rec.times) == 21
+    assert np.max(np.abs(rec.norm1 - 1.0)) < 1e-11
+    assert np.max(np.abs(rec.norm2 - 1.0)) < 1e-11
+
+
+@pytest.mark.parametrize("record_every", [0, -3])
+def test_two_mode_rejects_record_every_below_one(geom_rb, rb87, moving_state, record_every):
+    field, mu = moving_state
+    with pytest.raises(ValueError, match="record_every"):
+        gp.evolve_two_mode(field, pc.Superposition.equal(), rb87, geom_rb,
+                           8 * 0.05 * HBAR / mu, 8, record_every=record_every)
 
 
 def test_loss_budget_values(geom_rb, rb87):
