@@ -12,18 +12,17 @@ records; `cli` exposes reproducible sweeps.
 from .physconfig import (PhysicalConstants, SI, Species, Superposition,
                          TrapGeometry, coupling_constant, differential_coupling,
                          josephson_couplings, rb87, trap_from_lengths,
-                         trap_from_strengths, typical_species, typical_trap)
+                         typical_species, typical_trap)
 from .scaling import (CriticalNumbers, Regime, classify_regime,
                       critical_numbers, eta_estimate, fig1_table,
-                      longitudinal_radius, radii_full, scaling_exponent)
+                      scaling_exponent)
 from .spins import (DickeState, SpectrumBound, cat_state,
                     crb_linear, crb_nonlinear, evolve, expectation,
-                    prepare_product, product_nonlinear_protocol, qfi_pure,
+                    prepare_product, product_nonlinear_protocol,
                     simulate_cat, simulate_enhanced, simulate_quadratic,
                     simulate_ramsey, single_qubit_purity)
-from .thomas_fermi import (PhaseDynamics, TFProfile, fringe_probabilities,
-                           i_integral, j_integral, k_integral, overlap_gaussian,
-                           phase_dynamics, tf_profile)
+from .thomas_fermi import (PhaseDynamics, TFProfile, i_integral, j_integral,
+                           overlap_gaussian, phase_dynamics, tf_profile)
 from .gp import (ConvergenceError, EvolutionRecord, Field, Grid,
                  GroundStateResult, StepSizeError, evolve_two_mode,
                  ground_state, loss_budget)

@@ -16,7 +16,6 @@ import configparser
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field, replace
 
 from . import counting as cnt
@@ -126,6 +125,16 @@ def config_to_text(cfg: RunConfig) -> str:
 _SEED_RULE = "seed must be nonnegative"  # numpy's generators take no negative seed
 
 
+def _finite(key: str, value):
+    """Return value; a float in it that is nan or infinite is a configuration error,
+    except inf for a hardness exponent, which is a hard wall."""
+    hardness = key in ("q", "q_values")
+    for v in value if isinstance(value, list) else [value]:
+        if isinstance(v, float) and not (math.isfinite(v) or (hardness and v == math.inf)):
+            raise ConfigError(f"invalid configuration value: {key} must be finite")
+    return value
+
+
 def config_from_text(text: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
@@ -149,8 +158,8 @@ def config_from_text(text: str) -> RunConfig:
                 value = cp[sec][key]
                 if key == "q" and value.lower() in ("hard", "hard_wall"):
                     value = "inf"
-                setattr(cfg, attr, _parse(value, getattr(cfg, attr), unit))
-        inline = {attr: _parse(cp["species"][key], 0.0, unit)
+                setattr(cfg, attr, _finite(key, _parse(value, getattr(cfg, attr), unit)))
+        inline = {attr: _finite(key, _parse(cp["species"][key], 0.0, unit))
                   for key, attr, unit in SPECIES_KEYS if cp.has_option("species", key)}
         if inline:
             if len(cp["species"]) > len(inline):  # a preset is given too
@@ -171,7 +180,8 @@ def config_from_text(text: str) -> RunConfig:
             raise ConfigError("sweep ranges must be nonempty")
         gp.Grid(1, cfg.grid_points, 1.0)  # the solver's point-count rule
         # the ranges the commands need, so that no run fails halfway
-        for ok, rule in ((all(n >= 2 for n in cfg.n_values), "n_values must be at least 2"),
+        for ok, rule in ((cfg.grid_extent_factor > 0, "extent_factor must be positive"),
+                         (all(n >= 2 for n in cfg.n_values), "n_values must be at least 2"),
                          (all(y > 0 for y in cfg.n_over_nl), "n_over_nl must be positive"),
                          (len(set(cfg.n_over_nl)) == len(cfg.n_over_nl),
                           "n_over_nl values must be distinct"),
@@ -266,7 +276,7 @@ def cmd_scaling(cfg: RunConfig, out_dir: str) -> list[str]:
     n_grid = [math.exp(x) for x in
               _linspace(math.log(2.0), math.log(n_hi), 60)]
     eta_rows = [(n, scaling.eta_estimate(geom, cfg.species.a11, n),
-                 _quiet_regime(geom, cfg.species.a11, n))
+                 scaling.classify_regime(geom, cfg.species.a11, n).value)
                 for n in n_grid]
     eta_path = os.path.join(out_dir, "eta_estimate.csv")
     csvio.write_csv(eta_path, ("N", "eta_m3", "regime"), eta_rows, header)
@@ -276,13 +286,6 @@ def cmd_scaling(cfg: RunConfig, out_dir: str) -> list[str]:
 def _linspace(a, b, count):
     step = (b - a) / (count - 1)
     return [a + i * step for i in range(count)]
-
-
-def _quiet_regime(geom, a, n):
-    # the near-boundary warning is useful interactively, not per table row
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return scaling.classify_regime(geom, a, n).value
 
 
 def cmd_condensate(cfg: RunConfig, out_dir: str) -> list[str]:

@@ -71,9 +71,6 @@ class NumberPrior:
     def point(cls, n: int) -> "NumberPrior":
         return cls(np.array([n]), np.array([1.0]))
 
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.probabilities))
-
 
 def posterior_n0(prior: NumberPrior, measured_n: float,
                  noise: CountingNoise) -> NumberPrior:

@@ -6,13 +6,16 @@ import csv
 import io
 import json
 import os
-import tempfile
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temporary file and rename, so readers never see halves."""
+    """Write via a sibling temporary file and rename, so readers never see halves.
+
+    The file gets the mode that open(path, "w") would give it: 0o666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -24,34 +27,14 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_csv(path, fieldnames, rows, header_lines=()) -> None:
-    """Write rows (sequences or mappings) with '#'-prefixed provenance lines on top."""
+    """Write rows of values with '#'-prefixed provenance lines on top."""
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
     writer = csv.writer(buf)
     writer.writerow(fieldnames)
-    for row in rows:
-        if isinstance(row, dict):
-            writer.writerow([row[name] for name in fieldnames])
-        else:
-            writer.writerow(list(row))
+    writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
-
-
-def read_csv(path):
-    """Read back a file written by write_csv: (header_lines, fieldnames, rows-as-dicts)."""
-    header_lines = []
-    with open(path, newline="") as fh:
-        data_lines = []
-        for line in fh:
-            if line.startswith("#"):
-                header_lines.append(line[1:].strip())
-            else:
-                data_lines.append(line)
-    reader = csv.reader(data_lines)
-    fieldnames = next(reader)
-    rows = [dict(zip(fieldnames, row)) for row in reader]
-    return header_lines, fieldnames, rows
 
 
 def write_json(path, payload) -> None:

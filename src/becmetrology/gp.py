@@ -26,7 +26,7 @@ import numpy.fft  # noqa: F401
 
 from .physconfig import (SI, Species, Superposition, TrapGeometry,
                          coupling_constant, differential_coupling)
-from .scaling import Regime, critical_numbers, eta_transverse, unit_sphere_area
+from .scaling import Regime, classify_regime, eta_transverse, unit_sphere_area
 from .thomas_fermi import phase_dynamics, tf_profile
 
 
@@ -114,10 +114,8 @@ def default_grid(geom: TrapGeometry, species: Species, n_atoms: float,
                  points: int = 512, extent_factor: float = 2.0) -> Grid:
     """Grid sized from the TF radius (or the bare width when interactions are weak)."""
     r_char = geom.r0
-    if n_atoms > 1:
-        crit = critical_numbers(geom, species.a11)
-        if n_atoms > crit.n_lower:
-            r_char = tf_profile(geom, species, n_atoms, Regime.INTERMEDIATE).r_tilde
+    if classify_regime(geom, species.a11, n_atoms) != Regime.BARE:
+        r_char = tf_profile(geom, species, n_atoms, Regime.INTERMEDIATE).r_tilde
     extent = max(extent_factor * r_char, 4.0 * geom.r0)
     return Grid(dimension=geom.d, points=points, extent=extent)
 
@@ -313,7 +311,7 @@ def ground_state(geom: TrapGeometry, species: Species, n_atoms: float,
         raise ValueError("grid dimension does not match the trap geometry")
     V = _potential(geom, grid.coordinates())
 
-    if n_atoms > max(1.0, critical_numbers(geom, species.a11).n_lower):
+    if classify_regime(geom, species.a11, n_atoms) != Regime.BARE:
         r_tf = tf_profile(geom, species, n_atoms, Regime.INTERMEDIATE).r_tilde
         if grid.extent < 1.5 * r_tf:
             warnings.warn(f"N = {n_atoms:.6g}: grid extent is below 1.5x the TF radius; "
@@ -389,7 +387,7 @@ class EvolutionRecord:
     p2: np.ndarray
     norm1: np.ndarray
     norm2: np.ndarray
-    final_fields: tuple[np.ndarray, np.ndarray] | None = None
+    final_fields: tuple[np.ndarray, np.ndarray]
 
 
 def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,

@@ -193,19 +193,6 @@ def trap_from_lengths(d: int, q: float, rho0: float, r0: float,
                         k=k, omega_T=omega_T, omega_L=omega_L)
 
 
-def trap_from_strengths(d: int, q: float, k: float, omega_T: float,
-                        mass: float) -> TrapGeometry:
-    """Inverse construction from the stiffness k and transverse frequency."""
-    if math.isinf(q):
-        raise ValueError("a hard-wall trap has no finite stiffness; use trap_from_lengths")
-    if k <= 0 or omega_T <= 0:
-        raise ValueError("trap strengths must be positive")
-    hb = SI.hbar
-    rho0 = math.sqrt(hb / (2.0 * mass * omega_T))
-    r0 = (hb**2 / (mass * k)) ** (1.0 / (q + 2.0))
-    return trap_from_lengths(d, q, rho0, r0, mass)
-
-
 def typical_trap(d: int, q: float = 2.0, mass: float | None = None) -> TrapGeometry:
     """The workhorse geometry for estimates: rho0 = 1 um, r0 = 100 um."""
     if mass is None:

@@ -1,4 +1,4 @@
-"""Critical atom numbers, cloud radii, inverse-volume scaling, and sensitivity exponents.
+"""Critical atom numbers, regime labels, inverse-volume scaling, and sensitivity exponents.
 
 Closed-form order-of-magnitude relations for a condensate loosely trapped in d
 longitudinal dimensions (power-law potential, hardness q) and tightly trapped
@@ -10,18 +10,12 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .physconfig import TrapGeometry
 
 UNIT_SPHERE_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
-_WARN_BAND = 10.0
-
-
-def unit_sphere_volume(d: int) -> float:
-    return UNIT_SPHERE_VOLUME[d]
 
 
 def unit_sphere_area(d: int) -> float:
@@ -70,60 +64,13 @@ class Regime(enum.Enum):
 
 
 def classify_regime(geom: TrapGeometry, a: float, n_atoms: float) -> Regime:
-    """Label the atom number: bare below N_L, full TF above N_T, else intermediate.
-
-    The underlying scalings hold only well away from the boundaries, so a
-    warning is issued within a factor _WARN_BAND of either critical number.
-    """
+    """Label the atom number: bare up to N_L, full TF above N_T, else intermediate."""
     crit = critical_numbers(geom, a)
-    near = []
-    if crit.n_lower / _WARN_BAND < n_atoms < crit.n_lower * _WARN_BAND:
-        near.append("N_L")
-    if crit.n_upper is not None and crit.n_upper / _WARN_BAND < n_atoms < crit.n_upper * _WARN_BAND:
-        near.append("N_T")
-    if near:
-        warnings.warn(f"atom number {n_atoms:g} is within a factor {_WARN_BAND:g} "
-                      f"of {' and '.join(near)}; regime label is approximate",
-                      stacklevel=2)
     if n_atoms <= crit.n_lower:
         return Regime.BARE
     if crit.n_upper is None or n_atoms <= crit.n_upper:
         return Regime.INTERMEDIATE
     return Regime.FULL_TF
-
-
-def longitudinal_radius(geom: TrapGeometry, a: float, n_atoms: float) -> float:
-    """Longitudinal half-width r_N in the intermediate regime.
-
-    r_N/r0 = ((N-1)/(N_L-1))^(1/(d+q)); for a hard wall the cloud does not spread.
-    """
-    if n_atoms < 1:
-        raise ValueError("atom number must be >= 1")
-    if geom.hard_wall:
-        return geom.r0
-    crit = critical_numbers(geom, a)
-    y = (n_atoms - 1.0) / (crit.n_lower - 1.0)
-    return geom.r0 * y ** (1.0 / (geom.d + geom.q))
-
-
-def radii_full(geom: TrapGeometry, a: float, n_atoms: float) -> tuple[float, float]:
-    """(r_N, rho_N) in the regime N >> N_T where the cloud spreads in all directions."""
-    d, q, D = geom.d, geom.q, geom.transverse_dimensions
-    if d == 3:
-        raise ValueError("the full TF regime radii require transverse dimensions (d < 3)")
-    if n_atoms < 1:
-        raise ValueError("atom number must be >= 1")
-    crit = critical_numbers(geom, a)
-    y_t = (n_atoms - 1.0) / (crit.n_upper - 1.0)
-    two_d_over_q = 0.0 if math.isinf(q) else 2.0 * d / q
-    expo = 5.0 - d + two_d_over_q
-    prefactor = 4.0 * (4.0 * math.pi) ** (D / 2.0) * 2.0**two_d_over_q / UNIT_SPHERE_VOLUME[D]
-    rho_n = geom.rho0 * (prefactor * y_t) ** (1.0 / expo)
-    if geom.hard_wall:
-        r_n = geom.r0
-    else:
-        r_n = geom.r0 * ((geom.r0 / (2.0 * geom.rho0)) * (rho_n / geom.rho0)) ** (2.0 / q)
-    return r_n, rho_n
 
 
 def eta_transverse(geom: TrapGeometry) -> float:

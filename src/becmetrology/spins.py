@@ -3,8 +3,9 @@
 N symmetric qubits live in the (N+1)-dimensional ladder of collective J_z
 eigenvalues m = -N/2 ... N/2, which makes exact simulation cheap out to very
 large N.  Everything here works directly on that amplitude vector: state
-preparation, diagonal evolutions, moments, quantum Fisher information, and
-the Cramer-Rao / quantum-noise-limit / Heisenberg bounds.
+preparation, diagonal evolutions, moments, the generator spread (a pure
+state's quantum Fisher information is 4 <Delta^2 K>), and the Cramer-Rao /
+quantum-noise-limit / Heisenberg bounds.
 
 The simulated protocols read out in the Heisenberg picture: a closing
 rotation is folded into the measured observable (J_z after R_y(-pi/2) is
@@ -155,12 +156,6 @@ def evolve(state: DickeState, kind: HamiltonianKind, gamma: float, t: float) -> 
     return DickeState(state.n_atoms, np.exp(-1j * gamma * t * h) * state.amplitudes)
 
 
-def qfi_pure(state: DickeState, kind: HamiltonianKind, t: float) -> float:
-    """Quantum Fisher information 4 <Delta^2 K> of a pure state, K = t h."""
-    h = generator_eigenvalues(kind, state.n_atoms)
-    return 4.0 * t**2 * _spread(np.abs(state.amplitudes) ** 2, h)
-
-
 def single_qubit_purity(state: DickeState) -> float:
     """Purity of the one-atom reduced state; 1 exactly iff the symmetric state is a product."""
     n = state.n_atoms
@@ -168,7 +163,7 @@ def single_qubit_purity(state: DickeState) -> float:
     return 0.5 * (1.0 + float(np.dot(bloch, bloch)))
 
 
-# --- closed-form bounds and signals ---------------------------------------
+# --- closed-form bounds ---------------------------------------------------
 
 @dataclass(frozen=True)
 class LinearBounds:
@@ -218,16 +213,6 @@ def crb_nonlinear(bound: SpectrumBound, n_atoms: int, t: float) -> NonlinearBoun
     return NonlinearBound(crb=1.0 / (t * norm),
                           product_state_reference=1.0 / (t * n_atoms ** (bound.k_body - 0.5)),
                           norm=norm)
-
-
-def ramsey_signal(n_atoms: int, phi: float) -> tuple[float, float]:
-    """Analytic population-difference signal and variance at accumulated phase phi."""
-    return 0.5 * n_atoms * math.cos(phi), 0.25 * n_atoms * math.sin(phi) ** 2
-
-
-def cat_signal(n_atoms: int, phi: float) -> tuple[float, float]:
-    """Analytic single-qubit readout signal and variance for the cat interferometer."""
-    return math.cos(n_atoms * phi), math.sin(n_atoms * phi) ** 2
 
 
 # --- simulated protocols ---------------------------------------------------

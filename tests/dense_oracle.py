@@ -140,6 +140,15 @@ def rotate_dicke(amplitudes: np.ndarray, axis: str, angle: float) -> np.ndarray:
     return quarter * (v @ (np.exp(-1j * angle * w) * (v.T @ (np.conj(quarter) * amplitudes))))
 
 
+def qfi_pure(amplitudes: np.ndarray, kind: str, t: float) -> float:
+    """Quantum Fisher information 4 <Delta^2 K> of a pure Dicke state, K = t h."""
+    n = len(amplitudes) - 1
+    m = np.arange(n + 1) - n / 2.0
+    h = {"linear_Jz": m, "quadratic_Jz2": m**2, "enhanced_NJz": n * m}[kind]
+    p = np.abs(amplitudes) ** 2
+    return 4.0 * t**2 * float(np.dot(p, (h - np.dot(p, h)) ** 2))
+
+
 def classical_fisher(outcome_dist, gamma: float, step: float,
                      p_floor: float = 1e-12) -> tuple[float, float]:
     """Central-difference Fisher information of a gamma-dependent outcome

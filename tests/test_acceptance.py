@@ -168,9 +168,9 @@ def test_acceptance_4_tf_integrals():
     geom2 = pc.trap_from_lengths(2, 2, 1e-6, 100e-6, rb.mass)
     assert tf.i_integral(1.0, 5000.0, geom1, rb.a11) == 1.0
     n_full = 1.0 + 50.0 * (sc.critical_numbers(geom1, rb.a11).n_upper - 1.0)
-    assert tf.k_integral(1.0, n_full, geom1, rb.a11) == 1.0
+    assert closed_forms.k_integral(1.0, n_full, geom1, rb.a11) == 1.0
     n_full2 = 1.0 + 50.0 * (sc.critical_numbers(geom2, rb.a11).n_upper - 1.0)
-    assert tf.k_integral(1.0, n_full2, geom2, rb.a11) == 1.0
+    assert closed_forms.k_integral(1.0, n_full2, geom2, rb.a11) == 1.0
     acceptance_report(
         f"ACCEPTANCE 4: PASS - integral closed forms agree to 1e-12, quadrature "
         f"to 1e-10; normalizations exact ({time.perf_counter() - start:.1f} s)")
@@ -218,13 +218,13 @@ def test_acceptance_6_overlap_and_visibility(rb_geom, rb_tf_ground):
                         * ((1 - u**q) / norm - eta_l) ** 2, 0, 1,
                         epsabs=1e-13, epsrel=1e-13)
         from_quadrature = eta_l / math.sqrt(m_int)
-        assert tf.omega_tau_product(d, q) == pytest.approx(from_quadrature, abs=1e-6)
+        assert closed_forms.omega_tau_product(d, q) == pytest.approx(from_quadrature, abs=1e-6)
         geom_dq = pc.trap_from_lengths(d, q, 1e-6, 100e-6, rb.mass)
         n_dq = 1.0 + 1000.0 * (sc.critical_numbers(geom_dq, rb.a11).n_lower - 1.0)
         phase_dq = tf.phase_dynamics(geom_dq, rb, n_dq, pc.Superposition.equal())
         assert phase_dq.omega_N * phase_dq.tau_pd == \
             pytest.approx(from_quadrature, abs=1e-6)
-    assert tf.omega_tau_product(1, 10.0) == pytest.approx(math.sqrt(62.0), rel=1e-12)
+    assert closed_forms.omega_tau_product(1, 10.0) == pytest.approx(math.sqrt(62.0), rel=1e-12)
 
     # coupled-GP overlap against the Gaussian model out to Omega t = 0.5
     n, ground = rb_tf_ground

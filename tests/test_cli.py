@@ -1,5 +1,8 @@
+import csv
 import math
+import os
 import re
+import stat
 import warnings
 from pathlib import Path
 
@@ -11,10 +14,26 @@ from becmetrology.physconfig import atomic_mass
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def read_csv(path):
+    """Read back a file written by csvio.write_csv: (header_lines, fieldnames, rows-as-dicts)."""
+    header_lines = []
+    with open(path, newline="") as fh:
+        data_lines = []
+        for line in fh:
+            if line.startswith("#"):
+                header_lines.append(line[1:].strip())
+            else:
+                data_lines.append(line)
+    reader = csv.reader(data_lines)
+    fieldnames = next(reader)
+    rows = [dict(zip(fieldnames, row)) for row in reader]
+    return header_lines, fieldnames, rows
+
+
 def test_csv_roundtrip(tmp_path):
     path = tmp_path / "table.csv"
     csvio.write_csv(path, ("a", "b"), [(1, 2.5), (3, 4.5)], header_lines=["hello", "x = 1"])
-    header, fields, rows = csvio.read_csv(path)
+    header, fields, rows = read_csv(path)
     assert header == ["hello", "x = 1"]
     assert fields == ["a", "b"]
     assert rows == [{"a": "1", "b": "2.5"}, {"a": "3", "b": "4.5"}]
@@ -24,9 +43,22 @@ def test_csv_atomic_write_replaces(tmp_path):
     path = tmp_path / "out.csv"
     csvio.write_csv(path, ("a",), [(1,)])
     csvio.write_csv(path, ("a",), [(2,)])
-    _, _, rows = csvio.read_csv(path)
+    _, _, rows = read_csv(path)
     assert rows == [{"a": "2"}]
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]  # no temp litter
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask022", "umask027"])
+def test_output_files_get_the_mode_the_umask_allows(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        csvio.write_csv(tmp_path / "out.csv", ("a",), [(1,)])
+        csvio.write_json(tmp_path / "out_index.json", {"a": 1})
+    finally:
+        os.umask(old)
+    for path in tmp_path.iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
 
 
 def test_config_roundtrip_idempotent():
@@ -44,6 +76,7 @@ def test_config_roundtrip_idempotent():
         parsed = cli.config_from_text(f"[species]\npreset = rb87\n\n[trap]\nd = 1\nq = {hard}\n")
         assert parsed.trap().hard_wall and parsed.species.a11 == pytest.approx(5.31e-9)
         assert "q = inf" in cli.config_to_text(parsed)
+    assert cli.config_from_text("[sweep]\nq_values = 2 inf\n").q_values == [2.0, math.inf]
 
 
 INLINE = """
@@ -148,6 +181,26 @@ def test_config_rejects_out_of_range_values(tmp_path, capsys, command, text):
     assert re.search(r"^configuration error: ", capsys.readouterr().err, re.M)
 
 
+@pytest.mark.parametrize("command, text", [
+    ("condensate", "[trap]\nrho0_um = nan\n"),
+    ("counting", "[protocol]\nt = inf\n"),
+    ("bounds", "[protocol]\ngamma = inf\n"),
+    ("condensate", "[protocol]\nc1 = nan\n"),
+    ("condensate", "[species]\nmass_u = nan\na11_nm = 5.31\na22_nm = 5.0\na12_nm = 5.16\n"),
+    ("condensate", "[sweep]\nn_over_nl = 100 inf\n"),
+    ("condensate", "[grid]\nextent_factor = -3\n"),
+])
+def test_config_rejects_nonfinite_values_at_parse_time(tmp_path, capsys, command, text):
+    with pytest.raises(cli.ConfigError, match="must be (finite|positive)"):
+        cli.config_from_text(text)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert re.search(r"^configuration error: ", capsys.readouterr().err, re.M)
+    assert not out.exists()  # rejected before the output directory is made
+
+
 def test_negative_seed_flag_is_a_configuration_error(tmp_path, capsys):
     assert cli.main(["counting", "--seed", "-3", "--out", str(tmp_path)]) == 2
     assert "configuration error: invalid configuration value: seed must be nonnegative" \
@@ -169,7 +222,7 @@ def test_bounds_command(tmp_path):
     cfgfile.write_text("[sweep]\nn_values = 8 16 32 64 100 128 256\n")
     rc = cli.main(["bounds", "--config", str(cfgfile), "--out", str(tmp_path)])
     assert rc == 0
-    header, fields, rows = csvio.read_csv(tmp_path / "bounds.csv")
+    header, fields, rows = read_csv(tmp_path / "bounds.csv")
     assert fields == ["protocol", "N", "t", "gamma", "delta_gamma",
                       "bound_HL", "bound_QNL", "purity"]
     assert any("preset = rb87" in line for line in header)
@@ -177,7 +230,7 @@ def test_bounds_command(tmp_path):
     assert float(cat_100[0]["delta_gamma"]) == pytest.approx(0.01, rel=1e-9)
     single = [r for r in rows if r["protocol"] == "ramsey"]
     assert len(single) == 7
-    _, _, slope_rows = csvio.read_csv(tmp_path / "bounds_slopes.csv")
+    _, _, slope_rows = read_csv(tmp_path / "bounds_slopes.csv")
     slopes = {r["protocol"]: float(r["loglog_slope"]) for r in slope_rows}
     assert slopes["ramsey"] == pytest.approx(-0.5, abs=0.02)
     assert slopes["cat"] == pytest.approx(-1.0, abs=0.02)
@@ -190,7 +243,7 @@ def test_bounds_single_n(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("[sweep]\nn_values = 10\n")
     assert cli.main(["bounds", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
-    _, _, rows = csvio.read_csv(tmp_path / "bounds.csv")
+    _, _, rows = read_csv(tmp_path / "bounds.csv")
     assert len([r for r in rows if r["protocol"] == "cat"]) == 1
 
 
@@ -199,13 +252,13 @@ def test_scaling_command(tmp_path):
     cfgfile.write_text("[species]\npreset = typical\n\n[sweep]\nq_values = 1 2 inf\n")
     rc = cli.main(["scaling", "--config", str(cfgfile), "--out", str(tmp_path)])
     assert rc == 0
-    _, _, rows = csvio.read_csv(tmp_path / "exponents.csv")
+    _, _, rows = read_csv(tmp_path / "exponents.csv")
     by_q = {r["q"]: r for r in rows}
     assert by_q["2.0"]["xi_1d_exact"] == "7/6"
     assert by_q["2.0"]["xi_2d_exact"] == "1"
     assert by_q["2.0"]["xi_3d_exact"] == "9/10"
     assert by_q["inf"]["xi_1d_exact"] == "3/2"
-    _, _, crit = csvio.read_csv(tmp_path / "critical_numbers.csv")
+    _, _, crit = read_csv(tmp_path / "critical_numbers.csv")
     one_d = [r for r in crit if r["d"] == "1" and r["q"] == "2.0"][0]
     assert float(one_d["n_lower"]) == pytest.approx(2.0, rel=0.12)
     assert float(one_d["n_upper"]) == pytest.approx(1e6, rel=0.12)
@@ -219,7 +272,7 @@ def test_counting_command(tmp_path):
     cfgfile.write_text("[sweep]\nsigma_over_sqrtn = 0 1\ncounting_n = 100\ntrials = 20000\n")
     rc = cli.main(["counting", "--config", str(cfgfile), "--out", str(tmp_path), "--seed", "5"])
     assert rc == 0
-    _, _, rows = csvio.read_csv(tmp_path / "counting.csv")
+    _, _, rows = read_csv(tmp_path / "counting.csv")
     quiet = [r for r in rows if float(r["sigma"]) == 0.0][0]
     assert float(quiet["delta_gamma_analytic"]) == pytest.approx(0.1, rel=1e-9)
     noisy = [r for r in rows if float(r["sigma"]) > 0.0][0]
@@ -238,7 +291,7 @@ def test_counting_header_reruns_the_same_bytes(tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     assert cli.main(["counting", "--config", str(cfgfile), "--out", str(first),
                      "--seed", "11"]) == 0
-    header, _, _ = csvio.read_csv(first / "counting.csv")
+    header, _, _ = read_csv(first / "counting.csv")
     assert header[:2] == ["becmetrology counting", "resolved configuration:"]
     resolved = tmp_path / "resolved.cfg"
     resolved.write_text("\n".join(header[2:]) + "\n")
@@ -253,15 +306,15 @@ def test_condensate_command(tmp_path):
     cfgfile.write_text("[grid]\npoints = 256\n\n[sweep]\nn_over_nl = 100 180 320\n")
     rc = cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)])
     assert rc == 0
-    _, _, eta_rows = csvio.read_csv(tmp_path / "eta_sweep.csv")
+    _, _, eta_rows = read_csv(tmp_path / "eta_sweep.csv")
     assert len(eta_rows) == 3
     mid = eta_rows[1]
     assert abs(float(mid["rel_err"])) < 0.05
     assert float(mid["local_slope"]) == pytest.approx(-1.0 / 3.0, abs=0.05)
-    _, _, ov_rows = csvio.read_csv(tmp_path / "overlap.csv")
+    _, _, ov_rows = read_csv(tmp_path / "overlap.csv")
     assert float(ov_rows[0]["overlap_abs"]) == pytest.approx(1.0, abs=1e-9)
     assert abs(float(ov_rows[-1]["overlap_abs"]) - float(ov_rows[-1]["model_abs"])) < 0.02
-    _, _, loss_rows = csvio.read_csv(tmp_path / "loss_budget.csv")
+    _, _, loss_rows = read_csv(tmp_path / "loss_budget.csv")
     assert float(loss_rows[0]["inverse_ratio"]) == pytest.approx(19.0, rel=0.20)
 
 
@@ -279,7 +332,7 @@ def test_condensate_runs_near_the_lower_critical_number(tmp_path, n_over_nl):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"[sweep]\nn_over_nl = {n_over_nl}\n")
     assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
-    _, _, ov_rows = csvio.read_csv(tmp_path / "overlap.csv")
+    _, _, ov_rows = read_csv(tmp_path / "overlap.csv")
     assert float(ov_rows[-1]["norm1"]) == pytest.approx(1.0, abs=1e-6)
 
 

@@ -8,6 +8,10 @@ import pytest
 from becmetrology import counting as cnt
 
 
+def _mean(prior):
+    return float(np.dot(prior.support, prior.probabilities))
+
+
 def test_noise_variances():
     noise = cnt.CountingNoise(3.0)
     assert noise.total_variance == pytest.approx(18.0)
@@ -44,7 +48,7 @@ def test_posterior_gaussian_shape():
     half_width = sigma * math.sqrt(2.0) * math.sqrt(2.0 * math.log(2.0))
     ratio = probs[1000 + round(half_width)] / probs[1000]
     assert ratio == pytest.approx(0.5, abs=0.02)
-    assert post.mean() == pytest.approx(1000.0, abs=1e-9)
+    assert _mean(post) == pytest.approx(1000.0, abs=1e-9)
 
 
 def test_posterior_prior_dominance():
@@ -55,7 +59,7 @@ def test_posterior_prior_dominance():
     # posterior mean lies between the prior mean and the measured count
     prior = cnt.NumberPrior.flat(950, fraction=0.05)
     post = cnt.posterior_n0(prior, 990, cnt.CountingNoise(20.0))
-    assert prior.mean() <= post.mean() <= 990.0
+    assert _mean(prior) <= _mean(post) <= 990.0
 
 
 def test_corrected_moments_point_posterior():
@@ -140,7 +144,7 @@ def test_posterior_mean_fast_path():
     post = cnt.posterior_n0(prior, 300, noise)
     exact = cnt.corrected_uncertainty(model, post, noise, gamma)
     # the moments evaluated at the posterior mean number instead of averaged
-    n_eff = np.array([post.mean()])
+    n_eff = np.array([_mean(post)])
     approx = math.sqrt(noise.difference_variance + model.var_fn(n_eff, gamma)[0]) \
         / abs(model.derivative_fn(n_eff, gamma)[0])
     # the evaluate-at-the-mean shortcut is close once sigma << N, but it drops

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import tf_closed_forms as closed_forms
 from becmetrology import cli, gp
 from becmetrology import physconfig as pc
 from becmetrology import scaling as sc
@@ -307,7 +308,7 @@ def test_two_mode_overlap_matches_gaussian_model(geom_rb, rb87, tf_state):
         assert abs(ov) == pytest.approx(abs(model), rel=0.02)
         assert cmath.phase(ov) == pytest.approx(-phase.omega_N * t, rel=0.02)
         assert p1 + p2 == pytest.approx(1.0, abs=1e-9)
-        exp_p1, exp_p2 = tf.fringe_probabilities(sup, model)
+        exp_p1, exp_p2 = closed_forms.fringe_probabilities(sup, model)
         assert p1 == pytest.approx(exp_p1, abs=0.02)
         assert p2 == pytest.approx(exp_p2, abs=0.02)
 

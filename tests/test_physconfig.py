@@ -87,10 +87,12 @@ def test_trap_frequencies_match_quoted_values(rb87):
 
 def test_trap_round_trip(rb87):
     geom = pc.trap_from_lengths(1, 4, 0.8e-6, 60e-6, rb87.mass)
-    back = pc.trap_from_strengths(1, 4, geom.k, geom.omega_T, rb87.mass)
-    assert back.rho0 == pytest.approx(geom.rho0, rel=1e-12)
-    assert back.r0 == pytest.approx(geom.r0, rel=1e-12)
-    assert back.omega_L == pytest.approx(geom.omega_L, rel=1e-12)
+    hbar, m = pc.SI.hbar, rb87.mass
+    # the bare half-widths back from the strengths: r0^(q+2) = hbar^2/(m k),
+    # rho0^2 = hbar/(2 m omega_T), and omega_L = hbar/(m r0^2)
+    assert (hbar**2 / (m * geom.k)) ** (1.0 / 6.0) == pytest.approx(60e-6, rel=1e-12)
+    assert math.sqrt(hbar / (2.0 * m * geom.omega_T)) == pytest.approx(0.8e-6, rel=1e-12)
+    assert geom.omega_L == pytest.approx(hbar / (m * (60e-6) ** 2), rel=1e-12)
 
 
 def test_trap_validation_and_hard_wall(rb87):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,11 +16,12 @@ def typical_geoms():
 
 
 def test_geometry_factors():
-    assert sc.unit_sphere_volume(1) == 2.0
-    assert sc.unit_sphere_volume(2) == pytest.approx(math.pi)
-    assert sc.unit_sphere_volume(3) == pytest.approx(4 * math.pi / 3)
+    assert sc.UNIT_SPHERE_VOLUME[1] == 2.0
+    assert sc.UNIT_SPHERE_VOLUME[2] == pytest.approx(math.pi)
+    assert sc.UNIT_SPHERE_VOLUME[3] == pytest.approx(4 * math.pi / 3)
     for d in (1, 2, 3):
-        assert sc.unit_sphere_area(d) == pytest.approx(d * sc.unit_sphere_volume(d))
+        # S_{d-1} = 2 pi^(d/2) / Gamma(d/2)
+        assert sc.unit_sphere_area(d) == pytest.approx(2 * math.pi ** (d / 2) / math.gamma(d / 2))
     assert sc.beta_factor(1) == pytest.approx(1.0)
     assert sc.beta_factor(2) == pytest.approx(math.sqrt(math.pi) / 4)
     assert sc.beta_factor(3) == pytest.approx(1.0 / 6.0)
@@ -47,17 +49,6 @@ def test_upper_critical_numbers_typical(typical_geoms):
     assert abs(sc.critical_numbers(hard2, a).n_upper - 4e5) / 4e5 < 0.12
 
 
-def test_longitudinal_radius(typical_geoms):
-    geom = typical_geoms[1]
-    a = 10e-9
-    crit = sc.critical_numbers(geom, a)
-    assert sc.longitudinal_radius(geom, a, crit.n_lower) == pytest.approx(geom.r0)
-    n = 1.0 + 8.0 * (crit.n_lower - 1.0)
-    assert sc.longitudinal_radius(geom, a, n) == pytest.approx(2.0 * geom.r0, rel=1e-12)
-    with pytest.raises(ValueError):
-        sc.longitudinal_radius(geom, a, 0.5)
-
-
 def test_radius_forms_agree(typical_geoms):
     # r_N/r0 = y^(1/(d+q)) and the equivalent (r0/rho0)^(2/q) (N-1)/(N_T-1) form
     for d in (1, 2):
@@ -65,30 +56,10 @@ def test_radius_forms_agree(typical_geoms):
         a = 10e-9
         crit = sc.critical_numbers(geom, a)
         for n in np.geomspace(10 * crit.n_lower, 0.01 * crit.n_upper, 7):
-            direct = sc.longitudinal_radius(geom, a, n)
+            direct = geom.r0 * ((n - 1.0) / (crit.n_lower - 1.0)) ** (1.0 / (d + geom.q))
             alt = geom.r0 * (geom.r0 / geom.rho0) ** (2.0 / geom.q) * \
                 ((n - 1.0) / (crit.n_upper - 1.0)) ** (1.0 / (d + geom.q))
             assert alt == pytest.approx(direct, rel=1e-12)
-
-
-def test_radii_full(typical_geoms):
-    geom = typical_geoms[1]
-    a = 10e-9
-    crit = sc.critical_numbers(geom, a)
-    # at N = N_T the transverse radius is an order-unity multiple of rho0
-    _, rho_at_nt = sc.radii_full(geom, a, crit.n_upper)
-    expo = 5.0 - 1.0 + 2.0 / 2.0  # 5 - d + 2d/q = 5 for d=1, q=2
-    pref = 4.0 * (4 * math.pi) * 2.0 / sc.unit_sphere_volume(2)
-    assert rho_at_nt == pytest.approx(geom.rho0 * pref ** (1.0 / expo), rel=1e-12)
-    assert 1.0 < rho_at_nt / geom.rho0 < 10.0
-    # doubling (N-1)/(N_T-1) multiplies rho_N by 2^(1/5)
-    n1 = 100.0 * crit.n_upper
-    n2 = 1.0 + 2.0 * (n1 - 1.0)
-    _, rho1 = sc.radii_full(geom, a, n1)
-    _, rho2 = sc.radii_full(geom, a, n2)
-    assert rho2 / rho1 == pytest.approx(2.0 ** (1.0 / 5.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        sc.radii_full(typical_geoms[3], a, 1e5)
 
 
 def test_r_t_relation(typical_geoms):
@@ -97,7 +68,8 @@ def test_r_t_relation(typical_geoms):
     for d in (1, 2):
         geom = typical_geoms[d]
         crit = sc.critical_numbers(geom, a)
-        r_t = sc.longitudinal_radius(geom, a, crit.n_upper)
+        # the intermediate-regime radius r0 ((N-1)/(N_L-1))^(1/(d+q)) at N_T
+        r_t = geom.r0 * ((crit.n_upper - 1.0) / (crit.n_lower - 1.0)) ** (1.0 / (d + geom.q))
         expected = geom.rho0 * (a * (crit.n_upper - 1.0)
                                 / (sc.beta_factor(d) * geom.rho0)) ** (1.0 / d)
         assert r_t == pytest.approx(expected, rel=1e-12)
@@ -158,9 +130,10 @@ def test_classify_regime(typical_geoms):
     a = 10e-9
     crit = sc.critical_numbers(geom, a)
     assert sc.classify_regime(geom, a, 1.0) == sc.Regime.BARE
-    with pytest.warns(UserWarning):
-        label = sc.classify_regime(geom, a, 2.0 * crit.n_lower)
-    assert label == sc.Regime.INTERMEDIATE
+    assert sc.classify_regime(geom, a, crit.n_lower) == sc.Regime.BARE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a label near N_L is not a warning
+        assert sc.classify_regime(geom, a, 2.0 * crit.n_lower) == sc.Regime.INTERMEDIATE
     assert sc.classify_regime(geom, a, 1e6) == sc.Regime.INTERMEDIATE
     assert sc.classify_regime(geom, a, 1e12) == sc.Regime.FULL_TF
 

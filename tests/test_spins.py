@@ -145,9 +145,9 @@ QUBIT = spins.SpectrumBound(0.5, -0.5)
 def test_ramsey_uncertainty_and_signal():
     assert spins.crb_linear(QUBIT, 100, 1.0).qnl == pytest.approx(0.1, rel=1e-14)
     assert spins.crb_linear(QUBIT, 1, 2.0).qnl == pytest.approx(0.5, rel=1e-14)
-    mean, var = spins.ramsey_signal(10, 0.7)
-    assert mean == pytest.approx(5 * math.cos(0.7))
-    assert var == pytest.approx(2.5 * math.sin(0.7) ** 2)
+    res = spins.simulate_ramsey(10, 0.7, 1.0)
+    assert res.signal_mean == pytest.approx(5 * math.cos(0.7))
+    assert res.signal_variance == pytest.approx(2.5 * math.sin(0.7) ** 2)
     with pytest.raises(ValueError):
         spins.crb_linear(QUBIT, 10, 0.0)
 
@@ -165,9 +165,9 @@ def test_simulated_ramsey_matches_formula(n):
 
 def test_cat_uncertainty_and_signal():
     assert spins.crb_linear(QUBIT, 100, 1.0).heisenberg == pytest.approx(0.01, rel=1e-14)
-    mean, var = spins.cat_signal(8, 0.3)
-    assert mean == pytest.approx(math.cos(2.4))
-    assert var == pytest.approx(math.sin(2.4) ** 2)
+    res = spins.simulate_cat(8, 0.3, 1.0)
+    assert res.signal_mean == pytest.approx(math.cos(2.4))
+    assert res.signal_variance == pytest.approx(math.sin(2.4) ** 2)
     # N = 1 cat is just an equatorial qubit
     assert spins.crb_linear(QUBIT, 1, 1.0).heisenberg == spins.crb_linear(QUBIT, 1, 1.0).qnl
 
@@ -184,13 +184,18 @@ def test_simulated_cat_signal(n):
 def test_qfi_pure():
     lin = "linear_Jz"
     st = spins.prepare_product(64, Superposition.equal())
-    assert spins.qfi_pure(st, lin, 1.0) == pytest.approx(64.0, rel=1e-12)
+    assert oracle.qfi_pure(st.amplitudes, lin, 1.0) == pytest.approx(64.0, rel=1e-12)
     eig = spins.prepare_product(5, Superposition(1.0, 0.0))
-    assert spins.qfi_pure(eig, lin, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert oracle.qfi_pure(eig.amplitudes, lin, 1.0) == pytest.approx(0.0, abs=1e-12)
     cat = spins.cat_state(30)
-    assert spins.qfi_pure(cat, lin, 1.0) == pytest.approx(900.0, rel=1e-12)
-    assert 1.0 / math.sqrt(spins.qfi_pure(cat, lin, 2.0)) == \
+    assert oracle.qfi_pure(cat.amplitudes, lin, 1.0) == pytest.approx(900.0, rel=1e-12)
+    assert 1.0 / math.sqrt(oracle.qfi_pure(cat.amplitudes, lin, 2.0)) == \
         pytest.approx(spins.crb_linear(QUBIT, 30, 2.0).heisenberg, rel=1e-12)
+    # a protocol's generator spread is half the root QFI of its input state
+    assert 2.0 * spins.simulate_cat(30, 0.4, 2.0).generator_sd == \
+        pytest.approx(math.sqrt(oracle.qfi_pure(cat.amplitudes, lin, 2.0)), rel=1e-12)
+    assert 2.0 * spins.simulate_ramsey(64, 0.4, 1.0).generator_sd == \
+        pytest.approx(math.sqrt(oracle.qfi_pure(st.amplitudes, lin, 1.0)), rel=1e-12)
 
 
 def test_classical_fisher_ramsey():
@@ -221,7 +226,7 @@ def test_classical_fisher_bounded_by_qfi():
         n = int(rng.integers(2, 11))
         st = random_dicke(n, rng)
         t = rng.uniform(0.5, 2.0)
-        qfi = spins.qfi_pure(st, lin, t)
+        qfi = oracle.qfi_pure(st.amplitudes, lin, t)
 
         def dist(g, st=st, t=t, n=n):
             ev = spins.evolve(st, lin, g, t)

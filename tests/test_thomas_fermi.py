@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import pytest
 from scipy.integrate import quad
@@ -75,7 +76,7 @@ def test_i_normalization_and_eta(geom_1d, rb87):
     assert tf.i_integral(1.0, n, geom_1d, a) == 1.0
     d, q = 1, 2.0
     y = (n - 1.0) / (crit.n_lower - 1.0)
-    eta_l_closed = (1.0 / (sc.unit_sphere_volume(d) * geom_1d.r0**d)) \
+    eta_l_closed = (1.0 / (sc.UNIT_SPHERE_VOLUME[d] * geom_1d.r0**d)) \
         * (2 * q / (d + 2 * q)) * ((d + q) / q) ** (q / (d + q)) * y ** (-d / (d + q))
     assert tf.i_integral(2.0, n, geom_1d, a) == pytest.approx(eta_l_closed, rel=1e-12)
 
@@ -116,11 +117,11 @@ def test_k_integrals(d, q, rb87):
     a = rb87.a11
     crit = sc.critical_numbers(geom, a)
     n = 1.0 + 100.0 * (crit.n_upper - 1.0)
-    assert tf.k_integral(1.0, n, geom, a) == 1.0
+    assert closed_forms.k_integral(1.0, n, geom, a) == 1.0
     # K_2 = eta_N: its ratio to mu_N/((N-1)g) must match 2D quadrature of the profile
-    profile = tf.tf_profile(geom, rb87, n, sc.Regime.FULL_TF)
+    _, mu, _ = closed_forms.full_tf_pieces(geom, a, n)
     g = pc.coupling_constant(a, rb87.mass)
-    ratio = profile.eta_N * (n - 1.0) * g / profile.mu
+    ratio = closed_forms.k_integral(2.0, n, geom, a) * (n - 1.0) * g / mu
     assert ratio == pytest.approx(full_regime_quadrature(d, q), rel=1e-8)
     assert ratio == pytest.approx(2.0 / ((3 - d) / 2.0 + d / q + 2.0), rel=1e-12)
 
@@ -131,15 +132,15 @@ def test_k_scaling_exponent(rb87):
     crit = sc.critical_numbers(geom, a)
     n1 = 1.0 + 100.0 * (crit.n_upper - 1.0)
     n2 = 1.0 + 200.0 * (crit.n_upper - 1.0)
-    k1 = tf.k_integral(2.0, n1, geom, a)
-    k2 = tf.k_integral(2.0, n2, geom, a)
+    k1 = closed_forms.k_integral(2.0, n1, geom, a)
+    k2 = closed_forms.k_integral(2.0, n2, geom, a)
     slope = math.log(k2 / k1) / math.log((n2 - 1.0) / (n1 - 1.0))
     expected = -(3 - 1 + 2 / 2.0) / (5 - 1 + 2 / 2.0)  # -(3-d+2d/q)/(5-d+2d/q)
     assert slope == pytest.approx(expected, abs=1e-12)
     # transverse radius grows as the 1/5 power for a 1D harmonic trap
-    p1 = tf.tf_profile(geom, rb87, n1, sc.Regime.FULL_TF)
-    p2 = tf.tf_profile(geom, rb87, n2, sc.Regime.FULL_TF)
-    assert p2.rho_tilde / p1.rho_tilde == pytest.approx(2.0 ** (1.0 / 5.0), rel=1e-12)
+    rho1, _, _ = closed_forms.full_tf_pieces(geom, a, n1)
+    rho2, _, _ = closed_forms.full_tf_pieces(geom, a, n2)
+    assert rho2 / rho1 == pytest.approx(2.0 ** (1.0 / 5.0), rel=1e-12)
 
 
 def test_tf_profile_intermediate(geom_1d, rb87):
@@ -147,8 +148,8 @@ def test_tf_profile_intermediate(geom_1d, rb87):
     crit = sc.critical_numbers(geom_1d, a)
     n = 1.0 + 1000.0 * (crit.n_lower - 1.0)
     profile = tf.tf_profile(geom_1d, rb87, n, sc.Regime.INTERMEDIATE)
-    # TF radius exceeds the crude estimate by ((d+q)/q)^(1/(d+q))
-    crude = sc.longitudinal_radius(geom_1d, a, n)
+    # TF radius exceeds the crude estimate r0 ((N-1)/(N_L-1))^(1/(d+q)) by ((d+q)/q)^(1/(d+q))
+    crude = geom_1d.r0 * 1000.0 ** (1.0 / 3.0)
     assert profile.r_tilde / crude == pytest.approx((3.0 / 2.0) ** (1.0 / 3.0), rel=1e-12)
     # positivity radius matches mu: mu = k r~^q / 2
     assert profile.mu == pytest.approx(0.5 * geom_1d.k * profile.r_tilde**2, rel=1e-12)
@@ -166,6 +167,22 @@ def test_tf_profile_warns_out_of_regime(geom_1d, rb87):
         tf.tf_profile(geom_1d, rb87, 1.0)
     with pytest.raises(ValueError):
         tf.tf_profile(geom_1d, rb87, 1.5, sc.Regime.BARE)
+    with pytest.raises(ValueError):
+        tf.tf_profile(geom_1d, rb87, 1e9, sc.Regime.FULL_TF)
+
+
+def test_tf_profile_warns_where_the_regime_is_not_intermediate(geom_1d, rb87):
+    crit = sc.critical_numbers(geom_1d, rb87.a11)
+    inter = sc.Regime.INTERMEDIATE
+    for n, regime in ((crit.n_lower, sc.Regime.BARE),
+                      (crit.n_lower * (1 + 1e-9), inter),
+                      (crit.n_upper, inter),
+                      (crit.n_upper * (1 + 1e-9), sc.Regime.FULL_TF)):
+        assert sc.classify_regime(geom_1d, rb87.a11, n) == regime
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tf.tf_profile(geom_1d, rb87, n)
+        assert len(caught) == (regime != inter), n
 
 
 def omega_tau_quadrature(d, q):
@@ -182,7 +199,7 @@ def omega_tau_quadrature(d, q):
 
 @pytest.mark.parametrize("d,q", [(1, 2.0), (1, 10.0), (2, 2.0), (3, 2.0), (2, 6.0)])
 def test_omega_tau_product(d, q):
-    closed = tf.omega_tau_product(d, q)
+    closed = closed_forms.omega_tau_product(d, q)
     assert closed == pytest.approx(math.sqrt(2 * (d + 3 * q) / d), rel=1e-14)
     assert closed == pytest.approx(omega_tau_quadrature(d, q), rel=1e-8)
 
@@ -200,7 +217,7 @@ def test_phase_dynamics(rb87):
         assert phase.omega_N == pytest.approx(
             (n - 1.0) * profile.eta_N * gamma1 / pc.SI.hbar, rel=1e-12)
         product = phase.omega_N * phase.tau_pd
-        assert product == pytest.approx(tf.omega_tau_product(d, q), rel=1e-12)
+        assert product == pytest.approx(closed_forms.omega_tau_product(d, q), rel=1e-12)
     # d=1, q=10: the product is sqrt(62), roughly 8
     geom = pc.trap_from_lengths(1, 10.0, 1e-6, 100e-6, rb87.mass)
     n = 1.0 + 1000.0 * (sc.critical_numbers(geom, rb87.a11).n_lower - 1.0)
@@ -260,15 +277,15 @@ def test_overlap_gaussian(rb87):
 
 def test_fringe_probabilities():
     sup = pc.Superposition.equal()
-    p1, p2 = tf.fringe_probabilities(sup, 1.0 + 0.0j)
+    p1, p2 = closed_forms.fringe_probabilities(sup, 1.0 + 0.0j)
     assert p1 == pytest.approx(0.5) and p2 == pytest.approx(0.5)
-    p1, p2 = tf.fringe_probabilities(sup, -1.0j)
+    p1, p2 = closed_forms.fringe_probabilities(sup, -1.0j)
     assert p1 == pytest.approx(1.0) and p2 == pytest.approx(0.0, abs=1e-15)
     single = pc.Superposition(1.0, 0.0)
-    p1, p2 = tf.fringe_probabilities(single, -1.0j)
+    p1, p2 = closed_forms.fringe_probabilities(single, -1.0j)
     assert p1 == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        tf.fringe_probabilities(sup, 1.5 + 0.0j)
+        closed_forms.fringe_probabilities(sup, 1.5 + 0.0j)
     # visibility 2 c1 c2 |overlap| is largest for the balanced superposition
     vis = [2 * s.c1 * s.c2 for s in
            (pc.Superposition.equal(), pc.Superposition.quadratic_optimal(),
