@@ -156,11 +156,15 @@ def corrected_uncertainty(model: QuantumSignalModel, posterior: NumberPrior,
     moments averaged over the posterior exactly.
     """
     _, mean_var = corrected_moments(model, posterior, noise, gamma)
-    slope = float(np.dot(model.derivative_fn(posterior.support, gamma),
-                         posterior.probabilities))
+    return math.sqrt(mean_var) / abs(_signal_slope(model, posterior, gamma))
+
+
+def _signal_slope(model: QuantumSignalModel, prior: NumberPrior, gamma: float) -> float:
+    """d<J_z>/dgamma averaged over prior; ValueError where it vanishes."""
+    slope = float(np.dot(model.derivative_fn(prior.support, gamma), prior.probabilities))
     if slope == 0.0:
         raise ValueError("signal slope vanishes: sensitivity undefined at this gamma")
-    return math.sqrt(mean_var) / abs(slope)
+    return slope
 
 
 _CHUNK = 20_000  # Monte Carlo trials per random stream
@@ -239,10 +243,12 @@ def simulate_counts(model: QuantumSignalModel, prior: NumberPrior,
     spawned by np.random.SeedSequence(seed).  The chunks run concurrently on as
     many threads as the process has CPUs (at most one per chunk), and their
     moments are combined in chunk order, so the result depends only on the
-    arguments, never on the CPU count.
+    arguments, never on the CPU count.  A vanishing signal slope raises
+    ValueError before any draw, as in corrected_uncertainty.
     """
     if trials < 2:
         raise ValueError("need at least two trials to estimate a spread")
+    _signal_slope(model, prior, gamma)  # the estimator divides by it
     n_chunks = -(-trials // _CHUNK)
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
     workers = min(n_chunks, _available_cpus())

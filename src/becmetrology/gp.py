@@ -240,11 +240,19 @@ def _minimize(kinetic, V, w, geff, n_atoms, e_floor, tolerance, start=None):
     direction, by an angle from a secant on the energy's slope.  Returns psi,
     e0, mu, the relative gradient norm |H psi - mu psi| / mu and the
     iteration count.
+
+    An iteration makes few numpy calls: each inner product is one BLAS dot
+    against a weighted array (w psi and w gradient serve several), psi^3 is
+    psi psi psi, H psi becomes the gradient in its own buffer, and the
+    direction and the state are updated in place.  The slope at the trial
+    angle is c <linear, tau> + s <linear_unit, tau> + g <(c psi + s unit)^3,
+    tau> for the tangent tau = c unit - s psi, so H at the trial point is
+    never formed.
     """
     apply_t, inverse = kinetic
 
     def dot(a, b):
-        return float(np.sum(w * a * b))
+        return float(np.dot(w * a, b))
 
     if start is None:
         # TF-shaped guess where interactions dominate, Gaussian otherwise
@@ -256,37 +264,58 @@ def _minimize(kinetic, V, w, geff, n_atoms, e_floor, tolerance, start=None):
     direction = None
     per_length = 1.0  # trial angle per unit length of the direction
     for iteration in range(_MAX_ITERATIONS + 1):
-        linear = apply_t(psi) + V * psi
-        h_psi = linear + geff * psi**3
-        mu = dot(psi, h_psi)
-        gradient = h_psi - mu * psi
-        residual = math.sqrt(dot(gradient, gradient)) / mu
+        linear = apply_t(psi)
+        linear += V * psi
+        # H psi, then the gradient H psi - mu psi, in one buffer
+        gradient = psi * psi
+        gradient *= psi
+        gradient *= geff
+        gradient += linear
+        w_psi = w * psi
+        mu = float(np.dot(w_psi, gradient))
+        gradient -= mu * psi
+        w_gradient = w * gradient
+        residual = math.sqrt(np.dot(w_gradient, gradient)) / mu
         if residual < tolerance:
-            return psi, dot(psi, linear), mu, residual, iteration
+            return psi, float(np.dot(w_psi, linear)), mu, residual, iteration
         if iteration == _MAX_ITERATIONS:
             raise ConvergenceError(f"N = {n_atoms:.6g}: no ground state after {iteration} "
                                    f"iterations (residual {residual:.3e})", residual=residual)
         z = precondition(gradient)
-        z -= dot(psi, z) * psi
-        gz = dot(gradient, z)
+        z -= float(np.dot(w_psi, z)) * psi
+        gz = float(np.dot(w_gradient, z))
         if direction is not None:
-            beta = max(0.0, (gz - dot(gradient, z_old)) / gz_old)
-            direction = beta * (direction - dot(psi, direction) * psi) - z
-        if direction is None or dot(gradient, direction) >= 0.0:
-            direction = -z  # restart: not a descent direction
+            beta = max(0.0, (gz - float(np.dot(w_gradient, z_old))) / gz_old)
+            direction -= float(np.dot(w_psi, direction)) * psi
+            direction *= beta
+            direction -= z
+            slope = float(np.dot(w_gradient, direction))
+        if direction is None or slope >= 0.0:
+            direction, slope = -z, -gz  # restart: not a descent direction
         z_old, gz_old = z, gz
         length = math.sqrt(dot(direction, direction))
         unit = direction / length
-        linear_unit = apply_t(unit) + V * unit
+        linear_unit = apply_t(unit)
+        linear_unit += V * unit
 
-        # the energy's slope along the great circle, at 0 and at the trial angle
+        # the energy's slope along the great circle, at 0 and at the trial
+        # angle: <H(c psi + s unit), tau> with the tangent tau = c unit - s psi
         trial = min(per_length * length, _MAX_ANGLE)
         c, s = math.cos(trial), math.sin(trial)
-        h_trial = c * linear + s * linear_unit + geff * (c * psi + s * unit)**3
-        f0, f1 = dot(gradient, unit), dot(h_trial, c * unit - s * psi)
+        w_tau = c * unit
+        w_tau -= s * psi
+        w_tau *= w
+        cube = c * psi
+        cube += s * unit
+        cube *= cube * cube
+        f0 = slope / length
+        f1 = float(c * np.dot(w_tau, linear) + s * np.dot(w_tau, linear_unit)
+                   + geff * np.dot(w_tau, cube))
         theta = min(trial * f0 / (f0 - f1) if f1 > f0 else _MAX_ANGLE, _MAX_ANGLE)
         per_length = theta / length
-        psi = math.cos(theta) * psi + math.sin(theta) * unit
+        psi *= math.cos(theta)
+        unit *= math.sin(theta)
+        psi += unit
         psi /= math.sqrt(dot(psi, psi))
 
 

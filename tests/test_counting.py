@@ -286,3 +286,22 @@ def test_monte_carlo_error_in_a_chunk_propagates(monkeypatch, n_chunks):
         cnt.simulate_counts(model, cnt.NumberPrior.point(100), cnt.CountingNoise(1.0),
                             1.0, trials=(n_chunks - 1) * 20_000 + 5, seed=1)
     assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("prior", PRIORS.values(), ids=PRIORS.keys())
+def test_monte_carlo_rejects_a_vanishing_signal_slope(monkeypatch, prior):
+    # at gamma = 0 the linearized inversion divides by a zero slope; the
+    # error comes before any draw, and before any worker thread starts
+    ramsey = cnt.ramsey_model(1.0)
+
+    def sample(rng, n0, gamma):
+        raise AssertionError("drew trials at a vanishing slope")
+
+    model = cnt.QuantumSignalModel(ramsey.mean_fn, ramsey.var_fn, ramsey.derivative_fn,
+                                   sample)
+    monkeypatch.setattr(cnt, "_available_cpus", lambda: 2)
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="signal slope vanishes"):
+        cnt.simulate_counts(model, prior, cnt.CountingNoise(1.0), 0.0, trials=50_000,
+                            seed=1)
+    assert set(threading.enumerate()) == before

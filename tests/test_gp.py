@@ -173,6 +173,28 @@ def test_default_sweep_iteration_budget():
     assert steps <= 250
 
 
+@pytest.mark.parametrize("y, steps, eta_n, mu", [
+    (100.0, 35, 89536756522573.64, 1.089209648911188e-34),
+    (178.0, 37, 74011227827524.78, 1.5986938254086057e-34),
+    (316.0, 43, 61179272866941.08, 2.3431455435956544e-34),
+    (562.0, 47, 50519379776968.81, 3.438963178660396e-34),
+    (1000.0, 55, 41700397435226.81, 5.049344727665534e-34)])
+def test_default_sweep_states_pinned(y, steps, eta_n, mu):
+    # each default 1D state (512 points), pinned tighter than the budget
+    # above: a change to the minimizer's arithmetic that keeps its algorithm
+    # moves them only by rounding
+    cfg = cli.RunConfig()
+    geom = cfg.trap()
+    n = 1.0 + y * (sc.critical_numbers(geom, cfg.species.a11).n_lower - 1.0)
+    grid = gp.default_grid(geom, cfg.species, n, points=cfg.grid_points,
+                           extent_factor=cfg.grid_extent_factor)
+    res = gp.ground_state(geom, cfg.species, n, grid)
+    assert res.steps == steps
+    assert res.eta_n == pytest.approx(eta_n, rel=1e-12)
+    assert res.mu == pytest.approx(mu, rel=1e-12)
+    assert res.residual < 1e-10
+
+
 @pytest.mark.filterwarnings("ignore:.*healing length")
 @pytest.mark.parametrize("d, noded_energy", [(2, 5.403191055180383e-33),
                                              (3, 3.2375556468072464e-33)])
