@@ -176,12 +176,14 @@ def config_from_text(text: str) -> RunConfig:
             raise ConfigError(f"unknown species preset '{cfg.species_preset}'")
         cfg.trap()
         cfg.superposition()
-        if not cfg.n_values or not cfg.n_over_nl or not cfg.q_values:
+        if not (cfg.n_values and cfg.n_over_nl and cfg.sigma_over_sqrtn and cfg.q_values):
             raise ConfigError("sweep ranges must be nonempty")
         gp.Grid(1, cfg.grid_points, 1.0)  # the solver's point-count rule
         # the ranges the commands need, so that no run fails halfway
         for ok, rule in ((cfg.grid_extent_factor > 0, "extent_factor must be positive"),
                          (all(n >= 2 for n in cfg.n_values), "n_values must be at least 2"),
+                         (len(set(cfg.n_values)) == len(cfg.n_values),
+                          "n_values must be distinct"),
                          (all(y > 0 for y in cfg.n_over_nl), "n_over_nl must be positive"),
                          (len(set(cfg.n_over_nl)) == len(cfg.n_over_nl),
                           "n_over_nl values must be distinct"),

@@ -97,19 +97,25 @@ def posterior_n0(prior: NumberPrior, measured_n: float,
 class QuantumSignalModel:
     """Quantum moments of the difference signal as functions of (N0, gamma).
 
-    sample_fn draws an exact ideal-measurement outcome m' for Monte Carlo runs.
+    sample_fn(rng, n0, gamma, out) draws out.size exact ideal-measurement
+    outcomes m' from rng into the float array out, for Monte Carlo runs.  n0
+    is one atom number shared by every outcome, or an integer array of out's
+    shape with one atom number per outcome.
     """
 
     mean_fn: Callable[[np.ndarray, float], np.ndarray]
     var_fn: Callable[[np.ndarray, float], np.ndarray]
     derivative_fn: Callable[[np.ndarray, float], np.ndarray]
-    sample_fn: Callable[[np.random.Generator, np.ndarray, float], np.ndarray]
+    sample_fn: Callable[[np.random.Generator, int | np.ndarray, float, np.ndarray], None]
 
 
 def ramsey_model(t: float) -> QuantumSignalModel:
     """Population-difference statistics of the product-state interferometer.
 
     m is binomial: mean (N0/2) cos(gamma t), variance (N0/4) sin^2(gamma t).
+    Its sample_fn writes Binomial(N0, cos^2(gamma t/2)) - N0/2 into out; a
+    scalar N0 takes numpy's scalar-n draw, which consumes the stream exactly
+    as an array of that N0 would, without the array.
     """
     if t <= 0:
         raise ValueError("time must be positive")
@@ -123,10 +129,9 @@ def ramsey_model(t: float) -> QuantumSignalModel:
     def deriv(n0, gamma):
         return -0.5 * np.asarray(n0, dtype=float) * t * math.sin(gamma * t)
 
-    def sample(rng, n0, gamma):
+    def sample(rng, n0, gamma, out):
         p_up = math.cos(gamma * t / 2.0) ** 2
-        n0 = np.asarray(n0)
-        return rng.binomial(n0, p_up) - 0.5 * n0
+        np.subtract(rng.binomial(n0, p_up, size=out.shape), 0.5 * n0, out=out)
 
     return QuantumSignalModel(mean_fn=mean, var_fn=var, derivative_fn=deriv,
                               sample_fn=sample)
@@ -187,27 +192,26 @@ def _available_cpus() -> int:
 
 def _chunk_moments(model: QuantumSignalModel, prior: NumberPrior,
                    noise: CountingNoise, gamma: float, rng: np.random.Generator,
-                   err: np.ndarray, z: np.ndarray,
-                   n_point: np.ndarray | None) -> tuple[int, float, float]:
+                   err: np.ndarray, z: np.ndarray) -> tuple[int, float, float]:
     """(count, mean, sum of squared deviations) of one chunk's errors gamma_est - gamma.
 
-    err and z are the worker's float buffers, cut to the chunk size; n_point is
-    a read-only N0 array when the prior is a point, else None.  Only numpy and
-    the model's callables run here, so it is safe on a worker thread.
+    err and z are the worker's float buffers, cut to the chunk size.  Only
+    numpy and the model's callables run here, so it is safe on a worker thread.
     """
     size = err.size
-    if n_point is not None:
+    point = prior.support.size == 1
+    if point:
         # a point prior fixes N0, and every posterior estimate of it, to its one value
-        n0 = n_point[:size]
+        n0 = prior.support[0]
         n_hat = prior.support
     else:
         n0 = rng.choice(prior.support, size=size, p=prior.probabilities)
-    err[:] = model.sample_fn(rng, n0, gamma)
+    model.sample_fn(rng, n0, gamma, err)
     if noise.sigma > 0.0:
         rng.standard_normal(out=z)
         z *= math.sqrt(noise.difference_variance)
         err += z
-        if n_point is None:
+        if not point:
             rng.standard_normal(out=z)
             z *= math.sqrt(noise.total_variance)
             n_meas = n0 + z
@@ -217,7 +221,7 @@ def _chunk_moments(model: QuantumSignalModel, prior: NumberPrior,
             weights = prior.probabilities[None, :] * \
                 np.exp(log_like - log_like.max(axis=1, keepdims=True))
             n_hat = weights @ prior.support / weights.sum(axis=1)
-    elif n_point is None:
+    elif not point:
         n_hat = n0.astype(float)
     err -= model.mean_fn(n_hat, gamma)
     err /= model.derivative_fn(n_hat, gamma)
@@ -255,10 +259,6 @@ def simulate_counts(model: QuantumSignalModel, prior: NumberPrior,
     moments: list[tuple[int, float, float] | None] = [None] * n_chunks
     errors: list[BaseException] = []
     failed = threading.Event()
-    n_point = None
-    if prior.support.size == 1:
-        n_point = np.full(min(_CHUNK, trials), prior.support[0])
-        n_point.flags.writeable = False  # shared by the workers
 
     def work(first: int) -> None:
         # chunks first, first + workers, ...; the buffers live as long as the worker
@@ -270,8 +270,7 @@ def simulate_counts(model: QuantumSignalModel, prior: NumberPrior,
                 size = min(_CHUNK, trials - i * _CHUNK)
                 moments[i] = _chunk_moments(model, prior, noise, gamma,
                                             np.random.default_rng(streams[i]),
-                                            buffers[0, :size], buffers[1, :size],
-                                            n_point)
+                                            buffers[0, :size], buffers[1, :size])
         except BaseException as exc:  # re-raised on the calling thread below
             failed.set()
             errors.append(exc)

@@ -284,10 +284,17 @@ def simulate_enhanced(n_atoms: int, gamma: float, t: float,
                      lambda v: _apply_component(v, n_atoms, "x"))
 
 
+def _quadratic_trace(n_atoms: int, gamma: float,
+                     t_grid: Sequence[float]) -> list[ProtocolResult]:
+    """The quadratic protocol at each time of t_grid, from one prepared state."""
+    state = prepare_product(n_atoms, Superposition.quadratic_optimal())
+    return [_simulate("quadratic", state, "quadratic_Jz2", gamma, t,
+                      lambda v: _apply_component(v, n_atoms, "y")) for t in t_grid]
+
+
 def simulate_quadratic(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
     """Product-state protocol under the quadratic coupling with a J_y readout."""
-    return _simulate("quadratic", prepare_product(n_atoms, Superposition.quadratic_optimal()),
-                     "quadratic_Jz2", gamma, t, lambda v: _apply_component(v, n_atoms, "y"))
+    return _quadratic_trace(n_atoms, gamma, (t,))[0]
 
 
 def product_nonlinear_protocol(n_atoms: int, gamma: float,
@@ -296,11 +303,12 @@ def product_nonlinear_protocol(n_atoms: int, gamma: float,
 
     The short-time sensitivity approaches 2/(t sqrt(N) (N-1)), i.e.
     2/(t N^(3/2)) at large N; times where the signal slope vanishes are
-    reported with infinite delta_gamma.
+    reported with infinite delta_gamma.  The product state is prepared once
+    for the whole grid.
     """
     if n_atoms < 2:
         raise ValueError("a nonlinear protocol needs at least two atoms")
-    return [simulate_quadratic(n_atoms, gamma, t) for t in t_grid]
+    return _quadratic_trace(n_atoms, gamma, t_grid)
 
 
 def fit_loglog_slope(n_values: Sequence[float], delta_gammas: Sequence[float]) -> float:

@@ -164,8 +164,11 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, text, name):
     ("counting", "[sweep]\ntrials = 1\n"),
     ("counting", "[sweep]\ncounting_n = 0\n"),
     ("counting", "[sweep]\nsigma_over_sqrtn = 0 -1\n"),
+    ("counting", "[sweep]\nsigma_over_sqrtn =\n"),
     ("bounds", "[sweep]\nn_values = 0\n"),
     ("bounds", "[sweep]\nn_values = 8 1\n"),
+    ("bounds", "[sweep]\nn_values = 8 8\n"),
+    ("bounds", "[sweep]\nn_values = 8 16 8\n"),
     ("condensate", "[sweep]\nn_over_nl = -5\n"),
     ("condensate", "[sweep]\nn_over_nl = 0 100\n"),
     ("condensate", "[sweep]\nn_over_nl = 316 316 316\n"),

@@ -27,9 +27,9 @@ def run_configs(draw):
         trap_d=draw(st.integers(1, 3)), trap_q=draw(hardness),
         rho0=draw(st.floats(0.1, 10.0)) * 1e-6, r0=draw(st.floats(20.0, 1e3)) * 1e-6,
         grid_points=draw(st.integers(64, 4096)), grid_extent_factor=draw(positive),
-        n_values=draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=5)),
+        n_values=draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=5, unique=True)),
         n_over_nl=draw(st.lists(positive, min_size=1, max_size=5, unique=True)),
-        sigma_over_sqrtn=draw(st.lists(positive, max_size=5)),
+        sigma_over_sqrtn=draw(st.lists(positive, min_size=1, max_size=5)),
         q_values=draw(st.lists(hardness, min_size=1, max_size=5)),
         gamma=draw(positive), t=draw(positive), c1=math.cos(angle), c2=math.sin(angle),
         counting_n=draw(st.integers(1, 10**6)), trials=draw(st.integers(2, 10**8)),

@@ -85,7 +85,8 @@ def test_corrected_moments_broad_posterior_vs_sampling():
     rng = np.random.default_rng(404)
     trials = 200_000
     n0 = rng.choice(prior.support, size=trials, p=prior.probabilities)
-    m = model.sample_fn(rng, n0, gamma)
+    m = np.empty(trials)
+    model.sample_fn(rng, n0, gamma, m)
     se_mean = m.std() / math.sqrt(trials)
     assert m.mean() == pytest.approx(mean, abs=3 * se_mean)
     se_var = m.var() * math.sqrt(2.0 / trials)
@@ -199,7 +200,8 @@ def _reference_monte_carlo(model, prior, noise, gamma, trials, seed):
             n0 = np.full(size, prior.support[0])
         else:
             n0 = rng.choice(prior.support, size=size, p=prior.probabilities)
-        m = model.sample_fn(rng, n0, gamma)
+        m = np.empty(size)
+        model.sample_fn(rng, n0, gamma, m)  # an array n0 even for the point prior
         if noise.sigma > 0.0:
             m = m + rng.standard_normal(size) * math.sqrt(noise.difference_variance)
         if noise.sigma > 0.0 and not point:
@@ -273,10 +275,10 @@ def test_counting_csv_is_independent_of_the_cpu_count(monkeypatch, tmp_path):
 def test_monte_carlo_error_in_a_chunk_propagates(monkeypatch, n_chunks):
     ramsey = cnt.ramsey_model(1.0)
 
-    def sample(rng, n0, gamma):
-        if n0.size < 20_000:  # the last chunk, the only short one
+    def sample(rng, n0, gamma, out):
+        if out.size < 20_000:  # the last chunk, the only short one
             raise RuntimeError("detector fault")
-        return ramsey.sample_fn(rng, n0, gamma)
+        ramsey.sample_fn(rng, n0, gamma, out)
 
     model = cnt.QuantumSignalModel(ramsey.mean_fn, ramsey.var_fn, ramsey.derivative_fn,
                                    sample)
@@ -294,7 +296,7 @@ def test_monte_carlo_rejects_a_vanishing_signal_slope(monkeypatch, prior):
     # error comes before any draw, and before any worker thread starts
     ramsey = cnt.ramsey_model(1.0)
 
-    def sample(rng, n0, gamma):
+    def sample(rng, n0, gamma, out):
         raise AssertionError("drew trials at a vanishing slope")
 
     model = cnt.QuantumSignalModel(ramsey.mean_fn, ramsey.var_fn, ramsey.derivative_fn,
@@ -305,3 +307,40 @@ def test_monte_carlo_rejects_a_vanishing_signal_slope(monkeypatch, prior):
         cnt.simulate_counts(model, prior, cnt.CountingNoise(1.0), 0.0, trials=50_000,
                             seed=1)
     assert set(threading.enumerate()) == before
+
+
+# Exact reprs recorded before the sampler wrote into the chunk buffer; any
+# change to the draws, or to the arithmetic on them, moves these digits.
+DEFAULT_COUNTING_MC = {  # sigma: (delta_gamma_mc, mc_stderr)
+    "0.0": ("0.050159621907633026", "0.00011216088511698273"),
+    "5.0": ("0.05308593804992638", "0.00011870435965226009"),
+    "10.0": ("0.06128544851982333", "0.00013703911411917243"),
+    "20.0": ("0.08652293381112841", "0.0001934721289774614"),
+    "40.0": ("0.1497963712032662", "0.0003349565435802001"),
+}
+
+
+def test_default_counting_monte_carlo_is_pinned(tmp_path):
+    import csv
+
+    from becmetrology import cli
+
+    assert cli.main(["counting", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "counting.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert {r["sigma"]: (r["delta_gamma_mc"], r["mc_stderr"]) for r in rows} \
+        == DEFAULT_COUNTING_MC
+
+
+# N p = 200 draws by BTPE, N p = 13.6 by inversion; both chunks of 20 000 and a short one
+@pytest.mark.parametrize("n, sigma, gamma, seed, delta_gamma, stderr, bias", [
+    (400, 3.0, math.pi / 2, 17,
+     0.051241825225633524, 0.0001695355606644811, -0.0005010073561778751),
+    (20, 0.0, 1.2, 23,
+     0.22375479921304026, 0.0007403014074716184, -0.0018302972284559738),
+], ids=["btpe", "inversion"])
+def test_point_prior_monte_carlo_is_pinned(n, sigma, gamma, seed, delta_gamma, stderr, bias):
+    res = cnt.simulate_counts(cnt.ramsey_model(1.0), cnt.NumberPrior.point(n),
+                              cnt.CountingNoise(sigma), gamma, trials=45_678, seed=seed)
+    assert res == cnt.MonteCarloResult(delta_gamma=delta_gamma, stderr=stderr,
+                                       trials=45_678, bias=bias)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -316,6 +317,18 @@ def test_product_nonlinear_protocol_api():
     assert all(r.protocol == "quadratic" for r in results)
     with pytest.raises(ValueError):
         spins.product_nonlinear_protocol(1, 1.0, t_grid)
+
+
+def test_product_nonlinear_protocol_matches_its_per_point_runs():
+    # the trace prepares its state once; each point must be what a lone run gives
+    n, gamma = 4096, 1.0
+    t_grid = [x * 2.0 / (gamma * n) / 24 for x in range(1, 25)]  # the bounds command's grid
+    trace = spins.product_nonlinear_protocol(n, gamma, t_grid)
+    lone = [spins.simulate_quadratic(n, gamma, t) for t in t_grid]
+    assert len(trace) == len(lone) == 24
+    for got, want in zip(trace, lone):
+        for f in dataclasses.fields(want):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 def test_quadratic_undefined_sensitivity_reported():
