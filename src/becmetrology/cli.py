@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 from . import counting as cnt
 from . import csvio, gp, scaling, spins, thomas_fermi as tf
-from .physconfig import (CM3, NM, SI, SPECIES_PRESETS, UM, Species,
+from .physconfig import (CM3, NM, SPECIES_PRESETS, UM, Species,
                          Superposition, TrapGeometry, atomic_mass,
                          trap_from_lengths)
 
@@ -180,7 +180,10 @@ def config_from_text(text: str) -> RunConfig:
             raise ConfigError("sweep ranges must be nonempty")
         gp.Grid(1, cfg.grid_points, 1.0)  # the solver's point-count rule
         # the ranges the commands need, so that no run fails halfway
-        for ok, rule in ((cfg.grid_extent_factor > 0, "extent_factor must be positive"),
+        # default_grid spans max(extent_factor R_TF, 4 r0): at 1.5 and above the
+        # cloud is never clipped, below it eta_N can be off by order one
+        for ok, rule in ((cfg.grid_extent_factor >= 1.5,
+                          "extent_factor must be positive and at least 1.5"),
                          (all(n >= 2 for n in cfg.n_values), "n_values must be at least 2"),
                          (len(set(cfg.n_values)) == len(cfg.n_values),
                           "n_values must be distinct"),
@@ -326,10 +329,7 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> list[str]:
     phase = tf.phase_dynamics(geom, species, n_run, sup)
     ground = results[-1]
     t_final = 0.5 / abs(phase.omega_N)
-    rate = ground.mu / SI.hbar
-    # the guard in evolve_two_mode uses max(V + g rho), far above mu near N_L
-    steps = max(200, int(math.ceil(t_final * rate / 0.05)),
-                gp.min_two_mode_steps(ground.field, species, geom, t_final))
+    steps = gp.two_mode_steps(ground, species, geom, t_final)
     record = gp.evolve_two_mode(ground, sup, species, geom, t_final, steps,
                                 loss=False, record_every=max(1, steps // 100))
     overlap_rows = []
@@ -365,8 +365,7 @@ def cmd_counting(cfg: RunConfig, out_dir: str) -> list[str]:
         noise = cnt.CountingNoise(sigma=s * math.sqrt(n))
         posterior = cnt.posterior_n0(prior, n, noise)
         analytic = cnt.corrected_uncertainty(model, posterior, noise, gamma)
-        mc = cnt.simulate_counts(model, cnt.NumberPrior.point(n), noise, gamma,
-                                 cfg.trials, cfg.seed + i)
+        mc = cnt.simulate_counts(model, n, noise, gamma, cfg.trials, cfg.seed + i)
         rows.append((noise.sigma, n, gamma, analytic,
                      mc.delta_gamma, mc.stderr))
     path = os.path.join(out_dir, "counting.csv")

@@ -5,7 +5,9 @@ deviation sigma, so the total count N and the normalized difference
 m = (N1 - N2)/2 are independent Gaussian variables with variances 2 sigma^2
 and sigma^2/2.  The total count refines the knowledge of how many atoms
 participated; the difference carries the parameter signal, with its variance
-inflated by sigma^2/2.
+inflated by sigma^2/2.  posterior_n0 and corrected_uncertainty give the
+sensitivity in closed form for any prior over the atom number; simulate_counts
+cross-checks it by Monte Carlo at a known atom number.
 """
 
 from __future__ import annotations
@@ -98,24 +100,21 @@ class QuantumSignalModel:
     """Quantum moments of the difference signal as functions of (N0, gamma).
 
     sample_fn(rng, n0, gamma, out) draws out.size exact ideal-measurement
-    outcomes m' from rng into the float array out, for Monte Carlo runs.  n0
-    is one atom number shared by every outcome, or an integer array of out's
-    shape with one atom number per outcome.
+    outcomes m' of n0 atoms from rng into the float array out, for Monte Carlo
+    runs.
     """
 
     mean_fn: Callable[[np.ndarray, float], np.ndarray]
     var_fn: Callable[[np.ndarray, float], np.ndarray]
     derivative_fn: Callable[[np.ndarray, float], np.ndarray]
-    sample_fn: Callable[[np.random.Generator, int | np.ndarray, float, np.ndarray], None]
+    sample_fn: Callable[[np.random.Generator, int, float, np.ndarray], None]
 
 
 def ramsey_model(t: float) -> QuantumSignalModel:
     """Population-difference statistics of the product-state interferometer.
 
     m is binomial: mean (N0/2) cos(gamma t), variance (N0/4) sin^2(gamma t).
-    Its sample_fn writes Binomial(N0, cos^2(gamma t/2)) - N0/2 into out; a
-    scalar N0 takes numpy's scalar-n draw, which consumes the stream exactly
-    as an array of that N0 would, without the array.
+    Its sample_fn writes Binomial(N0, cos^2(gamma t/2)) - N0/2 into out.
     """
     if t <= 0:
         raise ValueError("time must be positive")
@@ -190,58 +189,37 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _chunk_moments(model: QuantumSignalModel, prior: NumberPrior,
-                   noise: CountingNoise, gamma: float, rng: np.random.Generator,
-                   err: np.ndarray, z: np.ndarray) -> tuple[int, float, float]:
+def _chunk_moments(model: QuantumSignalModel, n_atoms: int, noise: CountingNoise,
+                   gamma: float, rng: np.random.Generator, err: np.ndarray,
+                   z: np.ndarray) -> tuple[int, float, float]:
     """(count, mean, sum of squared deviations) of one chunk's errors gamma_est - gamma.
 
     err and z are the worker's float buffers, cut to the chunk size.  Only
     numpy and the model's callables run here, so it is safe on a worker thread.
     """
-    size = err.size
-    point = prior.support.size == 1
-    if point:
-        # a point prior fixes N0, and every posterior estimate of it, to its one value
-        n0 = prior.support[0]
-        n_hat = prior.support
-    else:
-        n0 = rng.choice(prior.support, size=size, p=prior.probabilities)
-    model.sample_fn(rng, n0, gamma, err)
+    model.sample_fn(rng, n_atoms, gamma, err)
     if noise.sigma > 0.0:
         rng.standard_normal(out=z)
         z *= math.sqrt(noise.difference_variance)
         err += z
-        if not point:
-            rng.standard_normal(out=z)
-            z *= math.sqrt(noise.total_variance)
-            n_meas = n0 + z
-            # posterior mean of N0 given each measured total, batched
-            log_like = -((n_meas[:, None] - prior.support[None, :]) ** 2) \
-                / (2.0 * noise.total_variance)
-            weights = prior.probabilities[None, :] * \
-                np.exp(log_like - log_like.max(axis=1, keepdims=True))
-            n_hat = weights @ prior.support / weights.sum(axis=1)
-    elif not point:
-        n_hat = n0.astype(float)
-    err -= model.mean_fn(n_hat, gamma)
-    err /= model.derivative_fn(n_hat, gamma)
+    err -= model.mean_fn(n_atoms, gamma)
+    err /= model.derivative_fn(n_atoms, gamma)
     mean = float(err.mean())
     err -= mean
     err *= err
-    return size, mean, float(err.sum())
+    return err.size, mean, float(err.sum())
 
 
-def simulate_counts(model: QuantumSignalModel, prior: NumberPrior,
-                    noise: CountingNoise, gamma: float, trials: int,
-                    seed: int) -> MonteCarloResult:
+def simulate_counts(model: QuantumSignalModel, n_atoms: int, noise: CountingNoise,
+                    gamma: float, trials: int, seed: int) -> MonteCarloResult:
     """Monte Carlo of the counting pipeline with a local signal-inversion estimator.
 
-    Each trial draws N0 from the prior, an ideal difference m' from the model's
-    exact sampler, and adds the counting noise to both the difference and the
-    total.  gamma is estimated by linearized inversion of the mean signal at
-    the posterior-refined atom number; the spread of the estimates is the
-    empirical delta-gamma.  A point prior draws neither N0 nor the total count,
-    since its posterior estimate of N0 is its one value whatever the count.
+    Each trial draws an ideal difference m' of n_atoms atoms from the model's
+    exact sampler and adds the difference's counting noise.  gamma is
+    estimated by linearized inversion of the mean signal at n_atoms; the
+    spread of the estimates is the empirical delta-gamma.  n_atoms is known,
+    as under NumberPrior.point, whose posterior is that one number whatever
+    the total count, so the total count is not drawn.
 
     The trials run in chunks of 20 000, chunk i drawing from the i-th stream
     spawned by np.random.SeedSequence(seed).  The chunks run concurrently on as
@@ -252,7 +230,7 @@ def simulate_counts(model: QuantumSignalModel, prior: NumberPrior,
     """
     if trials < 2:
         raise ValueError("need at least two trials to estimate a spread")
-    _signal_slope(model, prior, gamma)  # the estimator divides by it
+    _signal_slope(model, NumberPrior.point(n_atoms), gamma)  # the estimator divides by it
     n_chunks = -(-trials // _CHUNK)
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
     workers = min(n_chunks, _available_cpus())
@@ -268,7 +246,7 @@ def simulate_counts(model: QuantumSignalModel, prior: NumberPrior,
                 if failed.is_set():
                     return
                 size = min(_CHUNK, trials - i * _CHUNK)
-                moments[i] = _chunk_moments(model, prior, noise, gamma,
+                moments[i] = _chunk_moments(model, n_atoms, noise, gamma,
                                             np.random.default_rng(streams[i]),
                                             buffers[0, :size], buffers[1, :size])
         except BaseException as exc:  # re-raised on the calling thread below

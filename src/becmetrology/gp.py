@@ -395,8 +395,8 @@ def local_log_slopes(n_list, etas) -> list[float]:
     return slopes
 
 
-def min_two_mode_steps(field: Field, species: Species, geom: TrapGeometry,
-                       t_final: float) -> int:
+def _min_two_mode_steps(field: Field, species: Species, geom: TrapGeometry,
+                        t_final: float) -> int:
     """Fewest steps evolve_two_mode accepts for t_final: at most 0.1 rad of
     phase per step at the largest V + g rho (strongest channel) in the cloud."""
     dens = np.abs(field.values) ** 2
@@ -406,6 +406,16 @@ def min_two_mode_steps(field: Field, species: Species, geom: TrapGeometry,
     potential = _potential(geom, field.grid.coordinates())
     rate = float(np.max((potential[occupied] + g_max * dens[occupied]) / SI.hbar))
     return int(math.ceil(t_final * rate / 0.1))
+
+
+def two_mode_steps(ground: GroundStateResult, species: Species, geom: TrapGeometry,
+                   t_final: float) -> int:
+    """Step count for evolving ground's state over t_final with evolve_two_mode:
+    at least 200 steps and at most 0.05 rad of mu t/hbar per step, and never
+    fewer than evolve_two_mode accepts.  Near N_L that last bound, which reads
+    the largest V + g rho, lies far above mu and sets the count."""
+    return max(200, int(math.ceil(t_final * ground.mu / SI.hbar / 0.05)),
+               _min_two_mode_steps(ground.field, species, geom, t_final))
 
 
 @dataclass(frozen=True)
@@ -441,8 +451,8 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     phase) is built from t = tan(phase / 2) by rational arithmetic, which
     holds its modulus to a few ulp.  The state is recorded at t = 0, after
     every record_every-th step and after the last step.  Fewer steps than
-    min_two_mode_steps raise StepSizeError; record_every < 1 raises
-    ValueError.
+    0.1 rad of phase per step at the largest V + g rho in the cloud allows
+    raise StepSizeError; record_every < 1 raises ValueError.
     """
     field = initial.field if isinstance(initial, GroundStateResult) else initial
     grid, n_atoms = field.grid, field.n_atoms
@@ -466,7 +476,7 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     loss12 = species.gamma12_loss * (n_atoms - 1.0) * eta_t
     loss22 = species.gamma22_loss * (n_atoms - 1.0) * eta_t
 
-    needed = min_two_mode_steps(field, species, geom, t_final)
+    needed = _min_two_mode_steps(field, species, geom, t_final)
     if steps < needed:
         raise StepSizeError(f"step too coarse: {steps} steps advance the phase by "
                             f"more than 0.1 rad per step; use at least {needed} steps")

@@ -296,12 +296,12 @@ def test_acceptance_8_counting_noise():
             assert noisy / base == pytest.approx(
                 math.sqrt(1.0 + sigma**2 / (2.0 * var_jz)), rel=1e-12)
     # Monte Carlo agreement at 1e5 trials, with and without noise
-    mc0 = cnt.simulate_counts(model, point, cnt.CountingNoise(0.0), gamma,
+    mc0 = cnt.simulate_counts(model, n, cnt.CountingNoise(0.0), gamma,
                               trials=100_000, seed=2024)
     assert abs(mc0.delta_gamma - quiet) < 3 * mc0.stderr
     noise = cnt.CountingNoise(math.sqrt(n))
     analytic = cnt.corrected_uncertainty(model, point, noise, gamma)
-    mc1 = cnt.simulate_counts(model, point, noise, gamma, trials=100_000, seed=2025)
+    mc1 = cnt.simulate_counts(model, n, noise, gamma, trials=100_000, seed=2025)
     assert abs(mc1.delta_gamma - analytic) < 3 * mc1.stderr
     acceptance_report(
         f"ACCEPTANCE 8: PASS - sigma=0 reduction exact; MC within 3 SE "

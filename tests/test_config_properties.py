@@ -26,7 +26,8 @@ def run_configs(draw):
         species_preset=preset, species=species,
         trap_d=draw(st.integers(1, 3)), trap_q=draw(hardness),
         rho0=draw(st.floats(0.1, 10.0)) * 1e-6, r0=draw(st.floats(20.0, 1e3)) * 1e-6,
-        grid_points=draw(st.integers(64, 4096)), grid_extent_factor=draw(positive),
+        grid_points=draw(st.integers(64, 4096)),
+        grid_extent_factor=draw(st.floats(1.5, 1e3)),
         n_values=draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=5, unique=True)),
         n_over_nl=draw(st.lists(positive, min_size=1, max_size=5, unique=True)),
         sigma_over_sqrtn=draw(st.lists(positive, min_size=1, max_size=5)),

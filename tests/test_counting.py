@@ -84,9 +84,12 @@ def test_corrected_moments_broad_posterior_vs_sampling():
     mean, var = cnt.corrected_moments(model, prior, noise, gamma)
     rng = np.random.default_rng(404)
     trials = 200_000
-    n0 = rng.choice(prior.support, size=trials, p=prior.probabilities)
+    # the sampler takes one atom number: draw how many trials each N0 gets
     m = np.empty(trials)
-    model.sample_fn(rng, n0, gamma, m)
+    stop = 0
+    for n0, count in zip(prior.support, rng.multinomial(trials, prior.probabilities)):
+        start, stop = stop, stop + count
+        model.sample_fn(rng, n0, gamma, m[start:stop])
     se_mean = m.std() / math.sqrt(trials)
     assert m.mean() == pytest.approx(mean, abs=3 * se_mean)
     se_var = m.var() * math.sqrt(2.0 / trials)
@@ -156,19 +159,17 @@ def test_posterior_mean_fast_path():
 
 def test_monte_carlo_determinism():
     model = cnt.ramsey_model(1.0)
-    prior = cnt.NumberPrior.point(100)
     noise = cnt.CountingNoise(3.0)
-    a = cnt.simulate_counts(model, prior, noise, 1.0, trials=2000, seed=42)
-    b = cnt.simulate_counts(model, prior, noise, 1.0, trials=2000, seed=42)
+    a = cnt.simulate_counts(model, 100, noise, 1.0, trials=2000, seed=42)
+    b = cnt.simulate_counts(model, 100, noise, 1.0, trials=2000, seed=42)
     assert a == b
-    c = cnt.simulate_counts(model, prior, noise, 1.0, trials=2000, seed=43)
+    c = cnt.simulate_counts(model, 100, noise, 1.0, trials=2000, seed=43)
     assert c.delta_gamma != a.delta_gamma
 
 
 def test_monte_carlo_matches_quantum_limit():
     model = cnt.ramsey_model(1.0)
-    prior = cnt.NumberPrior.point(100)
-    res = cnt.simulate_counts(model, prior, cnt.CountingNoise(0.0), math.pi / 2,
+    res = cnt.simulate_counts(model, 100, cnt.CountingNoise(0.0), math.pi / 2,
                               trials=100_000, seed=7)
     assert res.delta_gamma == pytest.approx(0.1, rel=0.01)
     assert abs(res.bias) < 3 * res.delta_gamma / math.sqrt(res.trials)
@@ -181,12 +182,11 @@ def test_monte_carlo_matches_analytic_with_noise(gamma):
     n = 100
     noise = cnt.CountingNoise(0.5 * math.sqrt(n))
     analytic = cnt.corrected_uncertainty(model, cnt.NumberPrior.point(n), noise, gamma)
-    mc = cnt.simulate_counts(model, cnt.NumberPrior.point(n), noise, gamma,
-                             trials=100_000, seed=11)
+    mc = cnt.simulate_counts(model, n, noise, gamma, trials=100_000, seed=11)
     assert abs(mc.delta_gamma - analytic) < 3 * mc.stderr
 
 
-def _reference_monte_carlo(model, prior, noise, gamma, trials, seed):
+def _reference_monte_carlo(model, n_atoms, noise, gamma, trials, seed):
     """simulate_counts with every estimate kept: chunk i draws from the i-th
     spawned stream, and the concatenated estimates go through np.std."""
     chunk = 20_000
@@ -194,44 +194,30 @@ def _reference_monte_carlo(model, prior, noise, gamma, trials, seed):
     estimates = []
     for i, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        size = min(chunk, trials - i * chunk)
-        point = prior.support.size == 1
-        if point:
-            n0 = np.full(size, prior.support[0])
-        else:
-            n0 = rng.choice(prior.support, size=size, p=prior.probabilities)
-        m = np.empty(size)
-        model.sample_fn(rng, n0, gamma, m)  # an array n0 even for the point prior
+        m = np.empty(min(chunk, trials - i * chunk))
+        model.sample_fn(rng, n_atoms, gamma, m)
         if noise.sigma > 0.0:
-            m = m + rng.standard_normal(size) * math.sqrt(noise.difference_variance)
-        if noise.sigma > 0.0 and not point:
-            n_meas = n0 + rng.standard_normal(size) * math.sqrt(noise.total_variance)
-            log_like = -((n_meas[:, None] - prior.support[None, :]) ** 2) \
-                / (2.0 * noise.total_variance)
-            weights = prior.probabilities[None, :] * \
-                np.exp(log_like - log_like.max(axis=1, keepdims=True))
-            n_hat = weights @ prior.support / weights.sum(axis=1)
-        else:
-            n_hat = n0.astype(float)
-        estimates.append(gamma + (m - model.mean_fn(n_hat, gamma))
-                         / model.derivative_fn(n_hat, gamma))
+            m = m + rng.standard_normal(m.size) * math.sqrt(noise.difference_variance)
+        estimates.append(gamma + (m - model.mean_fn(n_atoms, gamma))
+                         / model.derivative_fn(n_atoms, gamma))
     estimates = np.concatenate(estimates)
     assert estimates.size == trials
     return float(np.std(estimates, ddof=1)), float(np.mean(estimates) - gamma)
 
 
-PRIORS = {"point": cnt.NumberPrior.point(100), "flat": cnt.NumberPrior.flat(100, 0.1)}
+# a known atom number: the Monte Carlo counterpart of NumberPrior.point
+PRIORS = {"point": 100}
 
 
 @pytest.mark.parametrize("trials", [2, 3, 19_999, 20_001, 45_678])
 @pytest.mark.parametrize("sigma", [0.0, 3.0])
-@pytest.mark.parametrize("prior", PRIORS.values(), ids=PRIORS.keys())
-def test_monte_carlo_chunk_moments_match_one_array(prior, sigma, trials):
+@pytest.mark.parametrize("n_atoms", PRIORS.values(), ids=PRIORS.keys())
+def test_monte_carlo_chunk_moments_match_one_array(n_atoms, sigma, trials):
     model = cnt.ramsey_model(1.0)
     noise = cnt.CountingNoise(sigma)
     gamma = 1.2
-    res = cnt.simulate_counts(model, prior, noise, gamma, trials=trials, seed=31)
-    delta, bias = _reference_monte_carlo(model, prior, noise, gamma, trials, seed=31)
+    res = cnt.simulate_counts(model, n_atoms, noise, gamma, trials=trials, seed=31)
+    delta, bias = _reference_monte_carlo(model, n_atoms, noise, gamma, trials, seed=31)
     assert res.trials == trials
     assert res.delta_gamma == pytest.approx(delta, rel=1e-13, abs=0.0)
     assert res.stderr == pytest.approx(delta / math.sqrt(2.0 * (trials - 1)), rel=1e-13)
@@ -240,8 +226,8 @@ def test_monte_carlo_chunk_moments_match_one_array(prior, sigma, trials):
 
 
 @pytest.mark.parametrize("sigma", [0.0, 3.0])
-@pytest.mark.parametrize("prior", PRIORS.values(), ids=PRIORS.keys())
-def test_monte_carlo_is_independent_of_the_cpu_count(monkeypatch, prior, sigma):
+@pytest.mark.parametrize("n_atoms", PRIORS.values(), ids=PRIORS.keys())
+def test_monte_carlo_is_independent_of_the_cpu_count(monkeypatch, n_atoms, sigma):
     model = cnt.ramsey_model(1.0)
     noise = cnt.CountingNoise(sigma)
     trials = 8 * 20_000 + 7  # nine chunks, the last one short
@@ -251,7 +237,7 @@ def test_monte_carlo_is_independent_of_the_cpu_count(monkeypatch, prior, sigma):
     try:
         for cpus in (1, 2, 8):  # 8: more threads than CPUs on most hosts
             monkeypatch.setattr(cnt, "_available_cpus", lambda: cpus)
-            results[cpus] = cnt.simulate_counts(model, prior, noise, 1.0, trials, seed=5)
+            results[cpus] = cnt.simulate_counts(model, n_atoms, noise, 1.0, trials, seed=5)
     finally:
         sys.setswitchinterval(interval)
     assert results[2] == results[1]
@@ -285,13 +271,13 @@ def test_monte_carlo_error_in_a_chunk_propagates(monkeypatch, n_chunks):
     monkeypatch.setattr(cnt, "_available_cpus", lambda: 2)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="detector fault"):
-        cnt.simulate_counts(model, cnt.NumberPrior.point(100), cnt.CountingNoise(1.0),
-                            1.0, trials=(n_chunks - 1) * 20_000 + 5, seed=1)
+        cnt.simulate_counts(model, 100, cnt.CountingNoise(1.0), 1.0,
+                            trials=(n_chunks - 1) * 20_000 + 5, seed=1)
     assert set(threading.enumerate()) == before
 
 
-@pytest.mark.parametrize("prior", PRIORS.values(), ids=PRIORS.keys())
-def test_monte_carlo_rejects_a_vanishing_signal_slope(monkeypatch, prior):
+@pytest.mark.parametrize("n_atoms", PRIORS.values(), ids=PRIORS.keys())
+def test_monte_carlo_rejects_a_vanishing_signal_slope(monkeypatch, n_atoms):
     # at gamma = 0 the linearized inversion divides by a zero slope; the
     # error comes before any draw, and before any worker thread starts
     ramsey = cnt.ramsey_model(1.0)
@@ -304,7 +290,7 @@ def test_monte_carlo_rejects_a_vanishing_signal_slope(monkeypatch, prior):
     monkeypatch.setattr(cnt, "_available_cpus", lambda: 2)
     before = set(threading.enumerate())
     with pytest.raises(ValueError, match="signal slope vanishes"):
-        cnt.simulate_counts(model, prior, cnt.CountingNoise(1.0), 0.0, trials=50_000,
+        cnt.simulate_counts(model, n_atoms, cnt.CountingNoise(1.0), 0.0, trials=50_000,
                             seed=1)
     assert set(threading.enumerate()) == before
 
@@ -340,7 +326,7 @@ def test_default_counting_monte_carlo_is_pinned(tmp_path):
      0.22375479921304026, 0.0007403014074716184, -0.0018302972284559738),
 ], ids=["btpe", "inversion"])
 def test_point_prior_monte_carlo_is_pinned(n, sigma, gamma, seed, delta_gamma, stderr, bias):
-    res = cnt.simulate_counts(cnt.ramsey_model(1.0), cnt.NumberPrior.point(n),
-                              cnt.CountingNoise(sigma), gamma, trials=45_678, seed=seed)
+    res = cnt.simulate_counts(cnt.ramsey_model(1.0), n, cnt.CountingNoise(sigma), gamma,
+                              trials=45_678, seed=seed)
     assert res == cnt.MonteCarloResult(delta_gamma=delta_gamma, stderr=stderr,
                                        trials=45_678, bias=bias)

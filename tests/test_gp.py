@@ -311,6 +311,24 @@ def test_two_mode_symmetric_couplings_stationary(typical):
     assert np.max(np.abs(rec.norm2 - 1.0)) < 1e-8
 
 
+@pytest.mark.parametrize("y, steps", [(1000.0, 430), (3.0, 1260)],
+                         ids=["default", "near-N_L"])
+def test_two_mode_step_rule(y, steps):
+    # the largest N of the default condensate sweep and of n_over_nl = 1 3;
+    # near N_L the guard of evolve_two_mode, not mu, sets the count
+    cfg = cli.RunConfig()
+    geom, species = cfg.trap(), cfg.species
+    n = 1.0 + y * (sc.critical_numbers(geom, species.a11).n_lower - 1.0)
+    grid = gp.default_grid(geom, species, n, points=cfg.grid_points,
+                           extent_factor=cfg.grid_extent_factor)
+    ground = gp.ground_state(geom, species, n, grid)
+    t_final = 0.5 / abs(tf.phase_dynamics(geom, species, n, cfg.superposition()).omega_N)
+    guard = gp._min_two_mode_steps(ground.field, species, geom, t_final)
+    by_mu = int(math.ceil(t_final * ground.mu / HBAR / 0.05))
+    assert gp.two_mode_steps(ground, species, geom, t_final) == max(200, by_mu, guard) == steps
+    assert (guard > by_mu) == (y == 3.0)
+
+
 def test_two_mode_overlap_matches_gaussian_model(geom_rb, rb87, tf_state):
     n, ground = tf_state
     sup = pc.Superposition.equal()
