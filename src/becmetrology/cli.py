@@ -6,7 +6,7 @@ overlap, loss budget), `counting` (detector-noise penalty).  Every output file
 embeds the fully resolved configuration as comment lines, so a data file is
 self-describing.
 
-Exit codes: 0 success, 2 configuration error, 3 solver non-convergence.
+Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -359,14 +359,11 @@ def cmd_counting(cfg: RunConfig, out_dir: str) -> list[str]:
     model = cnt.ramsey_model(cfg.t)
     n = cfg.counting_n
     gamma = 0.5 * math.pi / cfg.t  # quarter fringe: maximal slope
-    prior = cnt.NumberPrior.flat(n, fraction=0.1)
     rows = []
     for i, s in enumerate(cfg.sigma_over_sqrtn):
         noise = cnt.CountingNoise(sigma=s * math.sqrt(n))
-        posterior = cnt.posterior_n0(prior, n, noise)
-        analytic = cnt.corrected_uncertainty(model, posterior, noise, gamma)
         mc = cnt.simulate_counts(model, n, noise, gamma, cfg.trials, cfg.seed + i)
-        rows.append((noise.sigma, n, gamma, analytic,
+        rows.append((noise.sigma, n, gamma, cnt.corrected_uncertainty(model, n, noise, gamma),
                      mc.delta_gamma, mc.stderr))
     path = os.path.join(out_dir, "counting.csv")
     csvio.write_csv(path,
@@ -429,6 +426,9 @@ def main(argv=None) -> int:
         return 2
     except gp.ConvergenceError as exc:
         print(f"solver failed to converge: {exc}", file=sys.stderr)
+        return 3
+    except gp.StepSizeError as exc:
+        print(f"two-mode evolution failed: {exc}", file=sys.stderr)
         return 3
     csvio.write_json(os.path.join(out_dir, f"{args.command}_index.json"),
                      {"command": args.command, "seed": cfg.seed,

@@ -1,13 +1,10 @@
-"""Atom-counting noise: posterior number refinement and corrected sensitivity.
+"""Atom-counting noise and the sensitivity it leaves.
 
 The detector miscounts each level with independent Gaussian errors of standard
-deviation sigma, so the total count N and the normalized difference
-m = (N1 - N2)/2 are independent Gaussian variables with variances 2 sigma^2
-and sigma^2/2.  The total count refines the knowledge of how many atoms
-participated; the difference carries the parameter signal, with its variance
-inflated by sigma^2/2.  posterior_n0 and corrected_uncertainty give the
-sensitivity in closed form for any prior over the atom number; simulate_counts
-cross-checks it by Monte Carlo at a known atom number.
+deviation sigma, so the normalized difference m = (N1 - N2)/2, which carries
+the parameter signal, has its variance inflated by sigma^2/2.  The atom
+number N0 is known.  corrected_uncertainty gives the sensitivity in closed
+form; simulate_counts cross-checks it by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -33,80 +30,23 @@ class CountingNoise:
             raise ValueError("sigma must be nonnegative")
 
     @property
-    def total_variance(self) -> float:
-        return 2.0 * self.sigma**2
-
-    @property
     def difference_variance(self) -> float:
         return 0.5 * self.sigma**2
 
 
 @dataclass(frozen=True)
-class NumberPrior:
-    """Discrete distribution over the participating atom number."""
-
-    support: np.ndarray
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        support = np.asarray(self.support, dtype=int)
-        probs = np.asarray(self.probabilities, dtype=float)
-        if support.shape != probs.shape or support.size == 0:
-            raise ValueError("support and probabilities must be equal-length and nonempty")
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be nonnegative")
-        total = probs.sum()
-        if not math.isfinite(total) or total <= 0:
-            raise ValueError("probabilities must have positive mass")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probabilities", probs / total)
-
-    @classmethod
-    def flat(cls, n_center: int, fraction: float = 0.1) -> "NumberPrior":
-        """Uniform prior over [N(1-fraction), N(1+fraction)]."""
-        half = int(round(n_center * fraction))
-        lo = max(1, n_center - half)
-        support = np.arange(lo, n_center + half + 1)
-        return cls(support, np.ones(support.size))
-
-    @classmethod
-    def point(cls, n: int) -> "NumberPrior":
-        return cls(np.array([n]), np.array([1.0]))
-
-
-def posterior_n0(prior: NumberPrior, measured_n: float,
-                 noise: CountingNoise) -> NumberPrior:
-    """Posterior over the participating number given the measured total count.
-
-    The total-count likelihood is Gaussian with variance 2 sigma^2; sigma = 0
-    collapses to a point mass at the measured value (which must be in the
-    support).
-    """
-    if noise.sigma == 0.0:
-        n = int(round(measured_n))
-        if n not in prior.support:
-            raise ValueError(f"measured count {n} lies outside the prior support")
-        probs = (prior.support == n).astype(float) * prior.probabilities
-        return NumberPrior(prior.support, probs)
-    log_like = -((measured_n - prior.support) ** 2) / (2.0 * noise.total_variance)
-    weights = prior.probabilities * np.exp(log_like - log_like.max())
-    if weights.sum() == 0.0:
-        raise ValueError("posterior support is empty after truncation")
-    return NumberPrior(prior.support, weights)
-
-
-@dataclass(frozen=True)
 class QuantumSignalModel:
-    """Quantum moments of the difference signal as functions of (N0, gamma).
+    """Quantum moments of the difference signal as functions of (N0, gamma),
+    for a scalar atom number N0.
 
     sample_fn(rng, n0, gamma, out) draws out.size exact ideal-measurement
     outcomes m' of n0 atoms from rng into the float array out, for Monte Carlo
     runs.
     """
 
-    mean_fn: Callable[[np.ndarray, float], np.ndarray]
-    var_fn: Callable[[np.ndarray, float], np.ndarray]
-    derivative_fn: Callable[[np.ndarray, float], np.ndarray]
+    mean_fn: Callable[[int, float], float]
+    var_fn: Callable[[int, float], float]
+    derivative_fn: Callable[[int, float], float]
     sample_fn: Callable[[np.random.Generator, int, float, np.ndarray], None]
 
 
@@ -120,13 +60,13 @@ def ramsey_model(t: float) -> QuantumSignalModel:
         raise ValueError("time must be positive")
 
     def mean(n0, gamma):
-        return 0.5 * np.asarray(n0, dtype=float) * math.cos(gamma * t)
+        return 0.5 * n0 * math.cos(gamma * t)
 
     def var(n0, gamma):
-        return 0.25 * np.asarray(n0, dtype=float) * math.sin(gamma * t) ** 2
+        return 0.25 * n0 * math.sin(gamma * t) ** 2
 
     def deriv(n0, gamma):
-        return -0.5 * np.asarray(n0, dtype=float) * t * math.sin(gamma * t)
+        return -0.5 * n0 * t * math.sin(gamma * t)
 
     def sample(rng, n0, gamma, out):
         p_up = math.cos(gamma * t / 2.0) ** 2
@@ -136,36 +76,20 @@ def ramsey_model(t: float) -> QuantumSignalModel:
                               sample_fn=sample)
 
 
-def corrected_moments(model: QuantumSignalModel, posterior: NumberPrior,
-                      noise: CountingNoise, gamma: float) -> tuple[float, float]:
-    """Mean and variance of the measured difference m under counting noise.
-
-    mean = sum_N0 <J_z> p(N0|N);
-    var  = sigma^2/2 + sum_N0 (<J_z>^2 + Var J_z) p(N0|N) - mean^2.
-    """
-    n0 = posterior.support
-    p = posterior.probabilities
-    means = model.mean_fn(n0, gamma)
-    variances = model.var_fn(n0, gamma)
-    mean = float(np.dot(means, p))
-    second = noise.difference_variance + float(np.dot(means**2 + variances, p))
-    return mean, second - mean**2
-
-
-def corrected_uncertainty(model: QuantumSignalModel, posterior: NumberPrior,
+def corrected_uncertainty(model: QuantumSignalModel, n_atoms: int,
                           noise: CountingNoise, gamma: float) -> float:
-    """Parameter uncertainty delta-gamma from the noise-corrected signal moments.
+    """Parameter uncertainty delta-gamma of n_atoms atoms under counting noise.
 
-    delta-gamma^2 = (sigma^2/2 + Var J_z) / |d<J_z>/dgamma|^2, with the
-    moments averaged over the posterior exactly.
+    delta-gamma^2 = (sigma^2/2 + Var J_z) / |d<J_z>/dgamma|^2: the counting
+    noise adds its difference variance to the quantum one.
     """
-    _, mean_var = corrected_moments(model, posterior, noise, gamma)
-    return math.sqrt(mean_var) / abs(_signal_slope(model, posterior, gamma))
+    variance = noise.difference_variance + model.var_fn(n_atoms, gamma)
+    return math.sqrt(variance) / abs(_signal_slope(model, n_atoms, gamma))
 
 
-def _signal_slope(model: QuantumSignalModel, prior: NumberPrior, gamma: float) -> float:
-    """d<J_z>/dgamma averaged over prior; ValueError where it vanishes."""
-    slope = float(np.dot(model.derivative_fn(prior.support, gamma), prior.probabilities))
+def _signal_slope(model: QuantumSignalModel, n_atoms: int, gamma: float) -> float:
+    """d<J_z>/dgamma at n_atoms; ValueError where it vanishes."""
+    slope = model.derivative_fn(n_atoms, gamma)
     if slope == 0.0:
         raise ValueError("signal slope vanishes: sensitivity undefined at this gamma")
     return slope
@@ -218,8 +142,7 @@ def simulate_counts(model: QuantumSignalModel, n_atoms: int, noise: CountingNois
     exact sampler and adds the difference's counting noise.  gamma is
     estimated by linearized inversion of the mean signal at n_atoms; the
     spread of the estimates is the empirical delta-gamma.  n_atoms is known,
-    as under NumberPrior.point, whose posterior is that one number whatever
-    the total count, so the total count is not drawn.
+    so the total count is not drawn.
 
     The trials run in chunks of 20 000, chunk i drawing from the i-th stream
     spawned by np.random.SeedSequence(seed).  The chunks run concurrently on as
@@ -230,7 +153,7 @@ def simulate_counts(model: QuantumSignalModel, n_atoms: int, noise: CountingNois
     """
     if trials < 2:
         raise ValueError("need at least two trials to estimate a spread")
-    _signal_slope(model, NumberPrior.point(n_atoms), gamma)  # the estimator divides by it
+    _signal_slope(model, n_atoms, gamma)  # the estimator divides by it
     n_chunks = -(-trials // _CHUNK)
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
     workers = min(n_chunks, _available_cpus())

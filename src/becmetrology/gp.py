@@ -124,7 +124,8 @@ _MAX_ITERATIONS = 20_000
 _MAX_ANGLE = 0.5  # radians; bounds a secant step extrapolated from a nearly flat slope
 # share of |psi_k|^2 in the top eighth of wavenumbers above which a 1D state is
 # under-resolved: at most 2.3e-23 on the default sweep, where eta_N is converged
-# to 8e-12; 2.8e-6 for N/N_L = 1000 on 64 points, where eta_N is 1.6e-4 off
+# to 8e-12; 2.8e-6 for N/N_L = 1000 on 64 points, where eta_N is 1.6e-4 off.
+# Two-mode final fields: at most 6e-15 on good runs, 1.6e-2 and up at a split-step resonance
 _SPECTRAL_TAIL = 1e-10
 # minority-sign share of the norm above which a radial state has a node: at
 # most 6.4e-21 on the nodeless states of a 144-case sweep (d = 2, 3; q = 1 to
@@ -373,8 +374,7 @@ def ground_state(geom: TrapGeometry, species: Species, n_atoms: float,
                                    f"({share:.1e} of its norm has the minority sign), "
                                    "also when restarted from |psi|", residual=residual)
     if geom.d == 1:
-        power = np.abs(np.fft.rfft(psi))**2
-        tail = float(np.sum(power[len(power) * 7 // 8:]) / np.sum(power))
+        tail = _spectral_tail(psi)
         if tail > _SPECTRAL_TAIL:
             warnings.warn(f"N = {n_atoms:.6g}: grid spacing does not resolve the state "
                           f"({tail:.1e} of its spectral power is in the top eighth of "
@@ -384,6 +384,15 @@ def ground_state(geom: TrapGeometry, species: Species, n_atoms: float,
     return GroundStateResult(field=Field(grid=grid, values=psi.astype(complex), n_atoms=n_atoms),
                              mu=mu, mu_total=mu + mu_offset, e0=e0, eta_longitudinal=eta_l,
                              eta_n=eta_t * eta_l, residual=residual, steps=iterations)
+
+
+def _spectral_tail(fields: np.ndarray) -> float:
+    """Largest share of spectral power in the top eighth of |k| among 1D fields' rows."""
+    power = np.abs(np.fft.fft(fields))**2
+    k = np.arange(power.shape[-1])
+    k = np.minimum(k, k.size - k)  # |k| in units of the grid's wavenumber spacing
+    top = np.sum(power[..., k >= (k.size // 2 + 1) * 7 // 8], axis=-1)
+    return float(np.max(top / np.sum(power, axis=-1)))
 
 
 def local_log_slopes(n_list, etas) -> list[float]:
@@ -452,7 +461,8 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     holds its modulus to a few ulp.  The state is recorded at t = 0, after
     every record_every-th step and after the last step.  Fewer steps than
     0.1 rad of phase per step at the largest V + g rho in the cloud allows
-    raise StepSizeError; record_every < 1 raises ValueError.
+    raise StepSizeError, as do final fields past the _SPECTRAL_TAIL rule, the
+    mark of a split-step resonance; record_every < 1 raises ValueError.
     """
     field = initial.field if isinstance(initial, GroundStateResult) else initial
     grid, n_atoms = field.grid, field.n_atoms
@@ -573,6 +583,10 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
                              p1=np.array(p1s), p2=np.array(p2s),
                              norm1=np.array(norm1s), norm2=np.array(norm2s),
                              final_fields=(psi[0], psi[1]))
+    tail = _spectral_tail(psi)
+    if tail > _SPECTRAL_TAIL:
+        raise StepSizeError(f"{steps} steps sit near a split-step resonance ({tail:.1e} of "
+                            "the final spectral power is in the top eighth of wavenumbers)")
     if not loss:
         drift = max(float(np.max(np.abs(record.norm1 - 1.0))),
                     float(np.max(np.abs(record.norm2 - 1.0))))

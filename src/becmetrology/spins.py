@@ -108,27 +108,24 @@ def cat_state(n_atoms: int) -> DickeState:
     return DickeState(n_atoms, amp)
 
 
-def _ladder_coeffs(n_atoms: int) -> np.ndarray:
-    # raising coefficient from index i (m = i - N/2) to i+1
+def _ladders(values: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """(J_+ psi, J_- psi)."""
     j = n_atoms / 2.0
     m = np.arange(n_atoms) - j
-    return np.sqrt((j - m) * (j + m + 1.0))
+    c = np.sqrt((j - m) * (j + m + 1.0))  # raising coefficient from index i (m = i - N/2) to i+1
+    up, dn = np.zeros_like(values), np.zeros_like(values)
+    up[1:] = c * values[:-1]
+    dn[:-1] = c * values[1:]
+    return up, dn
 
 
 def _apply_component(values: np.ndarray, n_atoms: int, component: str) -> np.ndarray:
-    m = np.arange(n_atoms + 1) - n_atoms / 2.0
     if component == "z":
-        return m * values
-    c = _ladder_coeffs(n_atoms)
-    up = np.zeros_like(values)
-    dn = np.zeros_like(values)
-    up[1:] = c * values[:-1]   # J_+
-    dn[:-1] = c * values[1:]   # J_-
-    if component == "x":
-        return 0.5 * (up + dn)
-    if component == "y":
-        return (up - dn) / 2.0j
-    raise ValueError(f"unknown spin component {component!r}")
+        return (np.arange(n_atoms + 1) - n_atoms / 2.0) * values
+    if component not in ("x", "y"):
+        raise ValueError(f"unknown spin component {component!r}")
+    up, dn = _ladders(values, n_atoms)
+    return 0.5 * (up + dn) if component == "x" else (up - dn) / 2.0j
 
 
 def _spread(p: np.ndarray, h: np.ndarray) -> float:
@@ -158,8 +155,10 @@ def evolve(state: DickeState, kind: HamiltonianKind, gamma: float, t: float) -> 
 
 def single_qubit_purity(state: DickeState) -> float:
     """Purity of the one-atom reduced state; 1 exactly iff the symmetric state is a product."""
-    n = state.n_atoms
-    bloch = np.array([expectation(state, c)[0] for c in ("x", "y", "z")]) * (2.0 / n)
+    n, psi = state.n_atoms, state.amplitudes
+    up, dn = _ladders(psi, n)
+    applied = (0.5 * (up + dn), (up - dn) / 2.0j, _apply_component(psi, n, "z"))
+    bloch = np.array([np.vdot(psi, a).real for a in applied]) * (2.0 / n)
     return 0.5 * (1.0 + float(np.dot(bloch, bloch)))
 
 

@@ -231,7 +231,7 @@ def test_acceptance_6_overlap_and_visibility(rb_geom, rb_tf_ground):
     sup = pc.Superposition.equal()
     phase = tf.phase_dynamics(geom, rb, n, sup)
     t_final = 0.5 / abs(phase.omega_N)
-    steps = int(math.ceil(t_final * ground.mu / HBAR / 0.05))
+    steps = gp.two_mode_steps(ground, rb, geom, t_final)
     record = gp.evolve_two_mode(ground, sup, rb, geom, t_final, steps,
                                 record_every=max(1, steps // 20))
     worst_mag = worst_phase = 0.0
@@ -257,7 +257,7 @@ def test_acceptance_7_loss_budget(rb_geom, rb_tf_ground):
     budget = gp.loss_budget(rb, geom, n, sup)
     assert abs(budget.ratio - 1.0 / 19.0) / (1.0 / 19.0) < 0.20
     t_final = 0.3 / budget.gamma
-    steps = int(math.ceil(t_final * ground.mu / HBAR / 0.05))
+    steps = gp.two_mode_steps(ground, rb, geom, t_final)
     every = max(1, steps // 12)
     lossless = gp.evolve_two_mode(ground, sup, rb, geom, t_final, steps,
                                   loss=False, record_every=every)
@@ -281,18 +281,15 @@ def test_acceptance_8_counting_noise():
     model = cnt.ramsey_model(t)
     gamma = math.pi / 2
     n = 100
-    point = cnt.NumberPrior.point(n)
-    quiet = cnt.corrected_uncertainty(model, point, cnt.CountingNoise(0.0), gamma)
+    quiet = cnt.corrected_uncertainty(model, n, cnt.CountingNoise(0.0), gamma)
     assert quiet == pytest.approx(1.0 / (t * math.sqrt(n)), rel=1e-12)
     # penalty law sqrt(1 + sigma^2/(2 Var J_z)) across a (sigma, N) grid
     for n_grid in (100, 400, 1600):
-        base = cnt.corrected_uncertainty(model, cnt.NumberPrior.point(n_grid),
-                                         cnt.CountingNoise(0.0), gamma)
+        base = cnt.corrected_uncertainty(model, n_grid, cnt.CountingNoise(0.0), gamma)
         var_jz = 0.25 * n_grid
         for s_frac in (0.25, 0.5, 1.0, 2.0):
             sigma = s_frac * math.sqrt(n_grid)
-            noisy = cnt.corrected_uncertainty(model, cnt.NumberPrior.point(n_grid),
-                                              cnt.CountingNoise(sigma), gamma)
+            noisy = cnt.corrected_uncertainty(model, n_grid, cnt.CountingNoise(sigma), gamma)
             assert noisy / base == pytest.approx(
                 math.sqrt(1.0 + sigma**2 / (2.0 * var_jz)), rel=1e-12)
     # Monte Carlo agreement at 1e5 trials, with and without noise
@@ -300,7 +297,7 @@ def test_acceptance_8_counting_noise():
                               trials=100_000, seed=2024)
     assert abs(mc0.delta_gamma - quiet) < 3 * mc0.stderr
     noise = cnt.CountingNoise(math.sqrt(n))
-    analytic = cnt.corrected_uncertainty(model, point, noise, gamma)
+    analytic = cnt.corrected_uncertainty(model, n, noise, gamma)
     mc1 = cnt.simulate_counts(model, n, noise, gamma, trials=100_000, seed=2025)
     assert abs(mc1.delta_gamma - analytic) < 3 * mc1.stderr
     acceptance_report(

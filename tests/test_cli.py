@@ -362,3 +362,12 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("[sweep]\nn_over_nl = 100 180 320\n")
     assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
+
+
+def test_two_mode_step_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def explode(*args, **kwargs):
+        raise gp.StepSizeError("430 steps sit near a split-step resonance")
+
+    monkeypatch.setattr(cli.gp, "evolve_two_mode", explode)
+    assert cli.main(["condensate", "--out", str(tmp_path)]) == 3
+    assert "two-mode evolution failed: 430 steps" in capsys.readouterr().err

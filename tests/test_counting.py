@@ -8,95 +8,29 @@ import pytest
 from becmetrology import counting as cnt
 
 
-def _mean(prior):
-    return float(np.dot(prior.support, prior.probabilities))
-
-
 def test_noise_variances():
     noise = cnt.CountingNoise(3.0)
-    assert noise.total_variance == pytest.approx(18.0)
     assert noise.difference_variance == pytest.approx(4.5)
     with pytest.raises(ValueError):
         cnt.CountingNoise(-1.0)
 
 
-def test_prior_normalization_and_flat():
-    prior = cnt.NumberPrior(np.array([10, 11, 12]), np.array([1.0, 2.0, 1.0]))
-    assert prior.probabilities.sum() == pytest.approx(1.0, abs=1e-15)
-    flat = cnt.NumberPrior.flat(1000, fraction=0.1)
-    assert flat.support[0] == 900 and flat.support[-1] == 1100
-    assert np.all(flat.probabilities == flat.probabilities[0])
-    with pytest.raises(ValueError):
-        cnt.NumberPrior(np.array([1, 2]), np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        cnt.NumberPrior(np.array([], dtype=int), np.array([]))
-
-
-def test_posterior_point_mass_at_zero_noise():
-    prior = cnt.NumberPrior.flat(1000, fraction=0.1)
-    post = cnt.posterior_n0(prior, 1000, cnt.CountingNoise(0.0))
-    assert post.probabilities[post.support == 1000] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        cnt.posterior_n0(prior, 5000, cnt.CountingNoise(0.0))
-
-
-def test_posterior_gaussian_shape():
-    prior = cnt.NumberPrior.flat(1000, fraction=0.2)
-    sigma = 10.0
-    post = cnt.posterior_n0(prior, 1000, cnt.CountingNoise(sigma))
-    probs = dict(zip(post.support.tolist(), post.probabilities))
-    half_width = sigma * math.sqrt(2.0) * math.sqrt(2.0 * math.log(2.0))
-    ratio = probs[1000 + round(half_width)] / probs[1000]
-    assert ratio == pytest.approx(0.5, abs=0.02)
-    assert _mean(post) == pytest.approx(1000.0, abs=1e-9)
-
-
-def test_posterior_prior_dominance():
-    point = cnt.NumberPrior.point(970)
-    post = cnt.posterior_n0(point, 1000, cnt.CountingNoise(10.0))
-    assert post.support.tolist() == [970]
-    assert post.probabilities[0] == pytest.approx(1.0)
-    # posterior mean lies between the prior mean and the measured count
-    prior = cnt.NumberPrior.flat(950, fraction=0.05)
-    post = cnt.posterior_n0(prior, 990, cnt.CountingNoise(20.0))
-    assert _mean(prior) <= _mean(post) <= 990.0
-
-
-def test_corrected_moments_point_posterior():
-    model = cnt.ramsey_model(t=1.0)
+def test_corrected_uncertainty_at_a_known_number():
+    # off the quarter fringe the mean signal is not zero and enters nothing
+    t = 1.0
+    model = cnt.ramsey_model(t)
     gamma = 1.1
     n = 500
-    post = cnt.NumberPrior.point(n)
+    assert model.mean_fn(n, gamma) == pytest.approx(0.5 * n * math.cos(gamma), rel=1e-12)
+    var_jz = 0.25 * n * math.sin(gamma) ** 2
+    assert model.var_fn(n, gamma) == pytest.approx(var_jz, rel=1e-12)
+    slope = 0.5 * n * t * math.sin(gamma)
+    assert model.derivative_fn(n, gamma) == pytest.approx(-slope, rel=1e-12)
     noise = cnt.CountingNoise(4.0)
-    mean, var = cnt.corrected_moments(model, post, noise, gamma)
-    assert mean == pytest.approx(0.5 * n * math.cos(gamma), rel=1e-12)
-    assert var == pytest.approx(noise.difference_variance
-                                + 0.25 * n * math.sin(gamma) ** 2, rel=1e-12)
-    mean0, var0 = cnt.corrected_moments(model, post, cnt.CountingNoise(0.0), gamma)
-    assert (mean0, var0) == (pytest.approx(mean), pytest.approx(0.25 * n * math.sin(gamma) ** 2))
-
-
-def test_corrected_moments_broad_posterior_vs_sampling():
-    model = cnt.ramsey_model(t=1.0)
-    gamma = 0.9
-    prior = cnt.NumberPrior.flat(400, fraction=0.1)
-    noise = cnt.CountingNoise(0.0)
-    mean, var = cnt.corrected_moments(model, prior, noise, gamma)
-    rng = np.random.default_rng(404)
-    trials = 200_000
-    # the sampler takes one atom number: draw how many trials each N0 gets
-    m = np.empty(trials)
-    stop = 0
-    for n0, count in zip(prior.support, rng.multinomial(trials, prior.probabilities)):
-        start, stop = stop, stop + count
-        model.sample_fn(rng, n0, gamma, m[start:stop])
-    se_mean = m.std() / math.sqrt(trials)
-    assert m.mean() == pytest.approx(mean, abs=3 * se_mean)
-    se_var = m.var() * math.sqrt(2.0 / trials)
-    assert m.var() == pytest.approx(var, abs=3 * se_var)
-    # the number spread adds variance on top of the point-posterior value
-    _, var_point = cnt.corrected_moments(model, cnt.NumberPrior.point(400), noise, gamma)
-    assert var > var_point
+    assert cnt.corrected_uncertainty(model, n, noise, gamma) == pytest.approx(
+        math.sqrt(noise.difference_variance + var_jz) / slope, rel=1e-12)
+    assert cnt.corrected_uncertainty(model, n, cnt.CountingNoise(0.0), gamma) == \
+        pytest.approx(math.sqrt(var_jz) / slope, rel=1e-12)
 
 
 def test_corrected_uncertainty_reductions():
@@ -104,25 +38,22 @@ def test_corrected_uncertainty_reductions():
     model = cnt.ramsey_model(t)
     n = 400
     gamma = math.pi / 2
-    post = cnt.NumberPrior.point(n)
-    quiet = cnt.corrected_uncertainty(model, post, cnt.CountingNoise(0.0), gamma)
+    quiet = cnt.corrected_uncertainty(model, n, cnt.CountingNoise(0.0), gamma)
     assert quiet == pytest.approx(1.0 / (t * math.sqrt(n)), rel=1e-12)
     # sigma = sqrt(N) inflates the uncertainty by sqrt(3) at the quarter fringe
-    noisy = cnt.corrected_uncertainty(model, post,
-                                      cnt.CountingNoise(math.sqrt(n)), gamma)
+    noisy = cnt.corrected_uncertainty(model, n, cnt.CountingNoise(math.sqrt(n)), gamma)
     assert noisy / quiet == pytest.approx(math.sqrt(3.0), rel=1e-12)
     # sigma << sqrt(N) barely matters
-    small = cnt.corrected_uncertainty(model, post, cnt.CountingNoise(0.1 * math.sqrt(n)), gamma)
+    small = cnt.corrected_uncertainty(model, n, cnt.CountingNoise(0.1 * math.sqrt(n)), gamma)
     assert small / quiet < 1.01
     with pytest.raises(ValueError):
-        cnt.corrected_uncertainty(model, post, cnt.CountingNoise(0.0), 0.0)
+        cnt.corrected_uncertainty(model, n, cnt.CountingNoise(0.0), 0.0)
 
 
 def test_corrected_uncertainty_monotone_and_scaling_law():
     model = cnt.ramsey_model(1.0)
     gamma = math.pi / 2
-    post = cnt.NumberPrior.point(256)
-    values = [cnt.corrected_uncertainty(model, post, cnt.CountingNoise(s), gamma)
+    values = [cnt.corrected_uncertainty(model, 256, cnt.CountingNoise(s), gamma)
               for s in (0.0, 2.0, 8.0, 16.0, 64.0)]
     assert all(b > a for a, b in zip(values, values[1:]))
     # the penalty depends on sigma only through sigma^2 / Var(J_z)
@@ -130,31 +61,12 @@ def test_corrected_uncertainty_monotone_and_scaling_law():
     for n in (100, 400, 2500):
         var_jz = 0.25 * n  # quarter-fringe variance
         sigma = math.sqrt(2.0 * var_jz)  # fixed sigma^2/VarJz = 2
-        quiet = cnt.corrected_uncertainty(model, cnt.NumberPrior.point(n),
-                                          cnt.CountingNoise(0.0), gamma)
-        noisy = cnt.corrected_uncertainty(model, cnt.NumberPrior.point(n),
-                                          cnt.CountingNoise(sigma), gamma)
+        quiet = cnt.corrected_uncertainty(model, n, cnt.CountingNoise(0.0), gamma)
+        noisy = cnt.corrected_uncertainty(model, n, cnt.CountingNoise(sigma), gamma)
         penalties.append(noisy / quiet)
     assert penalties[0] == pytest.approx(penalties[1], rel=1e-12)
     assert penalties[1] == pytest.approx(penalties[2], rel=1e-12)
     assert penalties[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-
-def test_posterior_mean_fast_path():
-    model = cnt.ramsey_model(1.0)
-    gamma = 1.2
-    prior = cnt.NumberPrior.flat(300, fraction=0.1)
-    noise = cnt.CountingNoise(5.0)
-    post = cnt.posterior_n0(prior, 300, noise)
-    exact = cnt.corrected_uncertainty(model, post, noise, gamma)
-    # the moments evaluated at the posterior mean number instead of averaged
-    n_eff = np.array([_mean(post)])
-    approx = math.sqrt(noise.difference_variance + model.var_fn(n_eff, gamma)[0]) \
-        / abs(model.derivative_fn(n_eff, gamma)[0])
-    # the evaluate-at-the-mean shortcut is close once sigma << N, but it drops
-    # the number-spread contribution to the variance, so it sits slightly below
-    assert approx == pytest.approx(exact, rel=0.02)
-    assert approx < exact
 
 
 def test_monte_carlo_determinism():
@@ -181,7 +93,7 @@ def test_monte_carlo_matches_analytic_with_noise(gamma):
     model = cnt.ramsey_model(t)
     n = 100
     noise = cnt.CountingNoise(0.5 * math.sqrt(n))
-    analytic = cnt.corrected_uncertainty(model, cnt.NumberPrior.point(n), noise, gamma)
+    analytic = cnt.corrected_uncertainty(model, n, noise, gamma)
     mc = cnt.simulate_counts(model, n, noise, gamma, trials=100_000, seed=11)
     assert abs(mc.delta_gamma - analytic) < 3 * mc.stderr
 
@@ -205,13 +117,13 @@ def _reference_monte_carlo(model, n_atoms, noise, gamma, trials, seed):
     return float(np.std(estimates, ddof=1)), float(np.mean(estimates) - gamma)
 
 
-# a known atom number: the Monte Carlo counterpart of NumberPrior.point
-PRIORS = {"point": 100}
+# the one atom number the Monte Carlo tests run, a point mass over N0
+KNOWN_N = {"point": 100}
 
 
 @pytest.mark.parametrize("trials", [2, 3, 19_999, 20_001, 45_678])
 @pytest.mark.parametrize("sigma", [0.0, 3.0])
-@pytest.mark.parametrize("n_atoms", PRIORS.values(), ids=PRIORS.keys())
+@pytest.mark.parametrize("n_atoms", KNOWN_N.values(), ids=KNOWN_N.keys())
 def test_monte_carlo_chunk_moments_match_one_array(n_atoms, sigma, trials):
     model = cnt.ramsey_model(1.0)
     noise = cnt.CountingNoise(sigma)
@@ -226,7 +138,7 @@ def test_monte_carlo_chunk_moments_match_one_array(n_atoms, sigma, trials):
 
 
 @pytest.mark.parametrize("sigma", [0.0, 3.0])
-@pytest.mark.parametrize("n_atoms", PRIORS.values(), ids=PRIORS.keys())
+@pytest.mark.parametrize("n_atoms", KNOWN_N.values(), ids=KNOWN_N.keys())
 def test_monte_carlo_is_independent_of_the_cpu_count(monkeypatch, n_atoms, sigma):
     model = cnt.ramsey_model(1.0)
     noise = cnt.CountingNoise(sigma)
@@ -276,7 +188,7 @@ def test_monte_carlo_error_in_a_chunk_propagates(monkeypatch, n_chunks):
     assert set(threading.enumerate()) == before
 
 
-@pytest.mark.parametrize("n_atoms", PRIORS.values(), ids=PRIORS.keys())
+@pytest.mark.parametrize("n_atoms", KNOWN_N.values(), ids=KNOWN_N.keys())
 def test_monte_carlo_rejects_a_vanishing_signal_slope(monkeypatch, n_atoms):
     # at gamma = 0 the linearized inversion divides by a zero slope; the
     # error comes before any draw, and before any worker thread starts
@@ -316,6 +228,22 @@ def test_default_counting_monte_carlo_is_pinned(tmp_path):
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     assert {r["sigma"]: (r["delta_gamma_mc"], r["mc_stderr"]) for r in rows} \
         == DEFAULT_COUNTING_MC
+
+
+def test_default_counting_analytic_is_the_closed_form(tmp_path):
+    # at the quarter fringe Var J_z = N/4 and |d<J_z>/dgamma| = N t/2
+    import csv
+
+    from becmetrology import cli
+
+    assert cli.main(["counting", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "counting.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    t = cli.RunConfig().t
+    assert len(rows) == len(cli.RunConfig().sigma_over_sqrtn)
+    for r in rows:
+        sigma, n = float(r["sigma"]), int(r["N"])
+        assert r["delta_gamma_analytic"] == repr(math.sqrt(sigma**2 / 2 + n / 4) / (n * t / 2))
 
 
 # N p = 200 draws by BTPE, N p = 13.6 by inversion; both chunks of 20 000 and a short one

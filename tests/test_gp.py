@@ -334,7 +334,7 @@ def test_two_mode_overlap_matches_gaussian_model(geom_rb, rb87, tf_state):
     sup = pc.Superposition.equal()
     phase = tf.phase_dynamics(geom_rb, rb87, n, sup)
     t_final = 0.5 / abs(phase.omega_N)
-    steps = int(math.ceil(t_final * ground.mu / HBAR / 0.05))
+    steps = gp.two_mode_steps(ground, rb87, geom_rb, t_final)
     rec = gp.evolve_two_mode(ground, sup, rb87, geom_rb, t_final, steps,
                              record_every=max(1, steps // 20))
     energy0 = _two_mode_energy(ground.field.values, ground.field.values,
@@ -365,7 +365,7 @@ def test_loss_decay(geom_rb, rb87, tf_state):
     sup = pc.Superposition.equal()
     budget = gp.loss_budget(rb87, geom_rb, n, sup)
     t_final = 0.1 / budget.gamma
-    steps = int(math.ceil(t_final * ground.mu / HBAR / 0.05))
+    steps = gp.two_mode_steps(ground, rb87, geom_rb, t_final)
     every = max(1, steps // 10)
     lossless = gp.evolve_two_mode(ground, sup, rb87, geom_rb, t_final, steps,
                                   loss=False, record_every=every)
@@ -380,6 +380,25 @@ def test_loss_decay(geom_rb, rb87, tf_state):
     for i in range(1, len(lossy.times)):
         ratio = abs(lossy.overlap[i]) / abs(lossless.overlap[i])
         assert ratio == pytest.approx(math.exp(-budget.gamma * lossy.times[i]), rel=0.1)
+
+
+@pytest.mark.parametrize("y, points, loss, guard", [(100.0, 512, False, 4521),
+                                                    (1000.0, 1024, False, 3223),
+                                                    (1000.0, 1024, True, 3223)],
+                         ids=["y100-512", "y1000-1024", "y1000-1024-loss"])
+def test_two_mode_run_near_a_split_step_resonance_raises(geom_rb, rb87, y, points, loss, guard):
+    # at the guard's count the kinetic phase per step at the top wavenumber
+    # lies near pi; round-off there grows over the run into a large share of
+    # the final fields' spectral power, while the lossless norm holds
+    crit = sc.critical_numbers(geom_rb, rb87.a11)
+    n = 1.0 + y * (crit.n_lower - 1.0)
+    ground = gp.ground_state(geom_rb, rb87, n, gp.default_grid(geom_rb, rb87, n, points=points))
+    sup = pc.Superposition.equal()
+    t_final = 0.3 / gp.loss_budget(rb87, geom_rb, n, sup).gamma
+    assert gp._min_two_mode_steps(ground.field, rb87, geom_rb, t_final) == guard
+    with pytest.raises(gp.StepSizeError, match="split-step resonance"):
+        gp.evolve_two_mode(ground, sup, rb87, geom_rb, t_final, guard, loss=loss,
+                           record_every=guard)
 
 
 def _evolve_two_mode_reference(field, sup, species, geom, t_final, steps, loss,
