@@ -22,7 +22,7 @@ from . import counting as cnt
 from . import csvio, gp, scaling, spins, thomas_fermi as tf
 from .physconfig import (CM3, NM, SPECIES_PRESETS, UM, Species,
                          Superposition, TrapGeometry, atomic_mass,
-                         trap_from_lengths)
+                         differential_coupling, trap_from_lengths)
 
 
 class ConfigError(ValueError):
@@ -302,6 +302,9 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> list[str]:
     if cfg.trap_d != 1:
         raise ConfigError("the condensate command runs the 1D longitudinal "
                           "two-mode protocol; set d = 1")
+    if differential_coupling(cfg.species, cfg.superposition()) == 0.0:
+        raise ConfigError("no relative-phase signal: the differential coupling "
+                          "vanishes for this species and superposition")
     geom = cfg.trap()
     species = cfg.species
     sup = cfg.superposition()

@@ -7,10 +7,10 @@ discrete GP energy over unit-normalized real states by preconditioned
 nonlinear conjugate gradients, one state per call; the kinetic operator is
 spectral on one-dimensional longitudinal grids and a tridiagonal finite
 difference on the radial grids of 2D and 3D traps.  The coupled two-mode
-real-time evolution (1D only) uses FFT split steps, with the two modes as the
-rows of one complex array transformed in place, the two potential half-steps
-that meet between recorded steps merged into one, and each potential factor
-built from the tangent of half its phase.
+real-time evolution (1D only) uses Strang split steps K/2 V K/2, second order
+with and without loss, with the two modes as the rows of one complex array
+transformed in place and each potential factor built from the tangent of half
+its phase.
 """
 
 from __future__ import annotations
@@ -449,20 +449,23 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     equations with population weights c1^2, c2^2.  With loss on, the
     spin-exchange non-Hermitian potentials deplete the norms.
 
-    Strang splitting (Bao, Jaksch & Markowich 2003): half a potential step,
-    a kinetic step, half a potential step.  Both modes are the rows of one
-    (2, points) array, so each step makes one batched FFT pair.  Between
-    recorded steps the trailing potential half-step of one step and the
-    leading half-step of the next are applied as one factor, which is exact
-    because the second half-step's density follows from the first's in
-    closed form; a recorded step ends on its own half-step.  The FFTs write
-    into two preallocated arrays, and each potential factor exp(decay + i
-    phase) is built from t = tan(phase / 2) by rational arithmetic, which
-    holds its modulus to a few ulp.  The state is recorded at t = 0, after
-    every record_every-th step and after the last step.  Fewer steps than
-    0.1 rad of phase per step at the largest V + g rho in the cloud allows
-    raise StepSizeError, as do final fields past the _SPECTRAL_TAIL rule, the
-    mark of a split-step resonance; record_every < 1 raises ValueError.
+    Strang splitting K/2 V K/2 (Bao, Jaksch & Markowich 2003): a kinetic
+    half-step, a potential step, a kinetic half-step.  The kinetic half-steps
+    that meet between steps are one kinetic step, so a run makes a half-step
+    before the first step and after the last, and one FFT pair per step on
+    the (2, points) array whose rows are the two modes.  With loss on, the
+    potential step takes its decay and phase at the mid-step density, so the
+    scheme is second order with and without loss.  The FFTs write into two
+    preallocated arrays, and each potential factor exp(decay + i phase) is
+    built from t = tan(phase / 2) by rational arithmetic, which holds its
+    modulus to a few ulp.  The state is recorded at t = 0 and after every
+    record_every-th step and the last, right after the potential step: it
+    differs from the state at that time by a kinetic half-step, which is
+    unitary and the same for both modes, so norms, overlap, p1 and p2 are
+    those at that time.  Fewer steps than 0.1 rad of phase per step at the
+    largest V + g rho in the cloud allows raise StepSizeError, as do final
+    fields past the _SPECTRAL_TAIL rule, the mark of a split-step resonance;
+    record_every < 1 raises ValueError.
     """
     field = initial.field if isinstance(initial, GroundStateResult) else initial
     grid, n_atoms = field.grid, field.n_atoms
@@ -493,23 +496,19 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     dt = t_final / steps
 
     # the inverse FFT runs unscaled (norm="forward"); its 1/points rides on
-    # the kinetic factor
-    kin_factor = np.exp(-1j * (hb * kx**2 / (2.0 * mass)) * dt) / grid.points
+    # the kinetic factors
+    kin_phase = -1j * (hb * kx**2 / (2.0 * mass)) * dt
+    kin_half = np.exp(0.5 * kin_phase) / grid.points
+    kin_factor = np.exp(kin_phase) / grid.points
     psi = np.array([field.values, field.values], dtype=complex)  # row i is mode i + 1
     spectrum = np.empty_like(psi)
-    # one potential half-step multiplies psi by exp(decay + i phase), with the
-    # phase -dt/(2 hbar) (V + G rho) and the decay -dt/4 L rho at density rho;
-    # the *_half coefficients give half that phase, whose tangent builds the
-    # factor
-    v_half = -0.25 * dt / hb * V
-    g_half = -0.25 * dt / hb * gmat * weights
-    v_halves = (v_half, 2.0 * v_half)  # one half-step, two merged
-    # two merged half-steps without loss see one density twice; with loss,
-    # g_half acts on the sum of their two densities
-    g_halves = (g_half, 2.0 * g_half)
+    # one potential step multiplies psi by exp(decay + i phase), with the
+    # phase -dt/hbar (V + G rho) and the decay -dt/2 L rho at density rho;
+    # v_half and g_half give half that phase, whose tangent builds the factor
+    v_half = -0.5 * dt / hb * V
+    g_half = -0.5 * dt / hb * gmat * weights
     if loss:
-        l_decay = -0.25 * dt * np.array([[0.0, loss12], [loss12, loss22]]) * weights
-        l_decay2 = 2.0 * l_decay
+        l_decay = -0.5 * dt * np.array([[0.0, loss12], [loss12, loss22]]) * weights
     rho, phase = np.empty(psi.shape), np.empty(psi.shape)
     decay = np.empty(psi.shape) if loss else 1.0
     factor = np.empty_like(psi)
@@ -520,21 +519,26 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
         np.multiply(m[:, :1], rho[0], out=out)
         return np.add(out, m[:, 1:] * rho[1], out=out)
 
-    def potential_step(psi, merged):
-        """One potential half-step on psi in place; with merged, two in a row
-        (the second at the density the first leaves) as one factor."""
+    def kinetic_step(psi, kin):
+        np.fft.fft(psi, out=spectrum)
+        # kin first: the complex product is not symmetric in its operands'
+        # rounding where it uses fused multiply-adds
+        np.multiply(kin, spectrum, out=spectrum)
+        np.fft.ifft(spectrum, out=psi, norm="forward")
+
+    def potential_step(psi):
+        """One potential step on psi in place."""
         # |psi|^2: both parts squared in one pass over factor's memory
         np.square(psi.view(float), out=factor.view(float))
         np.add(factor.real, factor.imag, out=rho)
         if loss:
-            if merged:
-                # the second half-step sees rho exp(2 decay); both exponents
-                # are linear in rho, so they come from the two densities' sum
-                np.exp(couple(l_decay2, rho, decay), out=decay)
-                np.multiply(rho, decay, out=decay)
-                np.add(rho, decay, out=rho)
+            # the loss moves the density within the step, so the decay and
+            # the phase are taken at its mid-step value rho exp(l_decay rho),
+            # in closed form for a density frozen over the first half-step
             np.exp(couple(l_decay, rho, decay), out=decay)
-        np.add(couple(g_halves[merged and not loss], rho, phase), v_halves[merged], out=phase)
+            np.multiply(rho, decay, out=rho)
+            np.exp(couple(l_decay, rho, decay), out=decay)
+        np.add(couple(g_half, rho, phase), v_half, out=phase)
         # exp(decay + i phase) from t = tan(phase / 2), the tangent of what
         # the phase array holds: with D = exp(decay), which the decay array
         # now holds (1 without loss), and r = 2 D / (1 + t^2), D cos(phase)
@@ -566,19 +570,12 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
 
     times, overlaps, p1s, p2s, norm1s, norm2s = [], [], [], [], [], []
     snapshot(psi, 0.0)
-    potential_step(psi, merged=False)
+    kinetic_step(psi, kin_half)
     for step in range(1, steps + 1):
-        np.fft.fft(psi, out=spectrum)
-        # kin_factor first: the complex product is not symmetric in its
-        # operands' rounding where it uses fused multiply-adds
-        np.multiply(kin_factor, spectrum, out=spectrum)
-        np.fft.ifft(spectrum, out=psi, norm="forward")
-        recorded = step % record_every == 0 or step == steps
-        potential_step(psi, merged=not recorded)
-        if recorded:
+        potential_step(psi)
+        if step % record_every == 0 or step == steps:
             snapshot(psi, step * dt)
-            if step < steps:
-                potential_step(psi, merged=False)
+        kinetic_step(psi, kin_factor if step < steps else kin_half)
     record = EvolutionRecord(times=np.array(times), overlap=np.array(overlaps),
                              p1=np.array(p1s), p2=np.array(p2s),
                              norm1=np.array(norm1s), norm2=np.array(norm2s),

@@ -162,6 +162,7 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, text, name):
 @pytest.mark.parametrize("command, text", [
     ("condensate", "[grid]\npoints = 1\n"),
     ("condensate", "[grid]\nextent_factor = 0.7\n"),
+    ("condensate", "[species]\nmass_u = 86.909\na11_nm = 5.0\na22_nm = 5.0\na12_nm = 5.0\n"),
     ("counting", "[sweep]\ntrials = 0\n"),
     ("counting", "[sweep]\ntrials = 1\n"),
     ("counting", "[sweep]\ncounting_n = 0\n"),

@@ -403,8 +403,10 @@ def test_two_mode_run_near_a_split_step_resonance_raises(geom_rb, rb87, y, point
 
 def _evolve_two_mode_reference(field, sup, species, geom, t_final, steps, loss,
                                record_every):
-    """The two-mode Strang loop step by step: each mode FFT'd on its own and
-    both potential half-steps of every step applied separately."""
+    """The two-mode Strang loop K/2 V K/2 step by step: each mode FFT'd on its
+    own, both kinetic half-steps of every step applied separately, and with
+    loss the decay and phase taken at mid-step densities predicted from the
+    step's starting densities."""
     grid, n = field.grid, field.n_atoms
     x, dx = grid.coordinates(), grid.spacing
     kx = 2.0 * math.pi * np.fft.fftfreq(grid.points, dx)
@@ -415,15 +417,23 @@ def _evolve_two_mode_reference(field, sup, species, geom, t_final, steps, loss,
     w1, w2 = sup.c1**2, sup.c2**2
     loss12, loss22 = species.gamma12_loss * scale, species.gamma22_loss * scale
     dt = t_final / steps
-    kin = np.exp(-1j * (HBAR * kx**2 / (2.0 * species.mass)) * dt)
+    kin_half = np.exp(-0.5j * (HBAR * kx**2 / (2.0 * species.mass)) * dt)
 
-    def half(psi1, psi2):
+    def kinetic_half(psi):
+        return np.fft.ifft(kin_half * np.fft.fft(psi))
+
+    def potential(psi1, psi2):
         d1, d2 = np.abs(psi1) ** 2, np.abs(psi2) ** 2
-        f1 = np.exp(-0.5j * (V + g11 * w1 * d1 + g12 * w2 * d2) / HBAR * dt)
-        f2 = np.exp(-0.5j * (V + g12 * w1 * d1 + g22 * w2 * d2) / HBAR * dt)
         if loss:
-            f1 = f1 * np.exp(-0.25 * dt * loss12 * w2 * d2)
-            f2 = f2 * np.exp(-0.25 * dt * (loss12 * w1 * d1 + loss22 * w2 * d2))
+            # amplitude i decays at the rate (L w rho)_i / 2, so its density
+            # at rate (L w rho)_i; here over half a step at the start densities
+            d1, d2 = (d1 * np.exp(-0.5 * dt * loss12 * w2 * d2),
+                      d2 * np.exp(-0.5 * dt * (loss12 * w1 * d1 + loss22 * w2 * d2)))
+        f1 = np.exp(-1j * (V + g11 * w1 * d1 + g12 * w2 * d2) / HBAR * dt)
+        f2 = np.exp(-1j * (V + g12 * w1 * d1 + g22 * w2 * d2) / HBAR * dt)
+        if loss:
+            f1 = f1 * np.exp(-0.5 * dt * loss12 * w2 * d2)
+            f2 = f2 * np.exp(-0.5 * dt * (loss12 * w1 * d1 + loss22 * w2 * d2))
         return f1 * psi1, f2 * psi2
 
     psi1 = field.values.astype(complex)
@@ -439,10 +449,8 @@ def _evolve_two_mode_reference(field, sup, species, geom, t_final, steps, loss,
 
     snapshot(0.0)
     for step in range(1, steps + 1):
-        psi1, psi2 = half(psi1, psi2)
-        psi1 = np.fft.ifft(kin * np.fft.fft(psi1))
-        psi2 = np.fft.ifft(kin * np.fft.fft(psi2))
-        psi1, psi2 = half(psi1, psi2)
+        psi1, psi2 = potential(kinetic_half(psi1), kinetic_half(psi2))
+        psi1, psi2 = kinetic_half(psi1), kinetic_half(psi2)
         if step % record_every == 0 or step == steps:
             snapshot(step * dt)
     return [np.array(col) for col in zip(*rows)], (psi1, psi2)
@@ -490,14 +498,48 @@ def lossier(rb87):
 @pytest.mark.parametrize("loss", [False, True])
 @pytest.mark.parametrize("steps, record_every", [(1, 1), (1, 3), (8, 1), (8, 3), (8, 8),
                                                  (50, 1), (50, 3), (50, 50)])
-def test_two_mode_merged_half_steps_match_reference(geom_rb, lossier, moving_state, loss,
-                                                    steps, record_every):
+def test_two_mode_steps_match_reference(geom_rb, lossier, moving_state, loss, steps,
+                                        record_every):
     field, mu = moving_state
     t_final = steps * 0.05 * HBAR / mu
     norm1, norm2 = _assert_matches_reference(field, pc.Superposition(0.6, 0.8), lossier,
                                              geom_rb, t_final, steps, loss, record_every)
     if loss and steps == 50:
         assert 1e-3 < 1.0 - norm2[-1] < 0.1
+
+
+@pytest.mark.parametrize("loss", [False, True])
+def test_two_mode_last_record_matches_final_fields(geom_rb, lossier, moving_state, loss):
+    # a record is taken one kinetic half-step before the state it stands
+    # for; that half-step is unitary and the same for both modes
+    field, mu = moving_state
+    steps = 50
+    rec = gp.evolve_two_mode(field, pc.Superposition(0.6, 0.8), lossier, geom_rb,
+                             steps * 0.05 * HBAR / mu, steps, loss=loss, record_every=steps)
+    psi1, psi2 = rec.final_fields
+    dx = field.grid.spacing
+    assert rec.norm1[-1] == pytest.approx(np.vdot(psi1, psi1).real * dx, rel=1e-12, abs=0)
+    assert rec.norm2[-1] == pytest.approx(np.vdot(psi2, psi2).real * dx, rel=1e-12, abs=0)
+    assert rec.overlap[-1] == pytest.approx(np.vdot(psi2, psi1) * dx, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("loss", [False, True])
+def test_two_mode_step_doubling_is_second_order(geom_rb, rb87, loss):
+    # each doubling of the step count cuts the splitting error by 4, so the
+    # change in the final overlap falls by 4 per doubling; a density frozen
+    # through a lossy potential step would make it 2
+    crit = sc.critical_numbers(geom_rb, rb87.a11)
+    n = 1.0 + 1000.0 * (crit.n_lower - 1.0)
+    ground = gp.ground_state(geom_rb, rb87, n, gp.default_grid(geom_rb, rb87, n, points=512))
+    sup = pc.Superposition.equal()
+    t_final = 0.03 / gp.loss_budget(rb87, geom_rb, n, sup).gamma
+    base = gp.two_mode_steps(ground, rb87, geom_rb, t_final)
+    assert base == 532
+    finals = [gp.evolve_two_mode(ground, sup, rb87, geom_rb, t_final, k * base, loss=loss,
+                                 record_every=k * base).overlap[-1] for k in (1, 2, 4, 8)]
+    changes = [abs(b - a) for a, b in zip(finals, finals[1:])]
+    for coarse, fine in zip(changes, changes[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
 
 
 @pytest.fixture(scope="module")
@@ -516,8 +558,9 @@ def moving_state_q10(rb87):
 def test_two_mode_tangent_factor_past_its_poles_matches_reference(lossier, moving_state_q10,
                                                                   loss, steps, record_every):
     # in a q = 10 trap the potential at the grid edge, where the state has
-    # almost no density, turns the half-step phase through several multiples
-    # of pi: tan(phase / 2) crosses its poles there
+    # almost no density, turns half the phase of a potential step, the
+    # argument of the factor's tangent, through several multiples of pi:
+    # the tangent crosses its poles there
     geom, field, mu = moving_state_q10
     dt = 0.02 * HBAR / mu
     edge_phase = 0.5 * dt / HBAR * 0.5 * geom.k * field.grid.extent ** geom.q
