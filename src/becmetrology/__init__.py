@@ -26,7 +26,7 @@ from .thomas_fermi import (PhaseDynamics, TFProfile, i_integral, j_integral,
 from .gp import (ConvergenceError, EvolutionRecord, Field, Grid,
                  GroundStateResult, StepSizeError, evolve_two_mode,
                  ground_state, loss_budget)
-from .counting import (CountingNoise, MonteCarloResult, QuantumSignalModel,
-                       corrected_uncertainty, ramsey_model, simulate_counts)
+from .counting import (CountingNoise, MonteCarloResult, corrected_uncertainty,
+                       ramsey_mean, ramsey_slope, ramsey_variance, simulate_counts)
 
 __version__ = "0.1.0"

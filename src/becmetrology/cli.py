@@ -359,15 +359,12 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> list[str]:
 
 def cmd_counting(cfg: RunConfig, out_dir: str) -> list[str]:
     header = _header(cfg, "counting")
-    model = cnt.ramsey_model(cfg.t)
     n = cfg.counting_n
     gamma = 0.5 * math.pi / cfg.t  # quarter fringe: maximal slope
-    rows = []
-    for i, s in enumerate(cfg.sigma_over_sqrtn):
-        noise = cnt.CountingNoise(sigma=s * math.sqrt(n))
-        mc = cnt.simulate_counts(model, n, noise, gamma, cfg.trials, cfg.seed + i)
-        rows.append((noise.sigma, n, gamma, cnt.corrected_uncertainty(model, n, noise, gamma),
-                     mc.delta_gamma, mc.stderr))
+    noises = [cnt.CountingNoise(sigma=s * math.sqrt(n)) for s in cfg.sigma_over_sqrtn]
+    results = cnt.simulate_counts(cfg.t, n, noises, gamma, cfg.trials, cfg.seed)
+    rows = [(noise.sigma, n, gamma, cnt.corrected_uncertainty(cfg.t, n, noise, gamma),
+             mc.delta_gamma, mc.stderr) for noise, mc in zip(noises, results)]
     path = os.path.join(out_dir, "counting.csv")
     csvio.write_csv(path,
                     ("sigma", "N", "gamma", "delta_gamma_analytic",

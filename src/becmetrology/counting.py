@@ -13,7 +13,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it on first use, inside the Monte Carlo)
@@ -34,62 +33,46 @@ class CountingNoise:
         return 0.5 * self.sigma**2
 
 
-@dataclass(frozen=True)
-class QuantumSignalModel:
-    """Quantum moments of the difference signal as functions of (N0, gamma),
-    for a scalar atom number N0.
-
-    sample_fn(rng, n0, gamma, out) draws out.size exact ideal-measurement
-    outcomes m' of n0 atoms from rng into the float array out, for Monte Carlo
-    runs.
-    """
-
-    mean_fn: Callable[[int, float], float]
-    var_fn: Callable[[int, float], float]
-    derivative_fn: Callable[[int, float], float]
-    sample_fn: Callable[[np.random.Generator, int, float, np.ndarray], None]
+def ramsey_mean(t: float, n0: int, gamma: float) -> float:
+    """<J_z> of the product-state interferometer: (N0/2) cos(gamma t)."""
+    return 0.5 * n0 * math.cos(gamma * t)
 
 
-def ramsey_model(t: float) -> QuantumSignalModel:
-    """Population-difference statistics of the product-state interferometer.
-
-    m is binomial: mean (N0/2) cos(gamma t), variance (N0/4) sin^2(gamma t).
-    Its sample_fn writes Binomial(N0, cos^2(gamma t/2)) - N0/2 into out.
-    """
-    if t <= 0:
-        raise ValueError("time must be positive")
-
-    def mean(n0, gamma):
-        return 0.5 * n0 * math.cos(gamma * t)
-
-    def var(n0, gamma):
-        return 0.25 * n0 * math.sin(gamma * t) ** 2
-
-    def deriv(n0, gamma):
-        return -0.5 * n0 * t * math.sin(gamma * t)
-
-    def sample(rng, n0, gamma, out):
-        p_up = math.cos(gamma * t / 2.0) ** 2
-        np.subtract(rng.binomial(n0, p_up, size=out.shape), 0.5 * n0, out=out)
-
-    return QuantumSignalModel(mean_fn=mean, var_fn=var, derivative_fn=deriv,
-                              sample_fn=sample)
+def ramsey_variance(t: float, n0: int, gamma: float) -> float:
+    """Var J_z of the product-state interferometer: (N0/4) sin^2(gamma t)."""
+    return 0.25 * n0 * math.sin(gamma * t) ** 2
 
 
-def corrected_uncertainty(model: QuantumSignalModel, n_atoms: int,
-                          noise: CountingNoise, gamma: float) -> float:
-    """Parameter uncertainty delta-gamma of n_atoms atoms under counting noise.
+def ramsey_slope(t: float, n0: int, gamma: float) -> float:
+    """d<J_z>/dgamma of the product-state interferometer: -(N0 t/2) sin(gamma t)."""
+    return -0.5 * n0 * t * math.sin(gamma * t)
+
+
+def _ramsey_sample(rng: np.random.Generator, t: float, n0: int, gamma: float,
+                   out: np.ndarray) -> None:
+    """Write out.size exact ideal outcomes m' = Binomial(N0, cos^2(gamma t/2)) - N0/2
+    of n0 atoms, drawn from rng, into the float array out."""
+    p_up = math.cos(gamma * t / 2.0) ** 2
+    np.subtract(rng.binomial(n0, p_up, size=out.shape), 0.5 * n0, out=out)
+
+
+def corrected_uncertainty(t: float, n_atoms: int, noise: CountingNoise,
+                          gamma: float) -> float:
+    """Parameter uncertainty delta-gamma of n_atoms atoms under counting noise,
+    after a Ramsey time t.
 
     delta-gamma^2 = (sigma^2/2 + Var J_z) / |d<J_z>/dgamma|^2: the counting
     noise adds its difference variance to the quantum one.
     """
-    variance = noise.difference_variance + model.var_fn(n_atoms, gamma)
-    return math.sqrt(variance) / abs(_signal_slope(model, n_atoms, gamma))
+    variance = noise.difference_variance + ramsey_variance(t, n_atoms, gamma)
+    return math.sqrt(variance) / abs(_signal_slope(t, n_atoms, gamma))
 
 
-def _signal_slope(model: QuantumSignalModel, n_atoms: int, gamma: float) -> float:
+def _signal_slope(t: float, n_atoms: int, gamma: float) -> float:
     """d<J_z>/dgamma at n_atoms; ValueError where it vanishes."""
-    slope = model.derivative_fn(n_atoms, gamma)
+    if t <= 0:
+        raise ValueError("time must be positive")
+    slope = ramsey_slope(t, n_atoms, gamma)
     if slope == 0.0:
         raise ValueError("signal slope vanishes: sensitivity undefined at this gamma")
     return slope
@@ -113,65 +96,103 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _chunk_moments(model: QuantumSignalModel, n_atoms: int, noise: CountingNoise,
-                   gamma: float, rng: np.random.Generator, err: np.ndarray,
-                   z: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, sum of squared deviations) of one chunk's errors gamma_est - gamma.
+def _chunk_moments(t: float, n_atoms: int, gamma: float, mean: float, slope: float,
+                   scales: list[float], rng: np.random.Generator,
+                   buffers: np.ndarray) -> list[tuple[int, float, float]]:
+    """(count, mean, sum of squared deviations) of one chunk's errors
+    gamma_est - gamma, one triple per noise scale.
 
-    err and z are the worker's float buffers, cut to the chunk size.  Only
-    numpy and the model's callables run here, so it is safe on a worker thread.
+    buffers is the worker's (3, size) float array: m', z and the error.  All
+    noises share one draw of m' and, if any scale is positive, one of z; a
+    noise of scale s has error (m' + z s - mean) / slope, and z is not read
+    where s = 0.  Only numpy and underscore names run here, so it is safe on a
+    worker thread.
     """
-    model.sample_fn(rng, n_atoms, gamma, err)
-    if noise.sigma > 0.0:
+    m, z, err = buffers
+    _ramsey_sample(rng, t, n_atoms, gamma, m)
+    if any(scales):
         rng.standard_normal(out=z)
-        z *= math.sqrt(noise.difference_variance)
-        err += z
-    err -= model.mean_fn(n_atoms, gamma)
-    err /= model.derivative_fn(n_atoms, gamma)
-    mean = float(err.mean())
-    err -= mean
-    err *= err
-    return err.size, mean, float(err.sum())
+    moments = []
+    for scale in scales:
+        if scale:
+            np.multiply(z, scale, out=err)
+            err += m
+        else:
+            np.copyto(err, m)
+        err -= mean
+        err /= slope
+        mu = float(err.mean())
+        err -= mu
+        err *= err
+        moments.append((err.size, mu, float(err.sum())))
+    return moments
 
 
-def simulate_counts(model: QuantumSignalModel, n_atoms: int, noise: CountingNoise,
-                    gamma: float, trials: int, seed: int) -> MonteCarloResult:
-    """Monte Carlo of the counting pipeline with a local signal-inversion estimator.
+def _combine(moments: list[tuple[int, float, float]]) -> MonteCarloResult:
+    """One noise's result from its chunks' moments, in chunk order, by Chan,
+    Golub & LeVeque's pairwise update of (count, mean, M2)."""
+    count, bias, m2 = 0, 0.0, 0.0
+    for n_b, mean_b, m2_b in moments:
+        total = count + n_b
+        delta = mean_b - bias
+        bias += delta * n_b / total
+        m2 += m2_b + delta * delta * count * n_b / total
+        count = total
+    delta_gamma = math.sqrt(m2 / (count - 1))
+    return MonteCarloResult(delta_gamma=delta_gamma,
+                            stderr=delta_gamma / math.sqrt(2.0 * (count - 1)),
+                            trials=count, bias=bias)
 
-    Each trial draws an ideal difference m' of n_atoms atoms from the model's
-    exact sampler and adds the difference's counting noise.  gamma is
-    estimated by linearized inversion of the mean signal at n_atoms; the
-    spread of the estimates is the empirical delta-gamma.  n_atoms is known,
-    so the total count is not drawn.
+
+def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: float,
+                    trials: int, seed: int) -> list[MonteCarloResult]:
+    """Monte Carlo of the counting pipeline with a local signal-inversion
+    estimator, one result per noise, in the order of noises.
+
+    Each trial draws an ideal difference m' of n_atoms atoms after a Ramsey
+    time t from the exact binomial sampler and adds each noise's counting
+    noise to it.  gamma is estimated by linearized inversion of the mean
+    signal at n_atoms; the spread of the estimates is the empirical
+    delta-gamma.  n_atoms is known, so the total count is not drawn.
+
+    Every noise uses the same draws (common random numbers): one m' per
+    trial and, if any sigma > 0, one standard normal z, scaled by each
+    noise's sqrt(sigma^2/2).  So the results are correlated, and each equals
+    the one-noise call with the same seed, bit for bit.
 
     The trials run in chunks of 20 000, chunk i drawing from the i-th stream
     spawned by np.random.SeedSequence(seed).  The chunks run concurrently on as
     many threads as the process has CPUs (at most one per chunk), and their
-    moments are combined in chunk order, so the result depends only on the
-    arguments, never on the CPU count.  A vanishing signal slope raises
-    ValueError before any draw, as in corrected_uncertainty.
+    moments are combined in chunk order, so the results depend only on the
+    arguments, never on the CPU count.  An empty noise list or a vanishing
+    signal slope raises ValueError before any draw, as in
+    corrected_uncertainty.
     """
     if trials < 2:
         raise ValueError("need at least two trials to estimate a spread")
-    _signal_slope(model, n_atoms, gamma)  # the estimator divides by it
+    if not noises:
+        raise ValueError("need at least one counting noise")
+    slope = _signal_slope(t, n_atoms, gamma)  # the estimator divides by it
+    mean = ramsey_mean(t, n_atoms, gamma)
+    scales = [math.sqrt(noise.difference_variance) for noise in noises]
     n_chunks = -(-trials // _CHUNK)
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
     workers = min(n_chunks, _available_cpus())
-    moments: list[tuple[int, float, float] | None] = [None] * n_chunks
+    moments: list[list[tuple[int, float, float]] | None] = [None] * n_chunks
     errors: list[BaseException] = []
     failed = threading.Event()
 
     def work(first: int) -> None:
         # chunks first, first + workers, ...; the buffers live as long as the worker
         try:
-            buffers = np.empty((2, min(_CHUNK, trials)))
+            buffers = np.empty((3, min(_CHUNK, trials)))
             for i in range(first, n_chunks, workers):
                 if failed.is_set():
                     return
                 size = min(_CHUNK, trials - i * _CHUNK)
-                moments[i] = _chunk_moments(model, n_atoms, noise, gamma,
+                moments[i] = _chunk_moments(t, n_atoms, gamma, mean, slope, scales,
                                             np.random.default_rng(streams[i]),
-                                            buffers[0, :size], buffers[1, :size])
+                                            buffers[:, :size])
         except BaseException as exc:  # re-raised on the calling thread below
             failed.set()
             errors.append(exc)
@@ -184,15 +205,4 @@ def simulate_counts(model: QuantumSignalModel, n_atoms: int, noise: CountingNois
         thread.join()
     if errors:
         raise errors[0]
-    # Chan, Golub & LeVeque's pairwise update of (count, mean, M2)
-    count, bias, m2 = 0, 0.0, 0.0
-    for n_b, mean_b, m2_b in moments:
-        total = count + n_b
-        delta = mean_b - bias
-        bias += delta * n_b / total
-        m2 += m2_b + delta * delta * count * n_b / total
-        count = total
-    delta_gamma = math.sqrt(m2 / (trials - 1))
-    return MonteCarloResult(delta_gamma=delta_gamma,
-                            stderr=delta_gamma / math.sqrt(2.0 * (trials - 1)),
-                            trials=trials, bias=bias)
+    return [_combine([chunk[k] for chunk in moments]) for k in range(len(noises))]

@@ -278,27 +278,26 @@ def test_acceptance_7_loss_budget(rb_geom, rb_tf_ground):
 def test_acceptance_8_counting_noise():
     start = time.perf_counter()
     t = 1.0
-    model = cnt.ramsey_model(t)
     gamma = math.pi / 2
     n = 100
-    quiet = cnt.corrected_uncertainty(model, n, cnt.CountingNoise(0.0), gamma)
+    quiet = cnt.corrected_uncertainty(t, n, cnt.CountingNoise(0.0), gamma)
     assert quiet == pytest.approx(1.0 / (t * math.sqrt(n)), rel=1e-12)
     # penalty law sqrt(1 + sigma^2/(2 Var J_z)) across a (sigma, N) grid
     for n_grid in (100, 400, 1600):
-        base = cnt.corrected_uncertainty(model, n_grid, cnt.CountingNoise(0.0), gamma)
+        base = cnt.corrected_uncertainty(t, n_grid, cnt.CountingNoise(0.0), gamma)
         var_jz = 0.25 * n_grid
         for s_frac in (0.25, 0.5, 1.0, 2.0):
             sigma = s_frac * math.sqrt(n_grid)
-            noisy = cnt.corrected_uncertainty(model, n_grid, cnt.CountingNoise(sigma), gamma)
+            noisy = cnt.corrected_uncertainty(t, n_grid, cnt.CountingNoise(sigma), gamma)
             assert noisy / base == pytest.approx(
                 math.sqrt(1.0 + sigma**2 / (2.0 * var_jz)), rel=1e-12)
     # Monte Carlo agreement at 1e5 trials, with and without noise
-    mc0 = cnt.simulate_counts(model, n, cnt.CountingNoise(0.0), gamma,
-                              trials=100_000, seed=2024)
+    [mc0] = cnt.simulate_counts(t, n, [cnt.CountingNoise(0.0)], gamma,
+                                trials=100_000, seed=2024)
     assert abs(mc0.delta_gamma - quiet) < 3 * mc0.stderr
     noise = cnt.CountingNoise(math.sqrt(n))
-    analytic = cnt.corrected_uncertainty(model, n, noise, gamma)
-    mc1 = cnt.simulate_counts(model, n, noise, gamma, trials=100_000, seed=2025)
+    analytic = cnt.corrected_uncertainty(t, n, noise, gamma)
+    [mc1] = cnt.simulate_counts(t, n, [noise], gamma, trials=100_000, seed=2025)
     assert abs(mc1.delta_gamma - analytic) < 3 * mc1.stderr
     acceptance_report(
         f"ACCEPTANCE 8: PASS - sigma=0 reduction exact; MC within 3 SE "
