@@ -214,7 +214,7 @@ def _header(cfg: RunConfig, command: str) -> list[str]:
 
 # --- subcommands -----------------------------------------------------------
 
-def cmd_bounds(cfg: RunConfig, out_dir: str) -> list[str]:
+def cmd_bounds(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
     header = _header(cfg, "bounds")
     qubit = spins.SpectrumBound(Lambda=0.5, lam=-0.5)
     rows = []
@@ -253,10 +253,10 @@ def cmd_bounds(cfg: RunConfig, out_dir: str) -> list[str]:
         slopes.append((name, slope))
     slopes_path = os.path.join(out_dir, "bounds_slopes.csv")
     csvio.write_csv(slopes_path, ("protocol", "loglog_slope"), slopes, header)
-    return [sweep_path, trace_path, slopes_path]
+    return [sweep_path, trace_path, slopes_path], {}
 
 
-def cmd_scaling(cfg: RunConfig, out_dir: str) -> list[str]:
+def cmd_scaling(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
     header = _header(cfg, "scaling")
     fig_rows = [(q, float(x1), float(x2), float(x3), str(x1), str(x2), str(x3))
                 for q, x1, x2, x3 in scaling.fig1_table(cfg.q_values)]
@@ -285,7 +285,7 @@ def cmd_scaling(cfg: RunConfig, out_dir: str) -> list[str]:
                 for n in n_grid]
     eta_path = os.path.join(out_dir, "eta_estimate.csv")
     csvio.write_csv(eta_path, ("N", "eta_m3", "regime"), eta_rows, header)
-    return [fig_path, crit_path, eta_path]
+    return [fig_path, crit_path, eta_path], {}
 
 
 def _linspace(a, b, count):
@@ -293,7 +293,7 @@ def _linspace(a, b, count):
     return [a + i * step for i in range(count)]
 
 
-def cmd_condensate(cfg: RunConfig, out_dir: str) -> list[str]:
+def cmd_condensate(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
     header = _header(cfg, "condensate")
     if math.isinf(cfg.trap_q):
         raise ConfigError("the condensate solver needs a finite hardness "
@@ -354,10 +354,11 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> list[str]:
                     [(n_run, budget.gamma, budget.omega_N, budget.ratio,
                       1.0 / budget.ratio)],
                     header)
-    return [eta_path, overlap_path, loss_path]
+    return [eta_path, overlap_path, loss_path], \
+        {"two_mode": {"steps": steps, "points": record.points}}
 
 
-def cmd_counting(cfg: RunConfig, out_dir: str) -> list[str]:
+def cmd_counting(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
     header = _header(cfg, "counting")
     n = cfg.counting_n
     gamma = 0.5 * math.pi / cfg.t  # quarter fringe: maximal slope
@@ -370,7 +371,7 @@ def cmd_counting(cfg: RunConfig, out_dir: str) -> list[str]:
                     ("sigma", "N", "gamma", "delta_gamma_analytic",
                      "delta_gamma_mc", "mc_stderr"),
                     rows, header)
-    return [path]
+    return [path], {}
 
 
 COMMANDS = {"bounds": cmd_bounds, "scaling": cmd_scaling,
@@ -420,7 +421,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        written = COMMANDS[args.command](cfg, out_dir)
+        written, facts = COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -432,7 +433,7 @@ def main(argv=None) -> int:
         return 3
     csvio.write_json(os.path.join(out_dir, f"{args.command}_index.json"),
                      {"command": args.command, "seed": cfg.seed,
-                      "outputs": [os.path.basename(p) for p in written]})
+                      "outputs": [os.path.basename(p) for p in written], **facts})
     for path in written:
         print(path)
     return 0

@@ -10,7 +10,9 @@ difference on the radial grids of 2D and 3D traps.  The coupled two-mode
 real-time evolution (1D only) uses Strang split steps K/2 V K/2, second order
 with and without loss, with the two modes as the rows of one complex array
 transformed in place and each potential factor built from the tangent of half
-its phase.
+its phase.  It runs on a Fourier-truncated copy of the start field, on the
+fewest points whose band holds that field, and its resonance check reads the
+top of that band.
 """
 
 from __future__ import annotations
@@ -125,8 +127,14 @@ _MAX_ANGLE = 0.5  # radians; bounds a secant step extrapolated from a nearly fla
 # share of |psi_k|^2 in the top eighth of wavenumbers above which a 1D state is
 # under-resolved: at most 2.3e-23 on the default sweep, where eta_N is converged
 # to 8e-12; 2.8e-6 for N/N_L = 1000 on 64 points, where eta_N is 1.6e-4 off.
-# Two-mode final fields: at most 6e-15 on good runs, 1.6e-2 and up at a split-step resonance
+# Two-mode final fields, read on the kept band that they evolved on: at most
+# 5e-16 on good runs, 4e-2 and up at a split-step resonance
 _SPECTRAL_TAIL = 1e-10
+# share of a two-mode start field's spectral power in or above the top eighth
+# of a halved grid's band up to which evolve_two_mode evolves on that band:
+# the y = 1000 state on 1024 points keeps 256 (2.8e-16 there, 1.9e-9 in the
+# top eighth of 128), and moves its final overlap by 4e-13
+_BAND_TAIL = 1e-15
 # minority-sign share of the norm above which a radial state has a node: at
 # most 6.4e-21 on the nodeless states of a 144-case sweep (d = 2, 3; q = 1 to
 # 10; 64 to 2048 points; N/N_L = 0.01 to 1e4); 3.6e-2 and 3.4e-1 on the two
@@ -386,13 +394,44 @@ def ground_state(geom: TrapGeometry, species: Species, n_atoms: float,
                              eta_n=eta_t * eta_l, residual=residual, steps=iterations)
 
 
-def _spectral_tail(fields: np.ndarray) -> float:
-    """Largest share of spectral power in the top eighth of |k| among 1D fields' rows."""
+def _spectral_tail(fields: np.ndarray, band: int | None = None) -> float:
+    """Largest share of spectral power among 1D fields' rows in or above the top
+    eighth of |k| in the band of a grid of band points on the same line (the
+    fields' own grid when None)."""
     power = np.abs(np.fft.fft(fields))**2
     k = np.arange(power.shape[-1])
     k = np.minimum(k, k.size - k)  # |k| in units of the grid's wavenumber spacing
-    top = np.sum(power[..., k >= (k.size // 2 + 1) * 7 // 8], axis=-1)
+    band = k.size if band is None else band
+    top = np.sum(power[..., k >= (band // 2 + 1) * 7 // 8], axis=-1)
     return float(np.max(top / np.sum(power, axis=-1)))
+
+
+def _band_points(values: np.ndarray) -> int:
+    """Fewest points, from halving a 1D field's grid down to 64, whose band
+    leaves at most _BAND_TAIL of the field's spectral power in or above its
+    top eighth.  Every count is a divisor of the grid's: an odd one ends the
+    halving."""
+    points = values.size
+    while points % 2 == 0 and points >= 128 and \
+            _spectral_tail(values, points // 2) <= _BAND_TAIL:
+        points //= 2
+    return points
+
+
+def _resample(fields: np.ndarray, points: int) -> np.ndarray:
+    """1D fields' rows moved to a grid of points points on the same line by
+    their Fourier series: the modes outside the smaller grid's band are cut,
+    and those missing from it are zero.  Of the smaller count n, an odd one
+    keeps the modes |m| <= n // 2 and an even one -n / 2 <= m < n / 2."""
+    size = fields.shape[-1]
+    kept = min(size, points)
+    low, high = (kept + 1) // 2, kept // 2  # modes 0 .. low - 1 and -high .. -1
+    spectrum = np.fft.fft(fields)
+    out = np.zeros(fields.shape[:-1] + (points,), dtype=complex)
+    out[..., :low] = spectrum[..., :low]
+    out[..., points - high:] = spectrum[..., size - high:]
+    # an unscaled inverse and 1/size: the values of the same trigonometric series
+    return np.fft.ifft(out, norm="forward") / size
 
 
 def local_log_slopes(n_list, etas) -> list[float]:
@@ -436,6 +475,7 @@ class EvolutionRecord:
     norm1: np.ndarray
     norm2: np.ndarray
     final_fields: tuple[np.ndarray, np.ndarray]
+    points: int           # grid points the fields were evolved on
 
 
 def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
@@ -449,11 +489,20 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     equations with population weights c1^2, c2^2.  With loss on, the
     spin-exchange non-Hermitian potentials deplete the norms.
 
+    The fields evolve on a Fourier-truncated copy of the start field: the
+    grid is halved, down to 64 points and while its point count stays even,
+    as long as the halved band leaves at most _BAND_TAIL of the start
+    field's spectral power in or above its top eighth.  The kept grid holds
+    every (points / kept)-th point of the caller's, where the potential is
+    sampled; by Parseval the records equal those of the full grid wherever
+    the band holds the fields, and final_fields are zero-padded back to the
+    caller's grid.  A field whose band fills its grid evolves on that grid.
+
     Strang splitting K/2 V K/2 (Bao, Jaksch & Markowich 2003): a kinetic
     half-step, a potential step, a kinetic half-step.  The kinetic half-steps
     that meet between steps are one kinetic step, so a run makes a half-step
     before the first step and after the last, and one FFT pair per step on
-    the (2, points) array whose rows are the two modes.  With loss on, the
+    the (2, kept) array whose rows are the two modes.  With loss on, the
     potential step takes its decay and phase at the mid-step density, so the
     scheme is second order with and without loss.  The FFTs write into two
     preallocated arrays, and each potential factor exp(decay + i phase) is
@@ -464,8 +513,9 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     unitary and the same for both modes, so norms, overlap, p1 and p2 are
     those at that time.  Fewer steps than 0.1 rad of phase per step at the
     largest V + g rho in the cloud allows raise StepSizeError, as do final
-    fields past the _SPECTRAL_TAIL rule, the mark of a split-step resonance;
-    record_every < 1 raises ValueError.
+    fields past the _SPECTRAL_TAIL rule on the kept band, the mark of a
+    split-step resonance there (Weideman & Herbst 1986); record_every < 1
+    raises ValueError.
     """
     field = initial.field if isinstance(initial, GroundStateResult) else initial
     grid, n_atoms = field.grid, field.n_atoms
@@ -476,8 +526,12 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     hb, mass = SI.hbar, geom.mass
-    x, dx = grid.coordinates(), grid.spacing
-    kx = 2.0 * math.pi * np.fft.fftfreq(grid.points, dx)
+    # the fields evolve on the fewest points that hold the start field's band,
+    # every stride-th point of its grid
+    points = _band_points(field.values)
+    stride = grid.points // points
+    x, dx = grid.coordinates()[::stride], grid.spacing * stride
+    kx = 2.0 * math.pi * np.fft.fftfreq(points, dx)
     V = _potential(geom, x)
     eta_t = eta_transverse(geom)
     gmat = np.array([[coupling_constant(species.a11, mass),
@@ -498,9 +552,10 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     # the inverse FFT runs unscaled (norm="forward"); its 1/points rides on
     # the kinetic factors
     kin_phase = -1j * (hb * kx**2 / (2.0 * mass)) * dt
-    kin_half = np.exp(0.5 * kin_phase) / grid.points
-    kin_factor = np.exp(kin_phase) / grid.points
-    psi = np.array([field.values, field.values], dtype=complex)  # row i is mode i + 1
+    kin_half = np.exp(0.5 * kin_phase) / points
+    kin_factor = np.exp(kin_phase) / points
+    start = _resample(field.values, points)
+    psi = np.array([start, start])  # row i is mode i + 1
     spectrum = np.empty_like(psi)
     # one potential step multiplies psi by exp(decay + i phase), with the
     # phase -dt/hbar (V + G rho) and the decay -dt/2 L rho at density rho;
@@ -579,11 +634,12 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     record = EvolutionRecord(times=np.array(times), overlap=np.array(overlaps),
                              p1=np.array(p1s), p2=np.array(p2s),
                              norm1=np.array(norm1s), norm2=np.array(norm2s),
-                             final_fields=(psi[0], psi[1]))
+                             final_fields=tuple(_resample(psi, grid.points)), points=points)
     tail = _spectral_tail(psi)
     if tail > _SPECTRAL_TAIL:
         raise StepSizeError(f"{steps} steps sit near a split-step resonance ({tail:.1e} of "
-                            "the final spectral power is in the top eighth of wavenumbers)")
+                            f"the final spectral power is in the top eighth of the {points}-point "
+                            "band's wavenumbers)")
     if not loss:
         drift = max(float(np.max(np.abs(record.norm1 - 1.0))),
                     float(np.max(np.abs(record.norm2 - 1.0))))

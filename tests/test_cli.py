@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import json
 import math
 import os
 import re
@@ -322,6 +323,13 @@ def test_condensate_command(tmp_path):
     assert abs(float(ov_rows[-1]["overlap_abs"]) - float(ov_rows[-1]["model_abs"])) < 0.02
     _, _, loss_rows = read_csv(tmp_path / "loss_budget.csv")
     assert float(loss_rows[0]["inverse_ratio"]) == pytest.approx(19.0, rel=0.20)
+    # the index records the two-mode step count and the points it ran on
+    index = json.loads((tmp_path / "condensate_index.json").read_text())
+    assert index["two_mode"] == {"steps": 430, "points": 256}
+    names = ("eta_sweep.csv", "overlap.csv", "loss_budget.csv", "condensate_index.json")
+    first = [(tmp_path / name).read_bytes() for name in names]
+    assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    assert [(tmp_path / name).read_bytes() for name in names] == first  # same bytes
 
 
 def test_default_condensate_run_passes_its_validity_checks(tmp_path):

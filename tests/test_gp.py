@@ -311,21 +311,29 @@ def test_two_mode_symmetric_couplings_stationary(typical):
     assert np.max(np.abs(rec.norm2 - 1.0)) < 1e-8
 
 
+def _condensate_run(y, points):
+    """The condensate command's two-mode run for the default config at y on
+    points points: the ground state, the species, trap and superposition,
+    t_final and the step count."""
+    cfg = cli.RunConfig()
+    geom, species, sup = cfg.trap(), cfg.species, cfg.superposition()
+    n = 1.0 + y * (sc.critical_numbers(geom, species.a11).n_lower - 1.0)
+    ground = gp.ground_state(geom, species, n,
+                             gp.default_grid(geom, species, n, points=points,
+                                             extent_factor=cfg.grid_extent_factor))
+    t_final = 0.5 / abs(tf.phase_dynamics(geom, species, n, sup).omega_N)
+    return ground, species, geom, sup, t_final, gp.two_mode_steps(ground, species, geom, t_final)
+
+
 @pytest.mark.parametrize("y, steps", [(1000.0, 430), (3.0, 1260)],
                          ids=["default", "near-N_L"])
 def test_two_mode_step_rule(y, steps):
     # the largest N of the default condensate sweep and of n_over_nl = 1 3;
     # near N_L the guard of evolve_two_mode, not mu, sets the count
-    cfg = cli.RunConfig()
-    geom, species = cfg.trap(), cfg.species
-    n = 1.0 + y * (sc.critical_numbers(geom, species.a11).n_lower - 1.0)
-    grid = gp.default_grid(geom, species, n, points=cfg.grid_points,
-                           extent_factor=cfg.grid_extent_factor)
-    ground = gp.ground_state(geom, species, n, grid)
-    t_final = 0.5 / abs(tf.phase_dynamics(geom, species, n, cfg.superposition()).omega_N)
+    ground, species, geom, _, t_final, rule = _condensate_run(y, cli.RunConfig().grid_points)
     guard = gp._min_two_mode_steps(ground.field, species, geom, t_final)
     by_mu = int(math.ceil(t_final * ground.mu / HBAR / 0.05))
-    assert gp.two_mode_steps(ground, species, geom, t_final) == max(200, by_mu, guard) == steps
+    assert rule == max(200, by_mu, guard) == steps
     assert (guard > by_mu) == (y == 3.0)
 
 
@@ -382,34 +390,108 @@ def test_loss_decay(geom_rb, rb87, tf_state):
         assert ratio == pytest.approx(math.exp(-budget.gamma * lossy.times[i]), rel=0.1)
 
 
-@pytest.mark.parametrize("y, points, loss, guard", [(100.0, 512, False, 4521),
-                                                    (1000.0, 1024, False, 3223),
-                                                    (1000.0, 1024, True, 3223)],
-                         ids=["y100-512", "y1000-1024", "y1000-1024-loss"])
-def test_two_mode_run_near_a_split_step_resonance_raises(geom_rb, rb87, y, points, loss, guard):
-    # at the guard's count the kinetic phase per step at the top wavenumber
-    # lies near pi; round-off there grows over the run into a large share of
-    # the final fields' spectral power, while the lossless norm holds
+def _fourier_copy(values, points):
+    """values moved to points points of the same line by their Fourier series,
+    mode by mode: mode m is kept where both grids hold it, -kept/2 <= m <
+    kept/2 for the smaller point count kept; the other modes are zero."""
+    size = values.shape[-1]
+    kept = min(size, points)
+    modes = np.arange(-(kept // 2), (kept + 1) // 2)
+    spectrum = np.zeros(points, dtype=complex)
+    spectrum[modes % points] = np.fft.fft(values)[modes % size]
+    return np.fft.ifft(spectrum) * (points / size)
+
+
+@pytest.mark.parametrize("size, points", [(1000, 125), (1000, 250), (125, 1000), (768, 384),
+                                          (384, 768), (256, 256)])
+def test_band_resample_matches_a_mode_by_mode_fourier_copy(size, points):
+    # every mode populated, odd and even counts, cut and padded: an odd band
+    # keeps as many modes as it has points
+    rng = np.random.default_rng(size + points)
+    rows = rng.standard_normal((2, size)) + 1j * rng.standard_normal((2, size))
+    moved = gp._resample(rows, points)
+    assert moved.shape == (2, points)
+    for row, got in zip(rows, moved):
+        want = _fourier_copy(row, points)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def _state_and_time(geom_rb, rb87, y, points, gamma_t=0.3):
+    """The ground state at y on points points, and the t_final at which the
+    loss has run for gamma_t."""
     crit = sc.critical_numbers(geom_rb, rb87.a11)
     n = 1.0 + y * (crit.n_lower - 1.0)
     ground = gp.ground_state(geom_rb, rb87, n, gp.default_grid(geom_rb, rb87, n, points=points))
-    sup = pc.Superposition.equal()
-    t_final = 0.3 / gp.loss_budget(rb87, geom_rb, n, sup).gamma
+    t_final = gamma_t / gp.loss_budget(rb87, geom_rb, n, pc.Superposition.equal()).gamma
+    return ground, t_final
+
+
+RESONANCE_CASES = pytest.mark.parametrize(
+    "y, points, loss, guard, kept", [(100.0, 512, False, 4521, 128),
+                                     (1000.0, 1024, False, 3223, 256),
+                                     (1000.0, 1024, True, 3223, 256)],
+    ids=["y100-512", "y1000-1024", "y1000-1024-loss"])
+
+
+@RESONANCE_CASES
+def test_two_mode_run_near_a_split_step_resonance_raises(geom_rb, rb87, y, points, loss, guard,
+                                                         kept):
+    # at the guard's count the kinetic phase per step at the top wavenumber
+    # of the full grid lies near pi; round-off there grows over the run into
+    # a large share of the final fields' spectral power, while the lossless
+    # norm holds.  A ripple of 4.5e-14 of the power at 15/32 of that
+    # wavenumber fills the band, so the fields evolve on the full grid.
+    ground, t_final = _state_and_time(geom_rb, rb87, y, points)
+    grid = ground.field.grid
+    ripple = np.cos(2.0 * math.pi * (15 * points // 64) * grid.coordinates() / (2.0 * grid.extent))
+    field = gp.Field(grid, ground.field.values * (1.0 + 3e-7 * ripple), ground.field.n_atoms)
+    assert gp._min_two_mode_steps(field, rb87, geom_rb, t_final) == guard
+    with pytest.raises(gp.StepSizeError, match=f"{points}-point band"):
+        gp.evolve_two_mode(field, pc.Superposition.equal(), rb87, geom_rb, t_final, guard,
+                           loss=loss, record_every=guard)
+
+
+def test_two_mode_resonance_at_the_kept_band_edge_raises(geom_rb, rb87, tf_state, monkeypatch):
+    # the y = 1000 state keeps 256 of 1024 points; with the step guard off,
+    # 200 steps turn the kinetic phase at the top of that band through about
+    # pi, and the resonance check, which reads the kept band, catches it.
+    # Over the zero-padded full grid the same fields read about 1e-32.
+    n, ground = tf_state
+    t_final = 0.3 / gp.loss_budget(rb87, geom_rb, n, pc.Superposition.equal()).gamma
+    monkeypatch.setattr(gp, "_min_two_mode_steps", lambda *args: 1)
+    with pytest.raises(gp.StepSizeError, match="256-point band"):
+        gp.evolve_two_mode(ground, pc.Superposition.equal(), rb87, geom_rb, t_final, 200,
+                           record_every=200)
+
+
+@RESONANCE_CASES
+def test_two_mode_run_at_a_full_grid_resonance_runs_on_the_kept_band(geom_rb, rb87, y, points,
+                                                                      loss, guard, kept):
+    # the same ground states keep a quarter of the grid or less, where the
+    # guard's count turns the top kinetic phase per step through pi / 16 or
+    # less: the runs hold and agree with runs at twice the steps
+    ground, t_final = _state_and_time(geom_rb, rb87, y, points)
     assert gp._min_two_mode_steps(ground.field, rb87, geom_rb, t_final) == guard
-    with pytest.raises(gp.StepSizeError, match="split-step resonance"):
-        gp.evolve_two_mode(ground, sup, rb87, geom_rb, t_final, guard, loss=loss,
-                           record_every=guard)
+    runs = [gp.evolve_two_mode(ground, pc.Superposition.equal(), rb87, geom_rb, t_final,
+                               k * guard, loss=loss, record_every=k * guard) for k in (1, 2)]
+    assert [run.points for run in runs] == [kept, kept]
+    assert abs(runs[0].overlap[-1] - runs[1].overlap[-1]) < 1e-7
 
 
 def _evolve_two_mode_reference(field, sup, species, geom, t_final, steps, loss,
-                               record_every):
+                               record_every, points=None):
     """The two-mode Strang loop K/2 V K/2 step by step: each mode FFT'd on its
     own, both kinetic half-steps of every step applied separately, and with
     loss the decay and phase taken at mid-step densities predicted from the
-    step's starting densities."""
+    step's starting densities.  With points, the loop runs on that many
+    points of the field's grid, every (grid points / points)-th one, from the
+    field's Fourier series cut to that band, and the final fields come back
+    zero-padded to the field's grid."""
     grid, n = field.grid, field.n_atoms
-    x, dx = grid.coordinates(), grid.spacing
-    kx = 2.0 * math.pi * np.fft.fftfreq(grid.points, dx)
+    points = grid.points if points is None else points
+    stride = grid.points // points
+    x, dx = grid.coordinates()[::stride], grid.spacing * stride
+    kx = 2.0 * math.pi * np.fft.fftfreq(points, dx)
     V = 0.5 * geom.k * np.abs(x) ** geom.q
     scale = (n - 1.0) * sc.eta_transverse(geom)
     g11, g12, g22 = (pc.coupling_constant(a, species.mass) * scale
@@ -436,7 +518,7 @@ def _evolve_two_mode_reference(field, sup, species, geom, t_final, steps, loss,
             f2 = f2 * np.exp(-0.5 * dt * (loss12 * w1 * d1 + loss22 * w2 * d2))
         return f1 * psi1, f2 * psi2
 
-    psi1 = field.values.astype(complex)
+    psi1 = _fourier_copy(field.values, points)
     psi2 = psi1.copy()
     rows = []
 
@@ -453,7 +535,8 @@ def _evolve_two_mode_reference(field, sup, species, geom, t_final, steps, loss,
         psi1, psi2 = kinetic_half(psi1), kinetic_half(psi2)
         if step % record_every == 0 or step == steps:
             snapshot(step * dt)
-    return [np.array(col) for col in zip(*rows)], (psi1, psi2)
+    return [np.array(col) for col in zip(*rows)], (_fourier_copy(psi1, grid.points),
+                                                   _fourier_copy(psi2, grid.points))
 
 
 @pytest.fixture(scope="module")
@@ -468,23 +551,37 @@ def moving_state(geom_rb, rb87):
     return gp.Field(grid, ground.field.values * kick, n), ground.mu
 
 
-def _assert_matches_reference(field, sup, species, geom, t_final, steps, loss, record_every):
-    """evolve_two_mode against the step-by-step reference to 1e-10; returns
-    the reference norms."""
+def _deviations(field, sup, species, geom, t_final, steps, loss, record_every, points=None):
+    """evolve_two_mode against the step-by-step reference on points points
+    (the field's grid when None): returns the record, the largest deviation
+    of each record series and of the final fields relative to the largest
+    reference value, and the reference norms."""
     rec = gp.evolve_two_mode(field, sup, species, geom, t_final, steps, loss=loss,
                              record_every=record_every)
     (times, overlap, p1, p2, norm1, norm2), final = _evolve_two_mode_reference(
-        field, sup, species, geom, t_final, steps, loss, record_every)
+        field, sup, species, geom, t_final, steps, loss, record_every, points)
 
     def rel(a, b):
-        return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
+        return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
 
     assert np.array_equal(rec.times, times)
-    for got, want in ((rec.overlap, overlap), (rec.p1, p1), (rec.p2, p2),
-                      (rec.norm1, norm1), (rec.norm2, norm2),
-                      (rec.final_fields[0], final[0]), (rec.final_fields[1], final[1])):
-        assert rel(got, want) < 1e-10
-    return norm1, norm2
+    deviations = {"overlap": rel(rec.overlap, overlap), "p1": rel(rec.p1, p1),
+                  "p2": rel(rec.p2, p2), "norm1": rel(rec.norm1, norm1),
+                  "norm2": rel(rec.norm2, norm2),
+                  "final_fields": max(rel(rec.final_fields[0], final[0]),
+                                      rel(rec.final_fields[1], final[1]))}
+    return rec, deviations, (norm1, norm2)
+
+
+def _assert_matches_reference(field, sup, species, geom, t_final, steps, loss, record_every,
+                              points):
+    """evolve_two_mode against the step-by-step reference on the same kept
+    points to 1e-10; returns the reference norms."""
+    rec, deviations, norms = _deviations(field, sup, species, geom, t_final, steps, loss,
+                                         record_every, points)
+    assert rec.points == points
+    assert max(deviations.values()) < 1e-10, deviations
+    return norms
 
 
 @pytest.fixture(scope="module")
@@ -502,10 +599,53 @@ def test_two_mode_steps_match_reference(geom_rb, lossier, moving_state, loss, st
                                         record_every):
     field, mu = moving_state
     t_final = steps * 0.05 * HBAR / mu
+    # the kicked state keeps half its grid
     norm1, norm2 = _assert_matches_reference(field, pc.Superposition(0.6, 0.8), lossier,
-                                             geom_rb, t_final, steps, loss, record_every)
+                                             geom_rb, t_final, steps, loss, record_every, 128)
     if loss and steps == 50:
         assert 1e-3 < 1.0 - norm2[-1] < 0.1
+
+
+@pytest.mark.parametrize("case, kept, bound", [("gp-dynamics", 256, 1e-11),
+                                               ("near-N_L", 128, 1e-7),
+                                               ("near-N_L-1000", 125, 1e-7)])
+def test_two_mode_band_cut_error_against_the_full_grid(geom_rb, rb87, case, kept, bound):
+    # the records on the kept band against the full-grid reference: the
+    # y = 1000 state on 1024 points at the 5312 steps and Gamma t = 0.3 of
+    # the gp-dynamics benchmark, and the condensate run for n_over_nl = 1 3,
+    # whose 1260 steps are already 3.6e-7 off in the overlap by splitting
+    # alone; on 1000 points that state keeps an odd count
+    if case == "gp-dynamics":
+        ground, t_final = _state_and_time(geom_rb, rb87, 1000.0, 1024)
+        species, geom, sup = rb87, geom_rb, pc.Superposition.equal()
+        steps = math.ceil(t_final * ground.mu / HBAR / 0.05)
+        assert steps == 5312
+    else:
+        ground, species, geom, sup, t_final, steps = _condensate_run(
+            3.0, 1000 if case == "near-N_L-1000" else 512)
+        assert steps == 1260
+    rec, deviations, _ = _deviations(ground.field, sup, species, geom, t_final, steps,
+                                     False, steps // 10)
+    assert rec.points == kept
+    del deviations["final_fields"]
+    assert max(deviations.values()) < bound, deviations
+
+
+@pytest.mark.parametrize("points, kept, overlap",
+                         [(1000, 250, complex(0.8027048898687232, -0.5732018018116075)),
+                          (768, 384, complex(0.802704889868681, -0.573201801811489))])
+def test_two_mode_on_a_grid_that_halves_unevenly(geom_rb, rb87, points, kept, overlap):
+    # 1000 points halve to 500 and 250, and the band rule turns down an odd
+    # 125; 768 halve to 384 and stop above 192.  The final overlap is that of
+    # the full-grid evolution that the band cut replaced.
+    ground, t_final = _state_and_time(geom_rb, rb87, 1000.0, points, gamma_t=0.03)
+    steps = gp.two_mode_steps(ground, rb87, geom_rb, t_final)
+    assert steps == 532
+    rec = gp.evolve_two_mode(ground, pc.Superposition.equal(), rb87, geom_rb, t_final, steps,
+                             record_every=steps)
+    assert rec.points == kept
+    assert abs(rec.overlap[-1] - overlap) < 1e-12
+    assert [f.shape for f in rec.final_fields] == [(points,), (points,)]
 
 
 @pytest.mark.parametrize("loss", [False, True])
@@ -565,8 +705,9 @@ def test_two_mode_tangent_factor_past_its_poles_matches_reference(lossier, movin
     dt = 0.02 * HBAR / mu
     edge_phase = 0.5 * dt / HBAR * 0.5 * geom.k * field.grid.extent ** geom.q
     assert edge_phase > 3.0 * math.pi
+    # its band fills the grid
     _assert_matches_reference(field, pc.Superposition(0.6, 0.8), lossier, geom,
-                              steps * dt, steps, loss, record_every)
+                              steps * dt, steps, loss, record_every, 256)
 
 
 def test_two_mode_norm_holds_over_a_long_lossless_run(geom_rb, rb87):
