@@ -18,8 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 
-from . import counting as cnt
-from . import csvio, gp, scaling, spins, thomas_fermi as tf
+from . import csvio, gp, scaling, thomas_fermi as tf
 from .physconfig import (CM3, NM, SPECIES_PRESETS, UM, Species,
                          Superposition, TrapGeometry, atomic_mass,
                          differential_coupling, trap_from_lengths)
@@ -215,6 +214,8 @@ def _header(cfg: RunConfig, command: str) -> list[str]:
 # --- subcommands -----------------------------------------------------------
 
 def cmd_bounds(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
+    from . import spins  # only this command simulates spins
+
     header = _header(cfg, "bounds")
     qubit = spins.SpectrumBound(Lambda=0.5, lam=-0.5)
     rows = []
@@ -359,6 +360,8 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
 
 
 def cmd_counting(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
+    from . import counting as cnt  # only this command counts atoms
+
     header = _header(cfg, "counting")
     n = cfg.counting_n
     gamma = 0.5 * math.pi / cfg.t  # quarter fringe: maximal slope

@@ -15,7 +15,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # noqa: F401  (numpy loads it on first use, inside the Monte Carlo)
 
 
 @dataclass(frozen=True)
@@ -102,29 +101,36 @@ def _chunk_moments(t: float, n_atoms: int, gamma: float, mean: float, slope: flo
     """(count, mean, sum of squared deviations) of one chunk's errors
     gamma_est - gamma, one triple per noise scale.
 
-    buffers is the worker's (3, size) float array: m', z and the error.  All
+    buffers is the worker's (3, size) float array: m', z and scratch.  All
     noises share one draw of m' and, if any scale is positive, one of z; a
-    noise of scale s has error (m' + z s - mean) / slope, and z is not read
-    where s = 0.  Only numpy and underscore names run here, so it is safe on a
-    worker thread.
+    noise of scale s has error (m' + s z - mean) / slope.  So the chunk
+    centres m' and z once and sums their squares and product, and each noise
+    takes its moments from those in O(1): mean (m'_bar + s z_bar - mean) /
+    slope and M2 (S_mm + 2 s S_mz + s^2 S_zz) / slope^2.  Where s = 0 the z
+    terms are left out, not multiplied by 0: z is not drawn when no scale is
+    positive.  The sums are ufunc reductions, not BLAS calls, and only numpy
+    and underscore names run here, so it is safe on a worker thread.
     """
-    m, z, err = buffers
+    m, z, scratch = buffers
     _ramsey_sample(rng, t, n_atoms, gamma, m)
+    m_bar = float(m.mean())
+    m -= m_bar
+    s_mm = float(np.square(m, out=scratch).sum())
     if any(scales):
         rng.standard_normal(out=z)
+        z_bar = float(z.mean())
+        z -= z_bar
+        s_zz = float(np.square(z, out=scratch).sum())
+        s_mz = float(np.multiply(m, z, out=scratch).sum())
     moments = []
     for scale in scales:
         if scale:
-            np.multiply(z, scale, out=err)
-            err += m
+            mu = (m_bar + scale * z_bar - mean) / slope
+            m2 = (s_mm + 2.0 * scale * s_mz + scale * scale * s_zz) / (slope * slope)
         else:
-            np.copyto(err, m)
-        err -= mean
-        err /= slope
-        mu = float(err.mean())
-        err -= mu
-        err *= err
-        moments.append((err.size, mu, float(err.sum())))
+            mu = (m_bar - mean) / slope
+            m2 = s_mm / (slope * slope)
+        moments.append((m.size, mu, m2))
     return moments
 
 
@@ -167,6 +173,10 @@ def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: 
     arguments, never on the CPU count.  An empty noise list or a vanishing
     signal slope raises ValueError before any draw, as in
     corrected_uncertainty.
+
+    numpy.random loads here, on the calling thread after the argument checks
+    and before any worker starts, so that no command that skips the Monte
+    Carlo pays for it.
     """
     if trials < 2:
         raise ValueError("need at least two trials to estimate a spread")
@@ -175,6 +185,7 @@ def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: 
     slope = _signal_slope(t, n_atoms, gamma)  # the estimator divides by it
     mean = ramsey_mean(t, n_atoms, gamma)
     scales = [math.sqrt(noise.difference_variance) for noise in noises]
+    import numpy.random  # noqa: F401  (before any worker thread can touch np.random)
     n_chunks = -(-trials // _CHUNK)
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
     workers = min(n_chunks, _available_cpus())

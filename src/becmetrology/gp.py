@@ -511,9 +511,10 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     record_every-th step and the last, right after the potential step: it
     differs from the state at that time by a kinetic half-step, which is
     unitary and the same for both modes, so norms, overlap, p1 and p2 are
-    those at that time.  Fewer steps than 0.1 rad of phase per step at the
-    largest V + g rho in the cloud allows raise StepSizeError, as do final
-    fields past the _SPECTRAL_TAIL rule on the kept band, the mark of a
+    those at that time.  A start field past the _SPECTRAL_TAIL rule on its
+    own grid raises StepSizeError before the first step, as do fewer steps
+    than 0.1 rad of phase per step at the largest V + g rho in the cloud
+    allows and final fields past that rule on the kept band, the mark of a
     split-step resonance there (Weideman & Herbst 1986); record_every < 1
     raises ValueError.
     """
@@ -525,6 +526,13 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
         raise ValueError("need a positive final time and at least one step")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
+    # a start field that its grid does not resolve fails the final check at
+    # any step count: name it here, not as a resonance
+    tail = _spectral_tail(field.values)
+    if tail > _SPECTRAL_TAIL:
+        raise StepSizeError(f"the start field is under-resolved ({tail:.1e} of its spectral "
+                            f"power is in the top eighth of the {grid.points}-point grid's "
+                            "wavenumbers); solve it on more points")
     hb, mass = SI.hbar, geom.mass
     # the fields evolve on the fewest points that hold the start field's band,
     # every stride-th point of its grid

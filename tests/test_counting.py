@@ -230,12 +230,14 @@ def test_monte_carlo_rejects_an_empty_noise_list(monkeypatch):
 # these digits.  The "0.0" row was recorded before the sampler wrote into the
 # chunk buffer.  The rows share the default seed's draws, so each sigma > 0 row
 # is the one-noise Monte Carlo at that seed, recorded when the rows stopped
-# taking a seed of their own.
+# taking a seed of their own.  The "20.0" row was re-recorded when the chunk
+# moments came to be formed from sums over the centred draws (last digit of
+# both values, each within 2.2e-16 of _reference_monte_carlo).
 DEFAULT_COUNTING_MC = {  # sigma: (delta_gamma_mc, mc_stderr)
     "0.0": ("0.050159621907633026", "0.00011216088511698273"),
     "5.0": ("0.05318041674016482", "0.00011891562148237017"),
     "10.0": ("0.06139352482648895", "0.00013728078129597278"),
-    "20.0": ("0.08681992027302012", "0.00019413621421508287"),
+    "20.0": ("0.08681992027302013", "0.0001941362142150829"),
     "40.0": ("0.15040224473745661", "0.0003363113247623407"),
 }
 
@@ -268,15 +270,37 @@ def test_default_counting_analytic_is_the_closed_form(tmp_path):
         assert r["delta_gamma_analytic"] == repr(math.sqrt(sigma**2 / 2 + n / 4) / (n * t / 2))
 
 
-# N p = 200 draws by BTPE, N p = 13.6 by inversion; both chunks of 20 000 and a short one
+# N p = 200 draws by BTPE, N p = 13.6 by inversion; both chunks of 20 000 and a short one.
+# The biases were re-recorded when the chunk moments came to be formed from
+# sums over the centred draws; each moved by 2e-15 relative or less.
 @pytest.mark.parametrize("n, sigma, gamma, seed, delta_gamma, stderr, bias", [
     (400, 3.0, math.pi / 2, 17,
-     0.051241825225633524, 0.0001695355606644811, -0.0005010073561778751),
+     0.051241825225633524, 0.0001695355606644811, -0.0005010073561778749),
     (20, 0.0, 1.2, 23,
-     0.22375479921304026, 0.0007403014074716184, -0.0018302972284559738),
+     0.22375479921304026, 0.0007403014074716184, -0.0018302972284559777),
 ], ids=["btpe", "inversion"])
 def test_point_prior_monte_carlo_is_pinned(n, sigma, gamma, seed, delta_gamma, stderr, bias):
     res = cnt.simulate_counts(1.0, n, [cnt.CountingNoise(sigma)], gamma,
                               trials=45_678, seed=seed)
     assert res == [cnt.MonteCarloResult(delta_gamma=delta_gamma, stderr=stderr,
                                         trials=45_678, bias=bias)]
+
+
+def test_zero_noise_chunk_moments_never_read_the_normal_row():
+    # with no positive scale z is not drawn, so its row holds whatever the
+    # buffer held: NaN here, which would poison a 0 * z term
+    t, n_atoms, gamma, size = 1.0, 100, 1.2, 5_000
+    mean, slope = cnt.ramsey_mean(t, n_atoms, gamma), cnt.ramsey_slope(t, n_atoms, gamma)
+    buffers = np.full((3, size), np.nan)
+    [(count, mu, m2)] = cnt._chunk_moments(t, n_atoms, gamma, mean, slope, [0.0],
+                                           np.random.default_rng(3), buffers)
+    m = np.empty(size)
+    cnt._ramsey_sample(np.random.default_rng(3), t, n_atoms, gamma, m)
+    errors = [(x - mean) / slope for x in m.tolist()]
+    reference_mu = math.fsum(errors) / size
+    reference_m2 = math.fsum((e - reference_mu) ** 2 for e in errors)
+    assert count == size
+    assert math.isfinite(mu) and math.isfinite(m2)
+    # the chunk's mean error is (m'_bar - mean) / slope, which cancels mean's digits
+    assert abs(mu - reference_mu) <= 1e-15 * abs(mean / slope)
+    assert m2 == pytest.approx(reference_m2, rel=1e-13, abs=0.0)

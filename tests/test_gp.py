@@ -368,6 +368,23 @@ def test_two_mode_step_size_guard(geom_rb, rb87, tf_state):
                            1.0, 2)
 
 
+def test_two_mode_run_from_an_under_resolved_start_names_the_start_field(geom_rb, rb87):
+    # the y = 1000 state on 96 points has 1.3e-2 of its power in the top
+    # eighth of its wavenumbers; no step count can evolve it, so it raises
+    # before the first step instead of blaming a split-step resonance
+    crit = sc.critical_numbers(geom_rb, rb87.a11)
+    n = 1.0 + 1000.0 * (crit.n_lower - 1.0)
+    with pytest.warns(UserWarning, match="does not resolve the state"):
+        ground = gp.ground_state(geom_rb, rb87, n, gp.default_grid(geom_rb, rb87, n, points=96))
+    sup = pc.Superposition.equal()
+    t_final = 0.5 / abs(tf.phase_dynamics(geom_rb, rb87, n, sup).omega_N)
+    steps = gp._min_two_mode_steps(ground.field, rb87, geom_rb, t_final)
+    for k in (1, 4):
+        with pytest.raises(gp.StepSizeError, match=r"start field is under-resolved "
+                           r"\(1\.3e-02 .* 96-point grid"):
+            gp.evolve_two_mode(ground, sup, rb87, geom_rb, t_final, k * steps)
+
+
 def test_loss_decay(geom_rb, rb87, tf_state):
     n, ground = tf_state
     sup = pc.Superposition.equal()

@@ -12,8 +12,12 @@ SRC = Path(becmetrology.__file__).resolve().parents[1]
 # Every command on a small configuration, plus a radial (d = 2) ground state,
 # in an interpreter where importing scipy fails.  numpy submodules that a run
 # loads on first use would move import time into the run, so none may appear
-# after the package import; numpy.ma, which nothing uses, may not appear at
-# all.
+# after the package import, with one exception: numpy.random (about 6 MB and
+# 17 ms with the secrets and hashlib modules it pulls in), which only the
+# counting Monte Carlo draws from.  It loads inside that command, so bounds,
+# scaling, condensate and the radial solve run without it, and counting then
+# loads numpy.random's modules and no other.  numpy.ma, which nothing uses,
+# may not appear at all.
 SCRIPT = r"""
 import os, sys, tempfile, warnings
 
@@ -26,7 +30,13 @@ class BlockScipy:
 sys.meta_path.insert(0, BlockScipy())
 warnings.simplefilter("ignore")
 
-from becmetrology import cli, gp, physconfig, scaling
+# every module, so that none may load numpy.random at its import either
+from becmetrology import cli, counting, gp, physconfig, scaling, spins, thomas_fermi
+
+def late_numpy_modules(before):
+    assert "numpy.ma" not in sys.modules
+    assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
+    return sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy")
 
 before = set(sys.modules)
 config = ("[grid]\npoints = 128\n\n[sweep]\nn_values = 8 16\nn_over_nl = 100 178 316\n"
@@ -35,17 +45,24 @@ with tempfile.TemporaryDirectory() as out:
     path = os.path.join(out, "run.cfg")
     with open(path, "w") as fh:
         fh.write(config)
-    for command in ("bounds", "scaling", "condensate", "counting"):
+    for command in ("bounds", "scaling", "condensate"):
         code = cli.main([command, "--config", path, "--out", out])
         assert code == 0, (command, code)
-species = physconfig.rb87()
-geom = physconfig.trap_from_lengths(2, 2.0, 1e-6, 100e-6, species.mass)
-n = 1.0 + 316.0 * (scaling.critical_numbers(geom, species.a11).n_lower - 1.0)
-result = gp.ground_state(geom, species, n, gp.default_grid(geom, species, n, points=128))
-assert result.residual < 1e-10
-late = sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy")
-assert not late, late
-assert "numpy.ma" not in sys.modules
+    species = physconfig.rb87()
+    geom = physconfig.trap_from_lengths(2, 2.0, 1e-6, 100e-6, species.mass)
+    n = 1.0 + 316.0 * (scaling.critical_numbers(geom, species.a11).n_lower - 1.0)
+    result = gp.ground_state(geom, species, n, gp.default_grid(geom, species, n, points=128))
+    assert result.residual < 1e-10
+    late = late_numpy_modules(before)
+    assert not late, late
+    assert "numpy.random" not in sys.modules
+
+    before = set(sys.modules)
+    code = cli.main(["counting", "--config", path, "--out", out])
+    assert code == 0, ("counting", code)
+    late = late_numpy_modules(before)
+    assert "numpy.random" in late
+    assert all(m.startswith("numpy.random.") for m in late if m != "numpy.random"), late
 print("ok")
 """
 
