@@ -27,8 +27,8 @@ _EXPORTS = {
               "evolve", "expectation", "prepare_product", "product_nonlinear_protocol",
               "simulate_cat", "simulate_enhanced", "simulate_quadratic", "simulate_ramsey",
               "single_qubit_purity"),
-    "thomas_fermi": ("PhaseDynamics", "TFProfile", "i_integral", "j_integral",
-                     "overlap_gaussian", "phase_dynamics", "tf_profile"),
+    "thomas_fermi": ("PhaseDynamics", "TFProfile", "j_integral", "overlap_gaussian",
+                     "phase_dynamics", "tf_profile"),
     "gp": ("ConvergenceError", "EvolutionRecord", "Field", "Grid", "GroundStateResult",
            "StepSizeError", "evolve_two_mode", "ground_state", "loss_budget"),
     "counting": ("CountingNoise", "MonteCarloResult", "corrected_uncertainty", "ramsey_mean",

@@ -19,9 +19,8 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from . import csvio, gp, scaling, thomas_fermi as tf
-from .physconfig import (CM3, NM, SPECIES_PRESETS, UM, Species,
-                         Superposition, TrapGeometry, atomic_mass,
-                         differential_coupling, trap_from_lengths)
+from .physconfig import (CM3, NM, SPECIES_PRESETS, UM, Species, Superposition,
+                         TrapGeometry, atomic_mass, trap_from_lengths)
 
 
 class ConfigError(ValueError):
@@ -303,14 +302,17 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
     if cfg.trap_d != 1:
         raise ConfigError("the condensate command runs the 1D longitudinal "
                           "two-mode protocol; set d = 1")
-    if differential_coupling(cfg.species, cfg.superposition()) == 0.0:
-        raise ConfigError("no relative-phase signal: the differential coupling "
-                          "vanishes for this species and superposition")
     geom = cfg.trap()
     species = cfg.species
     sup = cfg.superposition()
     crit = scaling.critical_numbers(geom, species.a11)
     n_list = [1.0 + y * (crit.n_lower - 1.0) for y in sorted(cfg.n_over_nl)]
+    # a superposition without signal fails here, before any ground state is solved
+    n_run = n_list[-1]
+    try:
+        phase = tf.phase_dynamics(geom, species, n_run, sup)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     results = [gp.ground_state(geom, species, n,
                                gp.default_grid(geom, species, n, points=cfg.grid_points,
@@ -329,8 +331,6 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
                     eta_rows, header)
 
     # two-mode overlap against the Gaussian model at the largest swept N
-    n_run = n_list[-1]
-    phase = tf.phase_dynamics(geom, species, n_run, sup)
     ground = results[-1]
     t_final = 0.5 / abs(phase.omega_N)
     steps = gp.two_mode_steps(ground, species, geom, t_final)

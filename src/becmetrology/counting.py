@@ -106,32 +106,27 @@ def _chunk_moments(t: float, n_atoms: int, gamma: float, mean: float, slope: flo
     noise of scale s has error (m' + s z - mean) / slope.  So the chunk
     centres m' and z once and sums their squares and product, and each noise
     takes its moments from those in O(1): mean (m'_bar + s z_bar - mean) /
-    slope and M2 (S_mm + 2 s S_mz + s^2 S_zz) / slope^2.  Where s = 0 the z
-    terms are left out, not multiplied by 0: z is not drawn when no scale is
-    positive.  The sums are ufunc reductions, not BLAS calls, and only numpy
-    and underscore names run here, so it is safe on a worker thread.
+    slope and M2 (S_mm + 2 s S_mz + s^2 S_zz) / slope^2.  When no scale is
+    positive, z is not drawn and its mean and sums are taken as 0, so its
+    buffer is never read.  For s = 0 the z terms are exact zeros.  The
+    sums are ufunc reductions, not BLAS calls, and only numpy and underscore
+    names run here, so it is safe on a worker thread.
     """
     m, z, scratch = buffers
     _ramsey_sample(rng, t, n_atoms, gamma, m)
     m_bar = float(m.mean())
     m -= m_bar
     s_mm = float(np.square(m, out=scratch).sum())
+    z_bar = s_zz = s_mz = 0.0
     if any(scales):
         rng.standard_normal(out=z)
         z_bar = float(z.mean())
         z -= z_bar
         s_zz = float(np.square(z, out=scratch).sum())
         s_mz = float(np.multiply(m, z, out=scratch).sum())
-    moments = []
-    for scale in scales:
-        if scale:
-            mu = (m_bar + scale * z_bar - mean) / slope
-            m2 = (s_mm + 2.0 * scale * s_mz + scale * scale * s_zz) / (slope * slope)
-        else:
-            mu = (m_bar - mean) / slope
-            m2 = s_mm / (slope * slope)
-        moments.append((m.size, mu, m2))
-    return moments
+    return [(m.size, (m_bar + scale * z_bar - mean) / slope,
+             (s_mm + 2.0 * scale * s_mz + scale * scale * s_zz) / (slope * slope))
+            for scale in scales]
 
 
 def _combine(moments: list[tuple[int, float, float]]) -> MonteCarloResult:

@@ -26,8 +26,7 @@ import numpy as np
 # the first solve
 import numpy.fft  # noqa: F401
 
-from .physconfig import (SI, Species, Superposition, TrapGeometry,
-                         coupling_constant, differential_coupling)
+from .physconfig import SI, Species, Superposition, TrapGeometry, coupling_constant
 from .scaling import Regime, classify_regime, eta_transverse, unit_sphere_area
 from .thomas_fermi import phase_dynamics, tf_profile
 
@@ -668,15 +667,13 @@ def loss_budget(species: Species, geom: TrapGeometry, n_atoms: float,
     """Spin-exchange decay rate against the phase-accumulation rate.
 
     The ratio hbar (Gamma12 + Gamma22 c2^2) / (2 Delta-g) is independent of the
-    atom number and of every trap parameter; the common eta_N cancels.
+    atom number and of every trap parameter; the common eta_N cancels.  A
+    vanishing Delta-g raises ValueError from thomas_fermi.phase_dynamics, which
+    owns that rule.
     """
-    delta_g = differential_coupling(species, sup)
-    if delta_g == 0.0:
-        raise ValueError("no relative-phase signal: the differential coupling "
-                         "vanishes for this species and superposition")
+    omega = phase_dynamics(geom, species, n_atoms, sup).omega_N
     profile = tf_profile(geom, species, n_atoms, Regime.INTERMEDIATE)
     gamma = (n_atoms - 1.0) * profile.eta_N * \
         (species.gamma12_loss + species.gamma22_loss * sup.c2**2) / 2.0
-    omega = phase_dynamics(geom, species, n_atoms, sup).omega_N
     return LossBudget(gamma=gamma, omega_N=omega, ratio=gamma / abs(omega))
 

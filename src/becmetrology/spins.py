@@ -108,15 +108,11 @@ def cat_state(n_atoms: int) -> DickeState:
     return DickeState(n_atoms, amp)
 
 
-def _ladders(values: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """(J_+ psi, J_- psi)."""
+def _raising_coefficients(n_atoms: int) -> np.ndarray:
+    """<m+1|J_+|m> for m = -N/2 ... N/2 - 1: J_+ takes index i to i+1."""
     j = n_atoms / 2.0
     m = np.arange(n_atoms) - j
-    c = np.sqrt((j - m) * (j + m + 1.0))  # raising coefficient from index i (m = i - N/2) to i+1
-    up, dn = np.zeros_like(values), np.zeros_like(values)
-    up[1:] = c * values[:-1]
-    dn[:-1] = c * values[1:]
-    return up, dn
+    return np.sqrt((j - m) * (j + m + 1.0))
 
 
 def _apply_component(values: np.ndarray, n_atoms: int, component: str) -> np.ndarray:
@@ -124,7 +120,10 @@ def _apply_component(values: np.ndarray, n_atoms: int, component: str) -> np.nda
         return (np.arange(n_atoms + 1) - n_atoms / 2.0) * values
     if component not in ("x", "y"):
         raise ValueError(f"unknown spin component {component!r}")
-    up, dn = _ladders(values, n_atoms)
+    c = _raising_coefficients(n_atoms)
+    up, dn = np.zeros_like(values), np.zeros_like(values)  # J_+ psi, J_- psi
+    up[1:] = c * values[:-1]
+    dn[:-1] = c * values[1:]
     return 0.5 * (up + dn) if component == "x" else (up - dn) / 2.0j
 
 
@@ -154,11 +153,16 @@ def evolve(state: DickeState, kind: HamiltonianKind, gamma: float, t: float) -> 
 
 
 def single_qubit_purity(state: DickeState) -> float:
-    """Purity of the one-atom reduced state; 1 exactly iff the symmetric state is a product."""
+    """Purity of the one-atom reduced state; 1 exactly iff the symmetric state is a product.
+
+    The purity is (1 + |b|^2)/2 with the Bloch vector
+    b = (2/N) (Re<J_+>, Im<J_+>, <J_z>), so one ladder product and one weighted
+    sum of the populations give it.
+    """
     n, psi = state.n_atoms, state.amplitudes
-    up, dn = _ladders(psi, n)
-    applied = (0.5 * (up + dn), (up - dn) / 2.0j, _apply_component(psi, n, "z"))
-    bloch = np.array([np.vdot(psi, a).real for a in applied]) * (2.0 / n)
+    j_plus = np.vdot(psi[1:], _raising_coefficients(n) * psi[:-1])
+    j_z = np.dot(np.arange(n + 1) - n / 2.0, np.abs(psi) ** 2)
+    bloch = np.array([j_plus.real, j_plus.imag, j_z]) * (2.0 / n)
     return 0.5 * (1.0 + float(np.dot(bloch, bloch)))
 
 
@@ -286,6 +290,8 @@ def simulate_enhanced(n_atoms: int, gamma: float, t: float,
 def _quadratic_trace(n_atoms: int, gamma: float,
                      t_grid: Sequence[float]) -> list[ProtocolResult]:
     """The quadratic protocol at each time of t_grid, from one prepared state."""
+    if n_atoms < 2:
+        raise ValueError("a nonlinear protocol needs at least two atoms")
     state = prepare_product(n_atoms, Superposition.quadratic_optimal())
     return [_simulate("quadratic", state, "quadratic_Jz2", gamma, t,
                       lambda v: _apply_component(v, n_atoms, "y")) for t in t_grid]
@@ -305,8 +311,6 @@ def product_nonlinear_protocol(n_atoms: int, gamma: float,
     reported with infinite delta_gamma.  The product state is prepared once
     for the whole grid.
     """
-    if n_atoms < 2:
-        raise ValueError("a nonlinear protocol needs at least two atoms")
     return _quadratic_trace(n_atoms, gamma, t_grid)
 
 

@@ -1,13 +1,15 @@
 """Closed-form Thomas-Fermi analytics for the condensate in the intermediate regime.
 
-All results derive from one family of dimensionless integrals
+The cloud has spread longitudinally but keeps its Gaussian transverse ground
+state, and its longitudinal density has the parabolic-edge TF form.  Its
+moments are the dimensionless integrals
 
-    J_l(d, q) = integral_0^1 du u^(d-1) (1 - u^q)^l,
+    J_l(d, q) = integral_0^1 du u^(d-1) (1 - u^q)^l.
 
-evaluated over the parabolic-edge TF density of a cloud that has spread
-longitudinally but keeps its Gaussian transverse ground state.  Normalization
-fixes the cloud radius and chemical potential; the second moments give eta (the
-inverse occupied volume), the relative-phase rate, and the phase-dispersion time.
+Normalization (J_1) fixes the cloud radius and chemical potential; J_2 gives
+eta (the inverse occupied volume) and with it the relative-phase rate Omega_N.
+The phase spread over the cloud leaves the invariant Omega_N tau_pd =
+sqrt(2(d+3q)/d), so the phase-dispersion time tau_pd is closed form too.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ def j_integral(l: float, d: int, q: float) -> float:
 def _intermediate_pieces(geom: TrapGeometry, a: float, n_atoms: float):
     """(r_tilde, mu_L, X) for the intermediate-regime TF profile.
 
-    X = mu_L / ((N-1) g eta_T) is the peak longitudinal density; it carries all
-    the dimensions of the I_l family.
+    X = mu_L / ((N-1) g eta_T) is the peak longitudinal density; it carries the
+    dimensions of eta_L.
     """
     d, q = geom.d, geom.q
     crit = critical_numbers(geom, a)
@@ -58,19 +60,6 @@ def _intermediate_pieces(geom: TrapGeometry, a: float, n_atoms: float):
     mu = 0.5 * geom.k * r_tilde**q
     peak = mu / ((n_atoms - 1.0) * g * eta_t)
     return r_tilde, mu, peak
-
-
-def i_integral(l: float, n_atoms: float, geom: TrapGeometry, a: float) -> float:
-    """Integral of the intermediate-regime TF density to the l-th power (m^(-d(l-1))).
-
-    Normalization makes I_1 = 1 identically; I_2 is the longitudinal inverse
-    volume eta_L.
-    """
-    if n_atoms <= 1:
-        raise ValueError("need more than one atom for a mean-field profile")
-    _, _, peak = _intermediate_pieces(geom, a, n_atoms)
-    ratio = j_integral(l, geom.d, geom.q) / j_integral(1.0, geom.d, geom.q)
-    return ratio * peak ** (l - 1.0)
 
 
 @dataclass(frozen=True)
@@ -128,23 +117,21 @@ class PhaseDynamics:
 
 def phase_dynamics(geom: TrapGeometry, species: Species, n_atoms: float,
                    sup: Superposition) -> PhaseDynamics:
-    profile = tf_profile(geom, species, n_atoms, Regime.INTERMEDIATE)
+    """Relative-phase rate and phase-dispersion time of the intermediate-regime cloud.
+
+    tau_pd is the invariant Omega_N tau_pd = sqrt(2(d+3q)/d) over |Omega_N|, and
+    infinite for a hard wall, whose flat density disperses no phase.  This is
+    the one place that rejects a superposition without signal: a vanishing
+    differential coupling raises ValueError.
+    """
     delta_g = differential_coupling(species, sup)
-    omega = (n_atoms - 1.0) * profile.eta_N * delta_g / SI.hbar
     if delta_g == 0.0:
-        warnings.warn("the two modes have identical mean-field couplings; no "
-                      "relative phase accumulates and tau_pd is undefined",
-                      stacklevel=2)
-        return PhaseDynamics(omega_N=0.0, tau_pd=math.nan, delta_g=0.0)
-    a = species.a11
-    i1 = i_integral(1.0, n_atoms, geom, a)
-    i2 = i_integral(2.0, n_atoms, geom, a)
-    i3 = i_integral(3.0, n_atoms, geom, a)
-    spread = i3 - 2.0 * profile.eta_L * i2 + profile.eta_L**2 * i1
-    if spread <= 0.0:
-        tau = math.inf  # flat-topped density: no position-dependent phase
-    else:
-        tau = profile.eta_L / (abs(omega) * math.sqrt(spread))
+        raise ValueError("no relative-phase signal: the differential coupling "
+                         "vanishes for this species and superposition")
+    profile = tf_profile(geom, species, n_atoms, Regime.INTERMEDIATE)
+    omega = (n_atoms - 1.0) * profile.eta_N * delta_g / SI.hbar
+    d, q = geom.d, geom.q
+    tau = math.inf if geom.hard_wall else math.sqrt(2.0 * (d + 3.0 * q) / d) / abs(omega)
     return PhaseDynamics(omega_N=omega, tau_pd=tau, delta_g=delta_g)
 
 
@@ -156,7 +143,5 @@ def overlap_gaussian(phase: PhaseDynamics, t: float) -> complex:
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    if phase.omega_N == 0.0:
-        return 1.0 + 0.0j
-    envelope = 1.0 if math.isinf(phase.tau_pd) else math.exp(-0.5 * (t / phase.tau_pd) ** 2)
+    envelope = math.exp(-0.5 * (t / phase.tau_pd) ** 2)  # 1 for an infinite tau_pd
     return complex(math.cos(phase.omega_N * t), -math.sin(phase.omega_N * t)) * envelope

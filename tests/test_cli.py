@@ -363,6 +363,18 @@ def test_condensate_rejects_unsolvable_traps(tmp_path):
     assert cli.main(["condensate", "--config", str(two_d), "--out", str(tmp_path)]) == 2
 
 
+def test_condensate_without_signal_fails_before_solving(tmp_path, monkeypatch, capsys):
+    def explode(*args, **kwargs):
+        raise AssertionError("a ground state was solved")
+
+    monkeypatch.setattr(cli.gp, "ground_state", explode)
+    flat = tmp_path / "flat.cfg"
+    flat.write_text("[species]\nmass_u = 86.909\na11_nm = 5.0\na22_nm = 5.0\na12_nm = 5.0\n")
+    assert cli.main(["condensate", "--config", str(flat), "--out", str(tmp_path)]) == 2
+    assert "configuration error: no relative-phase signal" in capsys.readouterr().err
+    assert not (tmp_path / "eta_sweep.csv").exists()
+
+
 def test_solver_failure_exit_code(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise gp.ConvergenceError("nope", residual=1.0)

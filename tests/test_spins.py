@@ -319,6 +319,12 @@ def test_product_nonlinear_protocol_api():
         spins.product_nonlinear_protocol(1, 1.0, t_grid)
 
 
+def test_quadratic_protocol_needs_two_atoms():
+    # one atom's J_z^2 is constant: any slope would be round-off
+    with pytest.raises(ValueError, match="at least two atoms"):
+        spins.simulate_quadratic(1, 1.0, 0.01)
+
+
 def test_product_nonlinear_protocol_matches_its_per_point_runs():
     # the trace prepares its state once; each point must be what a lone run gives
     n, gamma = 4096, 1.0

@@ -69,28 +69,15 @@ def geom_1d(rb87):
     return pc.trap_from_lengths(1, 2, 1e-6, 100e-6, rb87.mass)
 
 
-def test_i_normalization_and_eta(geom_1d, rb87):
+def test_eta_l_closed_form(geom_1d, rb87):
     a = rb87.a11
     crit = sc.critical_numbers(geom_1d, a)
     n = 1.0 + 500.0 * (crit.n_lower - 1.0)
-    assert tf.i_integral(1.0, n, geom_1d, a) == 1.0
     d, q = 1, 2.0
     y = (n - 1.0) / (crit.n_lower - 1.0)
     eta_l_closed = (1.0 / (sc.UNIT_SPHERE_VOLUME[d] * geom_1d.r0**d)) \
         * (2 * q / (d + 2 * q)) * ((d + q) / q) ** (q / (d + q)) * y ** (-d / (d + q))
-    assert tf.i_integral(2.0, n, geom_1d, a) == pytest.approx(eta_l_closed, rel=1e-12)
-
-
-def test_i_ratio_recursion(geom_1d, rb87):
-    a = rb87.a11
-    n = 1000.0
-    i1 = tf.i_integral(1.0, n, geom_1d, a)
-    i2 = tf.i_integral(2.0, n, geom_1d, a)
-    i3 = tf.i_integral(3.0, n, geom_1d, a)
-    d, q = 1, 2.0
-    # both consecutive ratios follow the same one-step recursion
-    assert i2 / i1 * (d / q + 2.0) / 2.0 == pytest.approx(i3 / i2 * (d / q + 3.0) / 3.0,
-                                                          rel=1e-12)
+    assert tf.tf_profile(geom_1d, rb87, n).eta_L == pytest.approx(eta_l_closed, rel=1e-12)
 
 
 def full_regime_quadrature(d, q):
@@ -197,11 +184,29 @@ def omega_tau_quadrature(d, q):
     return eta_l / math.sqrt(m_int)
 
 
+def omega_tau_product(rb87, d, q, y=1000.0):
+    """Omega_N tau_pd from phase_dynamics at N - 1 = y (N_L - 1)."""
+    geom = pc.trap_from_lengths(d, q, 1e-6, 100e-6, rb87.mass)
+    n = 1.0 + y * (sc.critical_numbers(geom, rb87.a11).n_lower - 1.0)
+    phase = tf.phase_dynamics(geom, rb87, n, pc.Superposition.equal())
+    return phase.omega_N * phase.tau_pd
+
+
 @pytest.mark.parametrize("d,q", [(1, 2.0), (1, 10.0), (2, 2.0), (3, 2.0), (2, 6.0)])
-def test_omega_tau_product(d, q):
-    closed = closed_forms.omega_tau_product(d, q)
-    assert closed == pytest.approx(math.sqrt(2 * (d + 3 * q) / d), rel=1e-14)
-    assert closed == pytest.approx(omega_tau_quadrature(d, q), rel=1e-8)
+def test_omega_tau_product(rb87, d, q):
+    product = omega_tau_product(rb87, d, q)
+    assert product == pytest.approx(math.sqrt(2 * (d + 3 * q) / d), rel=1e-14)
+    assert product == pytest.approx(omega_tau_quadrature(d, q), rel=1e-8)
+
+
+def test_omega_tau_product_carries_no_round_off(rb87):
+    # the invariant depends on (d, q) alone, to the last bits, at every N
+    for d in (1, 2, 3):
+        for q in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0):
+            invariant = math.sqrt(2.0 * (d + 3.0 * q) / d)
+            for y in (1e1, 1e2, 1e3, 1e4):
+                assert omega_tau_product(rb87, d, q, y) == \
+                    pytest.approx(invariant, rel=1e-15, abs=0.0), (d, q, y)
 
 
 def test_phase_dynamics(rb87):
@@ -217,7 +222,7 @@ def test_phase_dynamics(rb87):
         assert phase.omega_N == pytest.approx(
             (n - 1.0) * profile.eta_N * gamma1 / pc.SI.hbar, rel=1e-12)
         product = phase.omega_N * phase.tau_pd
-        assert product == pytest.approx(closed_forms.omega_tau_product(d, q), rel=1e-12)
+        assert product == pytest.approx(math.sqrt(2 * (d + 3 * q) / d), rel=1e-12)
     # d=1, q=10: the product is sqrt(62), roughly 8
     geom = pc.trap_from_lengths(1, 10.0, 1e-6, 100e-6, rb87.mass)
     n = 1.0 + 1000.0 * (sc.critical_numbers(geom, rb87.a11).n_lower - 1.0)
@@ -242,10 +247,8 @@ def test_phase_dynamics_closed_form(rb87):
 
 def test_phase_dynamics_no_signal(typical):
     geom = pc.trap_from_lengths(1, 2, 1e-6, 100e-6, typical.mass)
-    with pytest.warns(UserWarning, match="identical mean-field couplings"):
-        phase = tf.phase_dynamics(geom, typical, 1000.0, pc.Superposition.equal())
-    assert phase.omega_N == 0.0
-    assert math.isnan(phase.tau_pd)
+    with pytest.raises(ValueError, match="no relative-phase signal"):
+        tf.phase_dynamics(geom, typical, 1000.0, pc.Superposition.equal())
 
 
 def test_omega_tau_invariance(rb87):

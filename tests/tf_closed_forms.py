@@ -6,9 +6,11 @@ Independent forms of the integral J_l(d, q), the oracles for
     J_l(d, q) = integral_0^1 du u^(d-1) (1 - u^q)^l
 
 and the paper's formulas that no command computes: the full-TF regime
-(N > N_T, the cloud also spreads transversely) with its K_l family, the
-invariant Omega_N tau_pd, and the fringe probabilities after the closing
-half-rotation.
+(N > N_T, the cloud also spreads transversely) with its K_l family and the
+fringe probabilities after the closing half-rotation.  The invariant
+Omega_N tau_pd = sqrt(2(d+3q)/d) is the library's own formula
+(`thomas_fermi.phase_dynamics`); the tests check it against quadrature of the
+TF density.
 """
 
 import math
@@ -65,13 +67,6 @@ def k_integral(l: float, n_atoms: float, geom, a: float) -> float:
     ratio = (j_integral(l + dq, D, 2.0) * j_integral(l, d, q)) / \
             (j_integral(1.0 + dq, D, 2.0) * j_integral(1.0, d, q))
     return ratio * y_units ** (l - 1.0)
-
-
-def omega_tau_product(d: int, q: float) -> float:
-    """The invariant Omega_N * tau_pd = sqrt(2(d+3q)/d); depends on (d, q) only."""
-    if math.isinf(q):
-        return math.inf
-    return math.sqrt(2.0 * (d + 3.0 * q) / d)
 
 
 def fringe_probabilities(sup, overlap: complex) -> tuple[float, float]:
