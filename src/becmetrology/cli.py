@@ -319,9 +319,11 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
                                                extent_factor=cfg.grid_extent_factor))
                for n in n_list]
     slopes = gp.local_log_slopes(n_list, [res.eta_n for res in results])
+    # the largest N's TF profile is the one phase_dynamics has built
+    etas_tf = [tf.tf_profile(geom, species, n, scaling.Regime.INTERMEDIATE).eta_N
+               for n in n_list[:-1]] + [phase.eta_N]
     eta_rows = []
-    for n, res, slope in zip(n_list, results, slopes):
-        eta_tf_val = tf.tf_profile(geom, species, n, scaling.Regime.INTERMEDIATE).eta_N
+    for n, res, slope, eta_tf_val in zip(n_list, results, slopes, etas_tf):
         eta_rows.append((n, (n - 1.0) / (crit.n_lower - 1.0), res.eta_n, eta_tf_val,
                          res.eta_n / eta_tf_val - 1.0, slope, res.mu, res.residual))
     eta_path = os.path.join(out_dir, "eta_sweep.csv")

@@ -9,10 +9,11 @@ spectral on one-dimensional longitudinal grids and a tridiagonal finite
 difference on the radial grids of 2D and 3D traps.  The coupled two-mode
 real-time evolution (1D only) uses Strang split steps K/2 V K/2, second order
 with and without loss, with the two modes as the rows of one complex array
-transformed in place and each potential factor built from the tangent of half
-its phase.  It runs on a Fourier-truncated copy of the start field, on the
-fewest points whose band holds that field, and its resonance check reads the
-top of that band.
+transformed in place and each potential factor a Cayley transform of the
+tangent of half its phase.  It runs on a Fourier-truncated copy of the start
+field, on the fewest points whose band holds that field, and its resonance
+check reads the top of that band.  The FFTs of each minimizer iteration and
+each split step call numpy's pocketfft kernels directly.
 """
 
 from __future__ import annotations
@@ -22,9 +23,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-# numpy loads this on first use; load it with the package instead of inside
-# the first solve
-import numpy.fft  # noqa: F401
+# the gufuncs that np.fft.fft, ifft, rfft and irfft call (numpy >= 2.0) after
+# 3-5 us of argument handling, which costs more than the transform on a few
+# hundred points.  Each takes (input, scale, out) on the last axis and gives
+# np.fft's bits for the scale that np.fft passes: 1 for fft, rfft and the
+# unscaled ifft (norm="forward"), 1/n for irfft.  The import also loads
+# numpy.fft, which numpy would otherwise load inside the first solve
+from numpy.fft._pocketfft_umath import (fft as _fft, ifft as _ifft, irfft as _irfft,
+                                        rfft_n_even as _rfft_n_even,
+                                        rfft_n_odd as _rfft_n_odd)
 
 from .physconfig import SI, Species, Superposition, TrapGeometry, coupling_constant
 from .scaling import Regime, classify_regime, eta_transverse, unit_sphere_area
@@ -152,12 +159,23 @@ def _spectral_kinetic(grid, mass, hb):
     """
     points = grid.points
     t_k = hb**2 / (2.0 * mass) * (2.0 * math.pi * np.fft.rfftfreq(points, grid.spacing))**2
+    rfft = _rfft_n_even if points % 2 == 0 else _rfft_n_odd
+    spectrum = np.empty(t_k.size, dtype=complex)
+    scale = 1.0 / points
+
+    def diagonal(factor):
+        # irfft(factor * rfft(psi), n=points) into a new array: the minimizer
+        # keeps several results at once
+        def apply(psi):
+            rfft(psi, 1.0, spectrum)
+            np.multiply(factor, spectrum, out=spectrum)
+            return _irfft(spectrum, scale, np.empty(points))
+        return apply
 
     def inverse(kinetic, interaction):
-        factor = 1.0 / (max(kinetic, interaction) + t_k)
-        return lambda psi: np.fft.irfft(factor * np.fft.rfft(psi), n=points)
+        return diagonal(1.0 / (max(kinetic, interaction) + t_k))
 
-    return (lambda psi: np.fft.irfft(t_k * np.fft.rfft(psi), n=points)), inverse
+    return diagonal(t_k), inverse
 
 
 def _radial_kinetic(grid, mass, hb):
@@ -503,14 +521,16 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     before the first step and after the last, and one FFT pair per step on
     the (2, kept) array whose rows are the two modes.  With loss on, the
     potential step takes its decay and phase at the mid-step density, so the
-    scheme is second order with and without loss.  The FFTs write into two
-    preallocated arrays, and each potential factor exp(decay + i phase) is
-    built from t = tan(phase / 2) by rational arithmetic, which holds its
-    modulus to a few ulp.  The state is recorded at t = 0 and after every
-    record_every-th step and the last, right after the potential step: it
-    differs from the state at that time by a kinetic half-step, which is
-    unitary and the same for both modes, so norms, overlap, p1 and p2 are
-    those at that time.  A start field past the _SPECTRAL_TAIL rule on its
+    scheme is second order with and without loss.  The FFTs call numpy's
+    pocketfft kernels on psi in place, and each potential factor
+    D exp(i phase), D = exp(decay), is the Cayley transform
+    D (1 + i t) / (1 - i t) of t = tan(phase / 2), whose modulus is D to a
+    few ulp: one tangent, one negation and a complex product and quotient
+    per step, on arrays made before the first step.  The state is recorded
+    at t = 0 and after every record_every-th step and the last, right after
+    the potential step: it differs from the state at that time by a kinetic
+    half-step, which is unitary and the same for both modes, so norms,
+    overlap, p1 and p2 are those at that time.  A start field past the _SPECTRAL_TAIL rule on its
     own grid raises StepSizeError before the first step, as do fewer steps
     than 0.1 rad of phase per step at the largest V + g rho in the cloud
     allows and final fields past that rule on the kept band, the mark of a
@@ -556,66 +576,78 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
                             f"more than 0.1 rad per step; use at least {needed} steps")
     dt = t_final / steps
 
-    # the inverse FFT runs unscaled (norm="forward"); its 1/points rides on
-    # the kinetic factors
+    # the inverse FFT runs unscaled (np.fft.ifft's norm="forward"); its
+    # 1/points rides on the kinetic factors
     kin_phase = -1j * (hb * kx**2 / (2.0 * mass)) * dt
     kin_half = np.exp(0.5 * kin_phase) / points
     kin_factor = np.exp(kin_phase) / points
     start = _resample(field.values, points)
     psi = np.array([start, start])  # row i is mode i + 1
-    spectrum = np.empty_like(psi)
-    # one potential step multiplies psi by exp(decay + i phase), with the
-    # phase -dt/hbar (V + G rho) and the decay -dt/2 L rho at density rho;
-    # v_half and g_half give half that phase, whose tangent builds the factor
-    v_half = -0.5 * dt / hb * V
+    # one potential step multiplies psi by D exp(i phase), with the phase
+    # -dt/hbar (V + G rho) and D = exp(-dt/2 L rho) at density rho; v_half and
+    # the columns of g_half give half that phase, whose tangent builds the factor
+    v_half = np.broadcast_to(-0.5 * dt / hb * V, psi.shape).copy()
     g_half = -0.5 * dt / hb * gmat * weights
+    g1, g2 = g_half[:, :1], g_half[:, 1:]  # columns: the weights of rho1 and rho2
     if loss:
         l_decay = -0.5 * dt * np.array([[0.0, loss12], [loss12, loss22]]) * weights
-    rho, phase = np.empty(psi.shape), np.empty(psi.shape)
-    decay = np.empty(psi.shape) if loss else 1.0
-    factor = np.empty_like(psi)
+        l1, l2 = l_decay[:, :1], l_decay[:, 1:]
+    # every array and view a step touches, made once
+    psi_parts = psi.view(float)
+    squares = np.empty(psi_parts.shape)
+    squares_re, squares_im = squares[:, ::2], squares[:, 1::2]
+    rho, phase, scratch = np.empty(psi.shape), np.empty(psi.shape), np.empty(psi.shape)
+    rho1, rho2 = rho
+    # numerator D (1 + i t) and denominator 1 - i t of the factor, t = tan(phase / 2)
+    numerator, denominator = np.ones_like(psi), np.ones_like(psi)
+    numerator_re, numerator_im, denominator_im = numerator.real, numerator.imag, denominator.imag
 
-    def couple(m, rho, out):
-        # out = m @ rho for a 2x2 m, elementwise: a BLAS call would add its
-        # work buffer (about 0.3 MB) to the peak memory
-        np.multiply(m[:, :1], rho[0], out=out)
-        return np.add(out, m[:, 1:] * rho[1], out=out)
+    def couple(m1, m2, out):
+        # out = m @ rho for the 2x2 m with columns m1 and m2, elementwise: a
+        # BLAS call would be slower at this size and add its work buffer
+        # (about 0.3 MB) to the peak memory
+        np.multiply(m1, rho1, out=out)
+        np.multiply(m2, rho2, out=scratch)
+        np.add(out, scratch, out=out)
 
-    def kinetic_step(psi, kin):
-        np.fft.fft(psi, out=spectrum)
+    def kinetic_step(kin):
+        # in place: a kernel copies its input into its output before it
+        # transforms there, unless they are the same array
+        _fft(psi, 1.0, psi)
         # kin first: the complex product is not symmetric in its operands'
         # rounding where it uses fused multiply-adds
-        np.multiply(kin, spectrum, out=spectrum)
-        np.fft.ifft(spectrum, out=psi, norm="forward")
+        np.multiply(kin, psi, out=psi)
+        _ifft(psi, 1.0, psi)
 
-    def potential_step(psi):
+    def potential_step():
         """One potential step on psi in place."""
-        # |psi|^2: both parts squared in one pass over factor's memory
-        np.square(psi.view(float), out=factor.view(float))
-        np.add(factor.real, factor.imag, out=rho)
+        # |psi|^2: both parts squared in one pass
+        np.square(psi_parts, out=squares)
+        np.add(squares_re, squares_im, out=rho)
         if loss:
             # the loss moves the density within the step, so the decay and
             # the phase are taken at its mid-step value rho exp(l_decay rho),
-            # in closed form for a density frozen over the first half-step
-            np.exp(couple(l_decay, rho, decay), out=decay)
-            np.multiply(rho, decay, out=rho)
-            np.exp(couple(l_decay, rho, decay), out=decay)
-        np.add(couple(g_half, rho, phase), v_half, out=phase)
-        # exp(decay + i phase) from t = tan(phase / 2), the tangent of what
-        # the phase array holds: with D = exp(decay), which the decay array
-        # now holds (1 without loss), and r = 2 D / (1 + t^2), D cos(phase)
-        # is r - D and D sin(phase) is t r.
+            # in closed form for a density frozen over the first half-step;
+            # phase holds the decay until the phase is formed
+            couple(l1, l2, phase)
+            np.exp(phase, out=phase)
+            np.multiply(rho, phase, out=rho)
+            couple(l1, l2, phase)
+            np.exp(phase, out=numerator_re)
+        couple(g1, g2, phase)
+        np.add(phase, v_half, out=phase)
+        # D exp(i phase) as the Cayley transform D (1 + i t) / (1 - i t) of
+        # t = tan(phase / 2), the tangent of what the phase array holds:
         # numpy's float64 tan is vectorized where its cos and sin are not
         # (about 3 against 10 ns per element), and its complex exp is slower
-        # still.  Past a pole of tan, t is huge and r tiny, which gives -D.
-        np.tan(phase, out=phase)
-        np.square(phase, out=rho)
-        np.add(rho, 1.0, out=rho)
-        np.divide(decay, rho, out=rho)
-        np.add(rho, rho, out=rho)
-        np.subtract(rho, decay, out=factor.real)
-        np.multiply(phase, rho, out=factor.imag)
-        psi *= factor
+        # still.  The quotient's modulus is D to a few ulp; past a pole of
+        # tan, t is huge and the quotient -D.
+        np.tan(phase, out=numerator_im)
+        np.negative(numerator_im, out=denominator_im)
+        if loss:
+            np.multiply(numerator_im, numerator_re, out=numerator_im)
+        np.multiply(psi, numerator, out=psi)
+        np.divide(psi, denominator, out=psi)
 
     def snapshot(psi, t):
         n1, n2 = (float(n) for n in np.sum(psi.real**2 + psi.imag**2, axis=1) * dx)
@@ -632,12 +664,12 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
 
     times, overlaps, p1s, p2s, norm1s, norm2s = [], [], [], [], [], []
     snapshot(psi, 0.0)
-    kinetic_step(psi, kin_half)
+    kinetic_step(kin_half)
     for step in range(1, steps + 1):
-        potential_step(psi)
+        potential_step()
         if step % record_every == 0 or step == steps:
             snapshot(psi, step * dt)
-        kinetic_step(psi, kin_factor if step < steps else kin_half)
+        kinetic_step(kin_factor if step < steps else kin_half)
     record = EvolutionRecord(times=np.array(times), overlap=np.array(overlaps),
                              p1=np.array(p1s), p2=np.array(p2s),
                              norm1=np.array(norm1s), norm2=np.array(norm2s),
@@ -671,9 +703,8 @@ def loss_budget(species: Species, geom: TrapGeometry, n_atoms: float,
     vanishing Delta-g raises ValueError from thomas_fermi.phase_dynamics, which
     owns that rule.
     """
-    omega = phase_dynamics(geom, species, n_atoms, sup).omega_N
-    profile = tf_profile(geom, species, n_atoms, Regime.INTERMEDIATE)
-    gamma = (n_atoms - 1.0) * profile.eta_N * \
+    phase = phase_dynamics(geom, species, n_atoms, sup)
+    gamma = (n_atoms - 1.0) * phase.eta_N * \
         (species.gamma12_loss + species.gamma22_loss * sup.c2**2) / 2.0
-    return LossBudget(gamma=gamma, omega_N=omega, ratio=gamma / abs(omega))
+    return LossBudget(gamma=gamma, omega_N=phase.omega_N, ratio=gamma / abs(phase.omega_N))
 

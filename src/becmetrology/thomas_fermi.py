@@ -105,14 +105,16 @@ def tf_profile(geom: TrapGeometry, species: Species, n_atoms: float,
 class PhaseDynamics:
     """Integrated relative-phase rate and the phase-dispersion time.
 
-    omega_N is the fringe angular frequency (N-1) eta_N Delta-g / hbar; tau_pd is
-    when the position-dependent part of the phase has cost a factor e^(-1/2) of
-    fringe visibility.
+    omega_N is the fringe angular frequency (N-1) eta_N Delta-g / hbar, with
+    eta_N that of the intermediate-regime TF profile; tau_pd is when the
+    position-dependent part of the phase has cost a factor e^(-1/2) of fringe
+    visibility.
     """
 
     omega_N: float
     tau_pd: float
     delta_g: float
+    eta_N: float
 
 
 def phase_dynamics(geom: TrapGeometry, species: Species, n_atoms: float,
@@ -132,7 +134,7 @@ def phase_dynamics(geom: TrapGeometry, species: Species, n_atoms: float,
     omega = (n_atoms - 1.0) * profile.eta_N * delta_g / SI.hbar
     d, q = geom.d, geom.q
     tau = math.inf if geom.hard_wall else math.sqrt(2.0 * (d + 3.0 * q) / d) / abs(omega)
-    return PhaseDynamics(omega_N=omega, tau_pd=tau, delta_g=delta_g)
+    return PhaseDynamics(omega_N=omega, tau_pd=tau, delta_g=delta_g, eta_N=profile.eta_N)
 
 
 def overlap_gaussian(phase: PhaseDynamics, t: float) -> complex:

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,52 @@ def test_under_resolved_1d_state_warns(geom_rb, rb87):
     n = 1.0 + 1000.0 * (crit.n_lower - 1.0)
     with pytest.warns(UserWarning, match=rf"N = {n:.6g}: grid spacing does not resolve"):
         gp.ground_state(geom_rb, rb87, n, gp.default_grid(geom_rb, rb87, n, points=64))
+
+
+@pytest.mark.parametrize("shape", [(2, 256), (2, 125)])
+def test_bound_complex_fft_kernels_give_numpy_fft_bits(shape):
+    # gp calls numpy's private pocketfft gufuncs; a numpy release that moves
+    # or changes them fails here
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(gp._fft(a, 1.0, np.empty_like(a)), np.fft.fft(a))
+    assert np.array_equal(gp._ifft(a, 1.0, np.empty_like(a)), np.fft.ifft(a, norm="forward"))
+
+
+@pytest.mark.parametrize("points, rfft", [(512, "_rfft_n_even"), (129, "_rfft_n_odd")])
+def test_bound_real_fft_kernels_give_numpy_fft_bits(points, rfft):
+    x = np.random.default_rng(12).standard_normal(points)
+    spectrum = getattr(gp, rfft)(x, 1.0, np.empty(points // 2 + 1, dtype=complex))
+    assert np.array_equal(spectrum, np.fft.rfft(x))
+    assert np.array_equal(gp._irfft(spectrum, 1.0 / points, np.empty(points)),
+                          np.fft.irfft(spectrum, n=points))
+
+
+def _numpy_fft_kinetic(grid, mass, hb):
+    """gp._spectral_kinetic through the np.fft wrappers."""
+    points = grid.points
+    t_k = hb**2 / (2.0 * mass) * (2.0 * math.pi * np.fft.rfftfreq(points, grid.spacing))**2
+
+    def inverse(kinetic, interaction):
+        factor = 1.0 / (max(kinetic, interaction) + t_k)
+        return lambda psi: np.fft.irfft(factor * np.fft.rfft(psi), n=points)
+
+    return (lambda psi: np.fft.irfft(t_k * np.fft.rfft(psi), n=points)), inverse
+
+
+@pytest.mark.parametrize("y, points", [(100.0, 129), (1000.0, 512)])
+def test_ground_state_on_bound_kernels_matches_numpy_fft_bits(geom_rb, rb87, monkeypatch,
+                                                              y, points):
+    # an odd point count runs the odd real transform inside the solver
+    n = 1.0 + y * (sc.critical_numbers(geom_rb, rb87.a11).n_lower - 1.0)
+    grid = gp.default_grid(geom_rb, rb87, n, points=points)
+    bound = gp.ground_state(geom_rb, rb87, n, grid)
+    monkeypatch.setattr(gp, "_spectral_kinetic", _numpy_fft_kinetic)
+    wrapped = gp.ground_state(geom_rb, rb87, n, grid)
+    assert bound.steps == wrapped.steps
+    assert bound.residual < 1e-10
+    assert np.array_equal(bound.field.values, wrapped.field.values)
+    assert (bound.mu, bound.e0, bound.eta_n) == (wrapped.mu, wrapped.e0, wrapped.eta_n)
 
 
 def test_ground_states_name_the_atom_number(geom_rb, rb87, monkeypatch):
@@ -741,6 +788,21 @@ def test_two_mode_norm_holds_over_a_long_lossless_run(geom_rb, rb87):
     assert np.max(np.abs(rec.norm2 - 1.0)) < 1e-11
 
 
+def test_two_mode_norms_never_rise_over_a_long_lossy_run(geom_rb, rb87):
+    # the decay D <= 1 on every step, so a norm can rise from one step to the
+    # next only where the Cayley factor's modulus rounds above D
+    crit = sc.critical_numbers(geom_rb, rb87.a11)
+    n = 1.0 + 1000.0 * (crit.n_lower - 1.0)
+    ground = gp.ground_state(geom_rb, rb87, n, gp.default_grid(geom_rb, rb87, n, points=256))
+    steps = 2000
+    rec = gp.evolve_two_mode(ground, pc.Superposition.equal(), rb87, geom_rb,
+                             steps * 0.05 * HBAR / ground.mu, steps, loss=True, record_every=1)
+    assert len(rec.times) == steps + 1
+    assert np.all(np.diff(rec.norm1) <= 0.0)
+    assert np.all(np.diff(rec.norm2) <= 0.0)
+    assert rec.norm2[-1] < rec.norm1[-1] < 1.0
+
+
 @pytest.mark.parametrize("record_every", [0, -3])
 def test_two_mode_rejects_record_every_below_one(geom_rb, rb87, moving_state, record_every):
     field, mu = moving_state
@@ -770,3 +832,11 @@ def test_loss_budget_values(geom_rb, rb87):
     with pytest.raises(ValueError, match="no relative-phase signal"):
         gp.loss_budget(flat, geom_rb, 2000.0, sup)
 
+
+def test_loss_budget_builds_one_tf_profile(geom_rb, rb87):
+    # N = 2 classifies as bare in this trap, so each TF profile built for it
+    # warns once
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gp.loss_budget(rb87, geom_rb, 2.0, pc.Superposition.equal())
+    assert sum("classifies as bare" in str(w.message) for w in caught) == 1

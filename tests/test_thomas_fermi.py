@@ -219,6 +219,7 @@ def test_phase_dynamics(rb87):
         phase = tf.phase_dynamics(geom, rb87, n, sup)
         assert phase.delta_g == pytest.approx(gamma1, rel=1e-10)
         profile = tf.tf_profile(geom, rb87, n, sc.Regime.INTERMEDIATE)
+        assert phase.eta_N == profile.eta_N
         assert phase.omega_N == pytest.approx(
             (n - 1.0) * profile.eta_N * gamma1 / pc.SI.hbar, rel=1e-12)
         product = phase.omega_N * phase.tau_pd
