@@ -30,7 +30,7 @@ _EXPORTS = {
     "thomas_fermi": ("PhaseDynamics", "TFProfile", "j_integral", "overlap_gaussian",
                      "phase_dynamics", "tf_profile"),
     "gp": ("ConvergenceError", "EvolutionRecord", "Field", "Grid", "GroundStateResult",
-           "StepSizeError", "evolve_two_mode", "ground_state", "loss_budget"),
+           "StepSizeError", "evolve_two_mode", "ground_state", "ground_states", "loss_budget"),
     "counting": ("CountingNoise", "MonteCarloResult", "corrected_uncertainty", "ramsey_mean",
                  "ramsey_slope", "ramsey_variance", "simulate_counts"),
 }

@@ -314,10 +314,9 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    results = [gp.ground_state(geom, species, n,
-                               gp.default_grid(geom, species, n, points=cfg.grid_points,
-                                               extent_factor=cfg.grid_extent_factor))
-               for n in n_list]
+    grids = [gp.default_grid(geom, species, n, points=cfg.grid_points,
+                             extent_factor=cfg.grid_extent_factor) for n in n_list]
+    results = gp.ground_states(geom, species, n_list, grids)
     slopes = gp.local_log_slopes(n_list, [res.eta_n for res in results])
     # the largest N's TF profile is the one phase_dynamics has built
     etas_tf = [tf.tf_profile(geom, species, n, scaling.Regime.INTERMEDIATE).eta_N
@@ -350,7 +349,7 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
                      "model_abs", "model_phase", "p1", "p2", "norm1", "norm2"),
                     overlap_rows, header)
 
-    budget = gp.loss_budget(species, geom, n_run, sup)
+    budget = gp.loss_budget(species, geom, n_run, sup, phase)
     loss_path = os.path.join(out_dir, "loss_budget.csv")
     csvio.write_csv(loss_path,
                     ("N", "gamma_loss", "omega_N", "ratio", "inverse_ratio"),

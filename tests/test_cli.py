@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from becmetrology import cli, csvio, gp
+from becmetrology import cli, csvio, gp, scaling
 from becmetrology.physconfig import atomic_mass
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -354,6 +354,20 @@ def test_condensate_runs_near_the_lower_critical_number(tmp_path, n_over_nl):
     assert float(ov_rows[-1]["norm1"]) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_condensate_builds_the_largest_n_profile_once(tmp_path):
+    # N = N_L classifies as bare, so each Thomas-Fermi profile built for it
+    # warns once; the loss budget reuses the command's phase dynamics
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("[sweep]\nn_over_nl = 0.3 0.5 1\n")
+    cfg = cli.config_from_text(cfgfile.read_text())
+    n_lower = scaling.critical_numbers(cfg.trap(), cfg.species.a11).n_lower
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    message = f"atom number {n_lower:g} classifies as bare"
+    assert sum(message in str(w.message) for w in caught) == 1
+
+
 def test_condensate_rejects_unsolvable_traps(tmp_path):
     hard = tmp_path / "hard.cfg"
     hard.write_text("[trap]\nd = 1\nq = hard\n")
@@ -367,7 +381,7 @@ def test_condensate_without_signal_fails_before_solving(tmp_path, monkeypatch, c
     def explode(*args, **kwargs):
         raise AssertionError("a ground state was solved")
 
-    monkeypatch.setattr(cli.gp, "ground_state", explode)
+    monkeypatch.setattr(cli.gp, "ground_states", explode)
     flat = tmp_path / "flat.cfg"
     flat.write_text("[species]\nmass_u = 86.909\na11_nm = 5.0\na22_nm = 5.0\na12_nm = 5.0\n")
     assert cli.main(["condensate", "--config", str(flat), "--out", str(tmp_path)]) == 2
@@ -379,7 +393,7 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise gp.ConvergenceError("nope", residual=1.0)
 
-    monkeypatch.setattr(cli.gp, "ground_state", explode)
+    monkeypatch.setattr(cli.gp, "ground_states", explode)
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("[sweep]\nn_over_nl = 100 180 320\n")
     assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
