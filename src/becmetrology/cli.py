@@ -334,9 +334,7 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
     # two-mode overlap against the Gaussian model at the largest swept N
     ground = results[-1]
     t_final = 0.5 / abs(phase.omega_N)
-    steps = gp.two_mode_steps(ground, species, geom, t_final)
-    record = gp.evolve_two_mode(ground, sup, species, geom, t_final, steps,
-                                loss=False, record_every=max(1, steps // 100))
+    record, steps, error = gp.evolve_two_mode_to_tolerance(ground, sup, species, geom, t_final)
     overlap_rows = []
     for t, ov, p1, p2, n1, n2 in zip(record.times, record.overlap, record.p1,
                                      record.p2, record.norm1, record.norm2):
@@ -357,7 +355,8 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
                       1.0 / budget.ratio)],
                     header)
     return [eta_path, overlap_path, loss_path], \
-        {"two_mode": {"steps": steps, "points": record.points}}
+        {"two_mode": {"steps": steps, "points": record.points, "error": error,
+                      "tolerance": gp.TWO_MODE_TOLERANCE}}
 
 
 def cmd_counting(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:

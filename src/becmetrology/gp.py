@@ -14,9 +14,11 @@ K/2 V K/2, second order with and without loss, with the two modes as the
 rows of one complex array transformed in place and each potential factor a
 Cayley transform of the tangent of half its phase.  It runs on a
 Fourier-truncated copy of the start field, on the fewest points whose band
-holds that field, and its resonance check reads the top of that band.  The
-FFTs of each minimizer iteration and each split step call numpy's pocketfft
-kernels directly.
+holds that field, and its resonance check reads the top of that band.  Its
+step count is the caller's, checked against a 0.1-rad phase guard, or the
+fewest steps of a doubling ladder whose Richardson estimate of the final
+overlap's error meets TWO_MODE_TOLERANCE.  The FFTs of each minimizer
+iteration and each split step call numpy's pocketfft kernels directly.
 """
 
 from __future__ import annotations
@@ -50,7 +52,10 @@ class ConvergenceError(RuntimeError):
 
 
 class StepSizeError(ValueError):
-    """Real-time step too coarse for the requested accuracy heuristic."""
+    """A two-mode run that cannot be trusted at its step count: a start field
+    its grid does not resolve, final fields at a split-step resonance, an
+    explicit count below the 0.1-rad guard, or a step ladder that meets no
+    tolerance below its cap."""
 
 
 @dataclass(frozen=True)
@@ -608,14 +613,16 @@ def _min_two_mode_steps(field: Field, species: Species, geom: TrapGeometry,
     return int(math.ceil(t_final * rate / 0.1))
 
 
-def two_mode_steps(ground: GroundStateResult, species: Species, geom: TrapGeometry,
-                   t_final: float) -> int:
-    """Step count for evolving ground's state over t_final with evolve_two_mode:
-    at least 200 steps and at most 0.05 rad of mu t/hbar per step, and never
-    fewer than evolve_two_mode accepts.  Near N_L that last bound, which reads
-    the largest V + g rho, lies far above mu and sets the count."""
-    return max(200, int(math.ceil(t_final * ground.mu / SI.hbar / 0.05)),
-               _min_two_mode_steps(ground.field, species, geom, t_final))
+# evolve_two_mode_to_tolerance: the largest relative Richardson error of the
+# final overlap it accepts, the first step count it tries (its run records
+# every step, so 101 states) and the count past which it gives up
+TWO_MODE_TOLERANCE = 1e-6
+_FIRST_TWO_MODE_STEPS = 100
+_MAX_TWO_MODE_STEPS = 51_200
+
+
+class _Resonance(StepSizeError):
+    """The fields of a two-mode run end near a split-step resonance."""
 
 
 @dataclass(frozen=True)
@@ -628,6 +635,17 @@ class EvolutionRecord:
     norm2: np.ndarray
     final_fields: tuple[np.ndarray, np.ndarray]
     points: int           # grid points the fields were evolved on
+
+
+def _two_mode_field(initial: GroundStateResult | Field, geom: TrapGeometry,
+                    t_final: float) -> Field:
+    """initial's field, after the checks that both two-mode entry points make."""
+    field = initial.field if isinstance(initial, GroundStateResult) else initial
+    if field.grid.dimension != 1 or geom.d != 1:
+        raise ValueError("two-mode evolution is implemented for 1D longitudinal grids")
+    if t_final <= 0:
+        raise ValueError("need a positive final time and at least one step")
+    return field
 
 
 def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
@@ -665,21 +683,75 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     at t = 0 and after every record_every-th step and the last, right after
     the potential step: it differs from the state at that time by a kinetic
     half-step, which is unitary and the same for both modes, so norms,
-    overlap, p1 and p2 are those at that time.  A start field past the _SPECTRAL_TAIL rule on its
-    own grid raises StepSizeError before the first step, as do fewer steps
-    than 0.1 rad of phase per step at the largest V + g rho in the cloud
-    allows and final fields past that rule on the kept band, the mark of a
+    overlap, p1 and p2 are those at that time.
+
+    The step count is the caller's, so fewer steps than 0.1 rad of phase per
+    step at the largest V + g rho in the cloud allows raise StepSizeError:
+    that guard is a heuristic, but without it 2 steps over a second evolve
+    the y = 1000 state past every other check.  evolve_two_mode_to_tolerance
+    measures its error instead and needs no guard.  A start field past the
+    _SPECTRAL_TAIL rule on its own grid raises StepSizeError before the first
+    step, as do final fields past that rule on the kept band, the mark of a
     split-step resonance there (Weideman & Herbst 1986); record_every < 1
     raises ValueError.
     """
-    field = initial.field if isinstance(initial, GroundStateResult) else initial
-    grid, n_atoms = field.grid, field.n_atoms
-    if grid.dimension != 1 or geom.d != 1:
-        raise ValueError("two-mode evolution is implemented for 1D longitudinal grids")
-    if steps < 1 or t_final <= 0:
+    field = _two_mode_field(initial, geom, t_final)
+    if steps < 1:
         raise ValueError("need a positive final time and at least one step")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
+    needed = _min_two_mode_steps(field, species, geom, t_final)
+    if steps < needed:
+        raise StepSizeError(f"step too coarse: {steps} steps advance the phase by "
+                            f"more than 0.1 rad per step; use at least {needed} steps")
+    return _evolve_two_mode(field, sup, species, geom, t_final, steps, loss, record_every)
+
+
+def evolve_two_mode_to_tolerance(initial: GroundStateResult | Field, sup: Superposition,
+                                 species: Species, geom: TrapGeometry,
+                                 t_final: float) -> tuple[EvolutionRecord, int, float]:
+    """Lossless evolve_two_mode at the fewest steps of the ladder 100, 200,
+    400, ... whose measured splitting error meets TWO_MODE_TOLERANCE.
+
+    The error of the S-step run is estimated by step doubling (Richardson;
+    Hairer, Norsett & Wanner, Solving ODEs I, II.4): the splitting is second
+    order, so the final overlap of S steps is off by about a third of its
+    change from S/2 steps.  Each rung's run is the next rung's coarse run,
+    and a 50-step run is the first rung's.  The first S whose estimate is at
+    most TWO_MODE_TOLERANCE of the final |overlap| is kept, with no 0.1-rad
+    guard; a run that ends near a split-step resonance has no estimate, and
+    the ladder goes on to 2S.  The S-step run records every (S / 100)-th
+    step, 101 states.  Returns that record, S and the relative estimate.  An
+    under-resolved start field raises StepSizeError at once, and so does a
+    ladder that passes _MAX_TWO_MODE_STEPS.
+    """
+    field = _two_mode_field(initial, geom, t_final)
+    coarse, error = None, math.nan
+    steps = _FIRST_TWO_MODE_STEPS // 2
+    while steps <= _MAX_TWO_MODE_STEPS:
+        try:
+            record = _evolve_two_mode(field, sup, species, geom, t_final, steps, False,
+                                      max(1, steps // _FIRST_TWO_MODE_STEPS))
+        except _Resonance:
+            record = None
+        if record is not None and coarse is not None:
+            final = record.overlap[-1]
+            error = abs(final - coarse.overlap[-1]) / (3.0 * abs(final))
+            if error <= TWO_MODE_TOLERANCE:
+                return record, steps, error
+        coarse, steps = record, 2 * steps
+    last = "no pair ran clear of a resonance" if math.isnan(error) else \
+        f"last estimate {error:.1e}"
+    raise StepSizeError(f"no step count up to {_MAX_TWO_MODE_STEPS} brings the two-mode "
+                        f"splitting error within {TWO_MODE_TOLERANCE:.0e} ({last})")
+
+
+def _evolve_two_mode(field: Field, sup: Superposition, species: Species,
+                     geom: TrapGeometry, t_final: float, steps: int, loss: bool,
+                     record_every: int) -> EvolutionRecord:
+    """The split-step loop of evolve_two_mode, with its start-field, resonance
+    (_Resonance) and norm-drift checks and no step-count guard."""
+    grid, n_atoms = field.grid, field.n_atoms
     # a start field that its grid does not resolve fails the final check at
     # any step count: name it here, not as a resonance
     tail = _spectral_tail(field.values)
@@ -704,11 +776,6 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     weights = np.array([sup.c1**2, sup.c2**2])
     loss12 = species.gamma12_loss * (n_atoms - 1.0) * eta_t
     loss22 = species.gamma22_loss * (n_atoms - 1.0) * eta_t
-
-    needed = _min_two_mode_steps(field, species, geom, t_final)
-    if steps < needed:
-        raise StepSizeError(f"step too coarse: {steps} steps advance the phase by "
-                            f"more than 0.1 rad per step; use at least {needed} steps")
     dt = t_final / steps
 
     # the inverse FFT runs unscaled (np.fft.ifft's norm="forward"); its
@@ -784,42 +851,41 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
         np.multiply(psi, numerator, out=psi)
         np.divide(psi, denominator, out=psi)
 
-    def snapshot(psi, t):
-        n1, n2 = (float(n) for n in np.sum(psi.real**2 + psi.imag**2, axis=1) * dx)
-        ov = complex(np.vdot(psi[1], psi[0]) * dx)
-        fringe = 2.0 * sup.c1 * sup.c2 * ov.imag
-        p1 = 0.5 * (weights[0] * n1 + weights[1] * n2) - 0.5 * fringe
-        p2 = 0.5 * (weights[0] * n1 + weights[1] * n2) + 0.5 * fringe
-        times.append(t)
-        overlaps.append(ov)
-        p1s.append(p1)
-        p2s.append(p2)
-        norm1s.append(n1)
-        norm2s.append(n2)
-
-    times, overlaps, p1s, p2s, norm1s, norm2s = [], [], [], [], [], []
-    snapshot(psi, 0.0)
+    # the state after step recorded[i] goes into row i: the two mode norms
+    # and the overlap <psi_2|psi_1>, times dx after the last step
+    recorded = np.arange(1 + steps // record_every + (steps % record_every > 0)) * record_every
+    recorded[-1] = steps
+    norms = np.empty((recorded.size, 2))
+    overlaps = np.empty(recorded.size, dtype=complex)
+    row = 0
+    np.vecdot(psi_parts, psi_parts, out=norms[row])
+    np.vecdot(psi[1], psi[0], out=overlaps[row, ...])
     kinetic_step(kin_half)
     for step in range(1, steps + 1):
         potential_step()
         if step % record_every == 0 or step == steps:
-            snapshot(psi, step * dt)
+            row += 1
+            np.vecdot(psi_parts, psi_parts, out=norms[row])
+            np.vecdot(psi[1], psi[0], out=overlaps[row, ...])
         kinetic_step(kin_factor if step < steps else kin_half)
-    record = EvolutionRecord(times=np.array(times), overlap=np.array(overlaps),
-                             p1=np.array(p1s), p2=np.array(p2s),
-                             norm1=np.array(norm1s), norm2=np.array(norm2s),
-                             final_fields=tuple(_resample(psi, grid.points)), points=points)
     tail = _spectral_tail(psi)
     if tail > _SPECTRAL_TAIL:
-        raise StepSizeError(f"{steps} steps sit near a split-step resonance ({tail:.1e} of "
-                            f"the final spectral power is in the top eighth of the {points}-point "
-                            "band's wavenumbers)")
+        raise _Resonance(f"{steps} steps sit near a split-step resonance ({tail:.1e} of "
+                         f"the final spectral power is in the top eighth of the {points}-point "
+                         "band's wavenumbers)")
+    norms *= dx
+    overlaps *= dx
     if not loss:
-        drift = max(float(np.max(np.abs(record.norm1 - 1.0))),
-                    float(np.max(np.abs(record.norm2 - 1.0))))
+        drift = float(np.max(np.abs(norms - 1.0)))
         if drift > 1e-6:
             raise RuntimeError(f"lossless evolution is unstable: norm drift {drift:.3e}")
-    return record
+    norm1, norm2 = norms.T
+    mean = 0.5 * (weights[0] * norm1 + weights[1] * norm2)
+    fringe = 2.0 * sup.c1 * sup.c2 * overlaps.imag
+    return EvolutionRecord(times=recorded * dt, overlap=overlaps,
+                           p1=mean - 0.5 * fringe, p2=mean + 0.5 * fringe,
+                           norm1=norm1, norm2=norm2,
+                           final_fields=tuple(_resample(psi, grid.points)), points=points)
 
 
 @dataclass(frozen=True)

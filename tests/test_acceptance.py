@@ -230,9 +230,9 @@ def test_acceptance_6_overlap_and_visibility(rb_geom, rb_tf_ground):
     sup = pc.Superposition.equal()
     phase = tf.phase_dynamics(geom, rb, n, sup)
     t_final = 0.5 / abs(phase.omega_N)
-    steps = gp.two_mode_steps(ground, rb, geom, t_final)
+    steps = 430
     record = gp.evolve_two_mode(ground, sup, rb, geom, t_final, steps,
-                                record_every=max(1, steps // 20))
+                                record_every=steps // 20)
     worst_mag = worst_phase = 0.0
     for t, ov in zip(record.times[1:], record.overlap[1:]):
         model = tf.overlap_gaussian(phase, t)
@@ -256,8 +256,8 @@ def test_acceptance_7_loss_budget(rb_geom, rb_tf_ground):
     budget = gp.loss_budget(rb, geom, n, sup)
     assert abs(budget.ratio - 1.0 / 19.0) / (1.0 / 19.0) < 0.20
     t_final = 0.3 / budget.gamma
-    steps = gp.two_mode_steps(ground, rb, geom, t_final)
-    every = max(1, steps // 12)
+    steps = 5312
+    every = steps // 12
     lossless = gp.evolve_two_mode(ground, sup, rb, geom, t_final, steps,
                                   loss=False, record_every=every)
     lossy = gp.evolve_two_mode(ground, sup, rb, geom, t_final, steps,

@@ -323,9 +323,12 @@ def test_condensate_command(tmp_path):
     assert abs(float(ov_rows[-1]["overlap_abs"]) - float(ov_rows[-1]["model_abs"])) < 0.02
     _, _, loss_rows = read_csv(tmp_path / "loss_budget.csv")
     assert float(loss_rows[0]["inverse_ratio"]) == pytest.approx(19.0, rel=0.20)
-    # the index records the two-mode step count and the points it ran on
+    # the index records the two-mode step count, the points it ran on and
+    # its measured splitting error against the tolerance
     index = json.loads((tmp_path / "condensate_index.json").read_text())
-    assert index["two_mode"] == {"steps": 430, "points": 256}
+    two_mode = index["two_mode"]
+    assert (two_mode["steps"], two_mode["points"], two_mode["tolerance"]) == (100, 256, 1e-6)
+    assert 0.0 < two_mode["error"] <= two_mode["tolerance"]
     names = ("eta_sweep.csv", "overlap.csv", "loss_budget.csv", "condensate_index.json")
     first = [(tmp_path / name).read_bytes() for name in names]
     assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
@@ -401,8 +404,9 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
 
 def test_two_mode_step_failure_exit_code(tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
-        raise gp.StepSizeError("430 steps sit near a split-step resonance")
+        raise gp.StepSizeError("no step count up to 51200 brings the two-mode splitting "
+                               "error within 1e-06")
 
-    monkeypatch.setattr(cli.gp, "evolve_two_mode", explode)
+    monkeypatch.setattr(cli.gp, "evolve_two_mode_to_tolerance", explode)
     assert cli.main(["condensate", "--out", str(tmp_path)]) == 3
-    assert "two-mode evolution failed: 430 steps" in capsys.readouterr().err
+    assert "two-mode evolution failed: no step count up to 51200" in capsys.readouterr().err

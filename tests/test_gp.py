@@ -476,30 +476,47 @@ def test_two_mode_symmetric_couplings_stationary(typical):
     assert np.max(np.abs(rec.norm2 - 1.0)) < 1e-8
 
 
-def _condensate_run(y, points):
+def _condensate_run(y, points, q=2.0):
     """The condensate command's two-mode run for the default config at y on
-    points points: the ground state, the species, trap and superposition,
-    t_final and the step count."""
-    cfg = cli.RunConfig()
+    points points in a trap of hardness q: the ground state, the species, trap
+    and superposition, and t_final."""
+    cfg = dataclasses.replace(cli.RunConfig(), trap_q=q)
     geom, species, sup = cfg.trap(), cfg.species, cfg.superposition()
     n = 1.0 + y * (sc.critical_numbers(geom, species.a11).n_lower - 1.0)
     ground = gp.ground_state(geom, species, n,
                              gp.default_grid(geom, species, n, points=points,
                                              extent_factor=cfg.grid_extent_factor))
     t_final = 0.5 / abs(tf.phase_dynamics(geom, species, n, sup).omega_N)
-    return ground, species, geom, sup, t_final, gp.two_mode_steps(ground, species, geom, t_final)
+    return ground, species, geom, sup, t_final
 
 
-@pytest.mark.parametrize("y, steps", [(1000.0, 430), (3.0, 1260)],
-                         ids=["default", "near-N_L"])
-def test_two_mode_step_rule(y, steps):
-    # the largest N of the default condensate sweep and of n_over_nl = 1 3;
-    # near N_L the guard of evolve_two_mode, not mu, sets the count
-    ground, species, geom, _, t_final, rule = _condensate_run(y, cli.RunConfig().grid_points)
-    guard = gp._min_two_mode_steps(ground.field, species, geom, t_final)
-    by_mu = int(math.ceil(t_final * ground.mu / HBAR / 0.05))
-    assert rule == max(200, by_mu, guard) == steps
-    assert (guard > by_mu) == (y == 3.0)
+@pytest.mark.parametrize("y, q, points, steps", [(1000.0, 2.0, 512, 100), (3.0, 2.0, 512, 800),
+                                                 (1000.0, 10.0, 512, 400),
+                                                 (1000.0, 2.0, 1000, 100)],
+                         ids=["default", "near-N_L", "q10", "points-1000"])
+def test_two_mode_measured_steps_meet_tolerance(y, q, points, steps):
+    # the largest N of the default condensate sweep, of n_over_nl = 1 3, of
+    # q = 10 with n_over_nl = 10 100 1000 and of the default on 1000 points.
+    # Near N_L and at q = 10 the 50- and 100-step runs end near a split-step
+    # resonance, so the ladder starts its pairs at 200 steps
+    ground, species, geom, sup, t_final = _condensate_run(y, points, q)
+    record, chosen, error = gp.evolve_two_mode_to_tolerance(ground, sup, species, geom, t_final)
+    assert chosen == steps
+    assert len(record.times) == 101 and record.times[-1] == pytest.approx(t_final, rel=1e-12)
+    assert error <= gp.TWO_MODE_TOLERANCE
+    fine = gp.evolve_two_mode(ground, sup, species, geom, t_final, 8 * steps,
+                              record_every=8 * steps).overlap[-1]
+    true = abs(record.overlap[-1] - fine) / abs(fine)
+    assert true <= gp.TWO_MODE_TOLERANCE
+    assert error / 2.0 <= true <= 2.0 * error
+
+
+def test_two_mode_ladder_past_its_cap_raises(monkeypatch):
+    # near N_L the ladder needs 800 steps
+    ground, species, geom, sup, t_final = _condensate_run(3.0, 512)
+    monkeypatch.setattr(gp, "_MAX_TWO_MODE_STEPS", 400)
+    with pytest.raises(gp.StepSizeError, match="no step count up to 400"):
+        gp.evolve_two_mode_to_tolerance(ground, sup, species, geom, t_final)
 
 
 def test_two_mode_overlap_matches_gaussian_model(geom_rb, rb87, tf_state):
@@ -507,9 +524,9 @@ def test_two_mode_overlap_matches_gaussian_model(geom_rb, rb87, tf_state):
     sup = pc.Superposition.equal()
     phase = tf.phase_dynamics(geom_rb, rb87, n, sup)
     t_final = 0.5 / abs(phase.omega_N)
-    steps = gp.two_mode_steps(ground, rb87, geom_rb, t_final)
+    steps = 430
     rec = gp.evolve_two_mode(ground, sup, rb87, geom_rb, t_final, steps,
-                             record_every=max(1, steps // 20))
+                             record_every=steps // 20)
     energy0 = _two_mode_energy(ground.field.values, ground.field.values,
                                ground.field.grid, geom_rb, rb87, n, sup)
     energy1 = _two_mode_energy(*rec.final_fields, ground.field.grid,
@@ -533,7 +550,8 @@ def test_two_mode_step_size_guard(geom_rb, rb87, tf_state):
                            1.0, 2)
 
 
-def test_two_mode_run_from_an_under_resolved_start_names_the_start_field(geom_rb, rb87):
+def test_two_mode_run_from_an_under_resolved_start_names_the_start_field(geom_rb, rb87,
+                                                                            monkeypatch):
     # the y = 1000 state on 96 points has 8.5e-8 of its power in the top
     # eighth of its wavenumbers; no step count can evolve it, so it raises
     # before the first step instead of blaming a split-step resonance.  (The
@@ -550,6 +568,19 @@ def test_two_mode_run_from_an_under_resolved_start_names_the_start_field(geom_rb
         with pytest.raises(gp.StepSizeError, match=r"start field is under-resolved "
                            r"\(8\.5e-08 .* 96-point grid"):
             gp.evolve_two_mode(ground, sup, rb87, geom_rb, t_final, k * steps)
+    # the measured path raises the same on its first run, without doubling
+    runs = []
+
+    def counted(*args):
+        runs.append(args[5])
+        return evolve(*args)
+
+    evolve = gp._evolve_two_mode
+    monkeypatch.setattr(gp, "_evolve_two_mode", counted)
+    with pytest.raises(gp.StepSizeError, match=r"start field is under-resolved "
+                       r"\(8\.5e-08 .* 96-point grid"):
+        gp.evolve_two_mode_to_tolerance(ground, sup, rb87, geom_rb, t_final)
+    assert runs == [50]
 
 
 def test_loss_decay(geom_rb, rb87, tf_state):
@@ -557,8 +588,8 @@ def test_loss_decay(geom_rb, rb87, tf_state):
     sup = pc.Superposition.equal()
     budget = gp.loss_budget(rb87, geom_rb, n, sup)
     t_final = 0.1 / budget.gamma
-    steps = gp.two_mode_steps(ground, rb87, geom_rb, t_final)
-    every = max(1, steps // 10)
+    steps = 1771
+    every = steps // 10
     lossless = gp.evolve_two_mode(ground, sup, rb87, geom_rb, t_final, steps,
                                   loss=False, record_every=every)
     lossy = gp.evolve_two_mode(ground, sup, rb87, geom_rb, t_final, steps,
@@ -805,9 +836,9 @@ def test_two_mode_band_cut_error_against_the_full_grid(geom_rb, rb87, case, kept
         steps = math.ceil(t_final * ground.mu / HBAR / 0.05)
         assert steps == 5312
     else:
-        ground, species, geom, sup, t_final, steps = _condensate_run(
+        ground, species, geom, sup, t_final = _condensate_run(
             3.0, 1000 if case == "near-N_L-1000" else 512)
-        assert steps == 1260
+        steps = 1260
     rec, deviations, _ = _deviations(ground.field, sup, species, geom, t_final, steps,
                                      False, steps // 10)
     assert rec.points == kept
@@ -823,8 +854,7 @@ def test_two_mode_on_a_grid_that_halves_unevenly(geom_rb, rb87, points, kept, ov
     # 125; 768 halve to 384 and stop above 192.  The final overlap is that of
     # the full-grid evolution that the band cut replaced.
     ground, t_final = _state_and_time(geom_rb, rb87, 1000.0, points, gamma_t=0.03)
-    steps = gp.two_mode_steps(ground, rb87, geom_rb, t_final)
-    assert steps == 532
+    steps = 532
     rec = gp.evolve_two_mode(ground, pc.Superposition.equal(), rb87, geom_rb, t_final, steps,
                              record_every=steps)
     assert rec.points == kept
@@ -857,8 +887,7 @@ def test_two_mode_step_doubling_is_second_order(geom_rb, rb87, loss):
     ground = gp.ground_state(geom_rb, rb87, n, gp.default_grid(geom_rb, rb87, n, points=512))
     sup = pc.Superposition.equal()
     t_final = 0.03 / gp.loss_budget(rb87, geom_rb, n, sup).gamma
-    base = gp.two_mode_steps(ground, rb87, geom_rb, t_final)
-    assert base == 532
+    base = 532
     finals = [gp.evolve_two_mode(ground, sup, rb87, geom_rb, t_final, k * base, loss=loss,
                                  record_every=k * base).overlap[-1] for k in (1, 2, 4, 8)]
     changes = [abs(b - a) for a, b in zip(finals, finals[1:])]
