@@ -178,10 +178,8 @@ def config_from_text(text: str) -> RunConfig:
             raise ConfigError("sweep ranges must be nonempty")
         gp.Grid(1, cfg.grid_points, 1.0)  # the solver's point-count rule
         # the ranges the commands need, so that no run fails halfway
-        # default_grid spans max(extent_factor R_TF, 4 r0): at 1.5 and above the
-        # cloud is never clipped, below it eta_N can be off by order one
-        for ok, rule in ((cfg.grid_extent_factor >= 1.5,
-                          "extent_factor must be positive and at least 1.5"),
+        for ok, rule in ((cfg.grid_extent_factor >= gp.MIN_EXTENT_FACTOR,
+                          f"extent_factor must be positive and at least {gp.MIN_EXTENT_FACTOR}"),
                          (all(n >= 2 for n in cfg.n_values), "n_values must be at least 2"),
                          (len(set(cfg.n_values)) == len(cfg.n_values),
                           "n_values must be distinct"),
@@ -420,10 +418,6 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
         if not os.access(out_dir, os.W_OK):
             raise ConfigError(f"output directory {out_dir} is not writable")
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         written, facts = COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

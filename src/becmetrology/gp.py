@@ -14,11 +14,12 @@ K/2 V K/2, second order with and without loss, with the two modes as the
 rows of one complex array transformed in place and each potential factor a
 Cayley transform of the tangent of half its phase.  It runs on a
 Fourier-truncated copy of the start field, on the fewest points whose band
-holds that field, and its resonance check reads the top of that band.  Its
-step count is the caller's, checked against a 0.1-rad phase guard, or the
-fewest steps of a doubling ladder whose Richardson estimate of the final
-overlap's error meets TWO_MODE_TOLERANCE.  The FFTs of each minimizer
-iteration and each split step call numpy's pocketfft kernels directly.
+holds that field, once per call checked to be resolved, and its resonance
+check reads the top of that band.  Its step count is the caller's, checked
+against a 0.1-rad phase guard, or the fewest steps of a doubling ladder whose
+Richardson error estimate over every shared record meets TWO_MODE_TOLERANCE.
+The FFTs of each minimizer iteration and each split step call numpy's
+pocketfft kernels directly.
 """
 
 from __future__ import annotations
@@ -137,6 +138,9 @@ def default_grid(geom: TrapGeometry, species: Species, n_atoms: float,
 
 
 _MAX_ITERATIONS = 20_000
+# default_grid spans max(extent_factor R_TF, 4 r0): at this extent_factor and
+# above the cloud is never clipped, below it eta_N can be off by order one
+MIN_EXTENT_FACTOR = 1.5
 _MAX_ANGLE = 0.5  # radians; bounds a secant step extrapolated from a nearly flat slope
 # share of |psi_k|^2 in the top eighth of wavenumbers above which a 1D state is
 # under-resolved: at most 2.3e-23 on the default sweep, where eta_N is converged
@@ -484,11 +488,11 @@ def ground_states(geom: TrapGeometry, species: Species, n_list, grids,
     start = np.empty(V.shape)
     for n, grid, v, row in zip(n_list, grids, V, start):
         if classify_regime(geom, species.a11, n) != Regime.BARE:
-            r_tf = tf_profile(geom, species, n, Regime.INTERMEDIATE).r_tilde
-            if grid.extent < 1.5 * r_tf:
-                warnings.warn(f"N = {n:.6g}: grid extent is below 1.5x the TF radius; "
-                              "the cloud may be clipped", stacklevel=2)
-            mu_tf = 0.5 * geom.k * r_tf**geom.q
+            profile = tf_profile(geom, species, n, Regime.INTERMEDIATE)
+            if grid.extent < MIN_EXTENT_FACTOR * profile.r_tilde:
+                warnings.warn(f"N = {n:.6g}: grid extent is below {MIN_EXTENT_FACTOR}x the TF "
+                              "radius; the cloud may be clipped", stacklevel=2)
+            mu_tf = profile.mu
             healing = SI.hbar / math.sqrt(2.0 * geom.mass * mu_tf)
             # on 1D grids the solved state's spectrum is checked instead; a
             # finite-difference error does not show in a spectral tail
@@ -600,29 +604,31 @@ def local_log_slopes(n_list, etas) -> list[float]:
     return slopes
 
 
+def _coupling_matrix(species: Species, geom: TrapGeometry, n_atoms: float) -> np.ndarray:
+    """The two modes' reduced couplings g_ij (N-1) eta_T as a 2x2 matrix."""
+    g11, g12, g22 = (coupling_constant(a, geom.mass) for a in (species.a11, species.a12,
+                                                               species.a22))
+    return np.array([[g11, g12], [g12, g22]]) * ((n_atoms - 1.0) * eta_transverse(geom))
+
+
 def _min_two_mode_steps(field: Field, species: Species, geom: TrapGeometry,
                         t_final: float) -> int:
     """Fewest steps evolve_two_mode accepts for t_final: at most 0.1 rad of
     phase per step at the largest V + g rho (strongest channel) in the cloud."""
     dens = np.abs(field.values) ** 2
     occupied = dens > 1e-6 * dens.max()
-    g_max = max(coupling_constant(a, geom.mass) for a in (species.a11, species.a12, species.a22))
-    g_max *= (field.n_atoms - 1.0) * eta_transverse(geom)
+    g_max = _coupling_matrix(species, geom, field.n_atoms).max()
     potential = _potential(geom, field.grid.coordinates())
     rate = float(np.max((potential[occupied] + g_max * dens[occupied]) / SI.hbar))
     return int(math.ceil(t_final * rate / 0.1))
 
 
-# evolve_two_mode_to_tolerance: the largest relative Richardson error of the
-# final overlap it accepts, the first step count it tries (its run records
-# every step, so 101 states) and the count past which it gives up
+# evolve_two_mode_to_tolerance: the largest relative Richardson error over the
+# records its two runs share that it accepts, the first step count it tries
+# (its run records every step, so 101 states) and the count past which it stops
 TWO_MODE_TOLERANCE = 1e-6
 _FIRST_TWO_MODE_STEPS = 100
 _MAX_TWO_MODE_STEPS = 51_200
-
-
-class _Resonance(StepSizeError):
-    """The fields of a two-mode run end near a split-step resonance."""
 
 
 @dataclass(frozen=True)
@@ -639,12 +645,19 @@ class EvolutionRecord:
 
 def _two_mode_field(initial: GroundStateResult | Field, geom: TrapGeometry,
                     t_final: float) -> Field:
-    """initial's field, after the checks that both two-mode entry points make."""
+    """initial's field, after the checks that both two-mode entry points make
+    once per call: a start field past the _SPECTRAL_TAIL rule on its own grid,
+    which no step count evolves, raises StepSizeError before any run."""
     field = initial.field if isinstance(initial, GroundStateResult) else initial
     if field.grid.dimension != 1 or geom.d != 1:
         raise ValueError("two-mode evolution is implemented for 1D longitudinal grids")
     if t_final <= 0:
         raise ValueError("need a positive final time and at least one step")
+    tail = _spectral_tail(field.values)
+    if tail > _SPECTRAL_TAIL:
+        raise StepSizeError(f"the start field is under-resolved ({tail:.1e} of its spectral "
+                            f"power is in the top eighth of the {field.grid.points}-point "
+                            "grid's wavenumbers); solve it on more points")
     return field
 
 
@@ -691,9 +704,9 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     the y = 1000 state past every other check.  evolve_two_mode_to_tolerance
     measures its error instead and needs no guard.  A start field past the
     _SPECTRAL_TAIL rule on its own grid raises StepSizeError before the first
-    step, as do final fields past that rule on the kept band, the mark of a
-    split-step resonance there (Weideman & Herbst 1986); record_every < 1
-    raises ValueError.
+    step (_two_mode_field), as do final fields past that rule on the kept
+    band, the mark of a split-step resonance there (Weideman & Herbst 1986);
+    record_every < 1 raises ValueError.
     """
     field = _two_mode_field(initial, geom, t_final)
     if steps < 1:
@@ -715,15 +728,17 @@ def evolve_two_mode_to_tolerance(initial: GroundStateResult | Field, sup: Superp
 
     The error of the S-step run is estimated by step doubling (Richardson;
     Hairer, Norsett & Wanner, Solving ODEs I, II.4): the splitting is second
-    order, so the final overlap of S steps is off by about a third of its
-    change from S/2 steps.  Each rung's run is the next rung's coarse run,
-    and a 50-step run is the first rung's.  The first S whose estimate is at
-    most TWO_MODE_TOLERANCE of the final |overlap| is kept, with no 0.1-rad
-    guard; a run that ends near a split-step resonance has no estimate, and
-    the ladder goes on to 2S.  The S-step run records every (S / 100)-th
-    step, 101 states.  Returns that record, S and the relative estimate.  An
-    under-resolved start field raises StepSizeError at once, and so does a
-    ladder that passes _MAX_TWO_MODE_STEPS.
+    order, so an overlap of S steps is off by about a third of its change
+    from S/2 steps.  The estimate is the largest such share of the S-step
+    |overlap| over the records the two runs share: 51 for S = 100, 101 from
+    S = 200.  Each rung's run is the next rung's coarse run, and a 50-step
+    run is the first rung's.  The first S whose estimate is at most
+    TWO_MODE_TOLERANCE is kept, with no 0.1-rad guard.  A run that ends
+    near a split-step resonance, the only StepSizeError a run raises, has no
+    estimate, and the ladder goes on to 2S.  The S-step run records every
+    (S / 100)-th step, 101 states.  Returns that record, S and the estimate.
+    An under-resolved start field raises StepSizeError before any run
+    (_two_mode_field), and so does a ladder past _MAX_TWO_MODE_STEPS.
     """
     field = _two_mode_field(initial, geom, t_final)
     coarse, error = None, math.nan
@@ -732,11 +747,12 @@ def evolve_two_mode_to_tolerance(initial: GroundStateResult | Field, sup: Superp
         try:
             record = _evolve_two_mode(field, sup, species, geom, t_final, steps, False,
                                       max(1, steps // _FIRST_TWO_MODE_STEPS))
-        except _Resonance:
+        except StepSizeError:
             record = None
         if record is not None and coarse is not None:
-            final = record.overlap[-1]
-            error = abs(final - coarse.overlap[-1]) / (3.0 * abs(final))
+            # the S-step run's records at the coarse run's times
+            shared = record.overlap[::(record.overlap.size - 1) // (coarse.overlap.size - 1)]
+            error = float(np.max(np.abs(shared - coarse.overlap) / (3.0 * np.abs(shared))))
             if error <= TWO_MODE_TOLERANCE:
                 return record, steps, error
         coarse, steps = record, 2 * steps
@@ -749,16 +765,9 @@ def evolve_two_mode_to_tolerance(initial: GroundStateResult | Field, sup: Superp
 def _evolve_two_mode(field: Field, sup: Superposition, species: Species,
                      geom: TrapGeometry, t_final: float, steps: int, loss: bool,
                      record_every: int) -> EvolutionRecord:
-    """The split-step loop of evolve_two_mode, with its start-field, resonance
-    (_Resonance) and norm-drift checks and no step-count guard."""
+    """The split-step loop of evolve_two_mode on a field _two_mode_field has
+    checked: resonance (its only StepSizeError) and norm-drift checks, no guard."""
     grid, n_atoms = field.grid, field.n_atoms
-    # a start field that its grid does not resolve fails the final check at
-    # any step count: name it here, not as a resonance
-    tail = _spectral_tail(field.values)
-    if tail > _SPECTRAL_TAIL:
-        raise StepSizeError(f"the start field is under-resolved ({tail:.1e} of its spectral "
-                            f"power is in the top eighth of the {grid.points}-point grid's "
-                            "wavenumbers); solve it on more points")
     hb, mass = SI.hbar, geom.mass
     # the fields evolve on the fewest points that hold the start field's band,
     # every stride-th point of its grid
@@ -767,12 +776,8 @@ def _evolve_two_mode(field: Field, sup: Superposition, species: Species,
     x, dx = grid.coordinates()[::stride], grid.spacing * stride
     kx = 2.0 * math.pi * np.fft.fftfreq(points, dx)
     V = _potential(geom, x)
+    gmat = _coupling_matrix(species, geom, n_atoms)
     eta_t = eta_transverse(geom)
-    gmat = np.array([[coupling_constant(species.a11, mass),
-                      coupling_constant(species.a12, mass)],
-                     [coupling_constant(species.a12, mass),
-                      coupling_constant(species.a22, mass)]])
-    gmat *= (n_atoms - 1.0) * eta_t
     weights = np.array([sup.c1**2, sup.c2**2])
     loss12 = species.gamma12_loss * (n_atoms - 1.0) * eta_t
     loss22 = species.gamma22_loss * (n_atoms - 1.0) * eta_t
@@ -870,9 +875,9 @@ def _evolve_two_mode(field: Field, sup: Superposition, species: Species,
         kinetic_step(kin_factor if step < steps else kin_half)
     tail = _spectral_tail(psi)
     if tail > _SPECTRAL_TAIL:
-        raise _Resonance(f"{steps} steps sit near a split-step resonance ({tail:.1e} of "
-                         f"the final spectral power is in the top eighth of the {points}-point "
-                         "band's wavenumbers)")
+        raise StepSizeError(f"{steps} steps sit near a split-step resonance ({tail:.1e} of "
+                            f"the final spectral power is in the top eighth of the "
+                            f"{points}-point band's wavenumbers)")
     norms *= dx
     overlaps *= dx
     if not loss:
