@@ -16,6 +16,7 @@ import configparser
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 
 from . import csvio, gp, scaling, thomas_fermi as tf
@@ -305,20 +306,25 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
     sup = cfg.superposition()
     crit = scaling.critical_numbers(geom, species.a11)
     n_list = [1.0 + y * (crit.n_lower - 1.0) for y in sorted(cfg.n_over_nl)]
-    # a superposition without signal fails here, before any ground state is solved
     n_run = n_list[-1]
-    try:
-        phase = tf.phase_dynamics(geom, species, n_run, sup)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # the index records each N's regime, so a Thomas-Fermi profile built for
+    # an N outside the intermediate regime it assumes does not warn as well
+    regimes = [{"N": n, "regime": scaling.classify_regime(geom, species.a11, n).value}
+               for n in n_list]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "atom number .* classifies as", UserWarning)
+        # a superposition without signal fails here, before any ground state is solved
+        try:
+            phase = tf.phase_dynamics(geom, species, n_run, sup)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        # the largest N's TF profile is the one phase_dynamics has built
+        etas_tf = [tf.tf_profile(geom, species, n).eta_N for n in n_list[:-1]] + [phase.eta_N]
 
     grids = [gp.default_grid(geom, species, n, points=cfg.grid_points,
                              extent_factor=cfg.grid_extent_factor) for n in n_list]
     results = gp.ground_states(geom, species, n_list, grids)
     slopes = gp.local_log_slopes(n_list, [res.eta_n for res in results])
-    # the largest N's TF profile is the one phase_dynamics has built
-    etas_tf = [tf.tf_profile(geom, species, n, scaling.Regime.INTERMEDIATE).eta_N
-               for n in n_list[:-1]] + [phase.eta_N]
     eta_rows = []
     for n, res, slope, eta_tf_val in zip(n_list, results, slopes, etas_tf):
         eta_rows.append((n, (n - 1.0) / (crit.n_lower - 1.0), res.eta_n, eta_tf_val,
@@ -353,7 +359,8 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
                       1.0 / budget.ratio)],
                     header)
     return [eta_path, overlap_path, loss_path], \
-        {"two_mode": {"steps": steps, "points": record.points, "error": error,
+        {"regimes": regimes,
+         "two_mode": {"steps": steps, "points": record.points, "error": error,
                       "tolerance": gp.TWO_MODE_TOLERANCE}}
 
 

@@ -652,7 +652,7 @@ def _two_mode_field(initial: GroundStateResult | Field, geom: TrapGeometry,
     if field.grid.dimension != 1 or geom.d != 1:
         raise ValueError("two-mode evolution is implemented for 1D longitudinal grids")
     if t_final <= 0:
-        raise ValueError("need a positive final time and at least one step")
+        raise ValueError("need a positive final time")
     tail = _spectral_tail(field.values)
     if tail > _SPECTRAL_TAIL:
         raise StepSizeError(f"the start field is under-resolved ({tail:.1e} of its spectral "
@@ -710,7 +710,7 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     """
     field = _two_mode_field(initial, geom, t_final)
     if steps < 1:
-        raise ValueError("need a positive final time and at least one step")
+        raise ValueError("need at least one step")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     needed = _min_two_mode_steps(field, species, geom, t_final)

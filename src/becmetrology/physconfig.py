@@ -191,11 +191,3 @@ def trap_from_lengths(d: int, q: float, rho0: float, r0: float,
                          f"r0 = {r0:g} m; use q = inf for a hard wall") from None
     return TrapGeometry(d=d, q=float(q), rho0=rho0, r0=r0, mass=mass,
                         k=k, omega_T=omega_T, omega_L=omega_L)
-
-
-def typical_trap(d: int, q: float = 2.0, mass: float | None = None) -> TrapGeometry:
-    """The workhorse geometry for estimates: rho0 = 1 um, r0 = 100 um."""
-    if mass is None:
-        mass = typical_species().mass
-    return trap_from_lengths(d, q, 1.0 * UM, 100.0 * UM, mass)
-

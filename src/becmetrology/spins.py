@@ -139,11 +139,6 @@ def _moments(values: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
     return mean, np.vdot(dev, dev).real
 
 
-def expectation(state: DickeState, component: str) -> tuple[float, float]:
-    """Exact (mean, variance) of a collective spin component."""
-    return _moments(state.amplitudes, _apply_component(state.amplitudes, state.n_atoms, component))
-
-
 def evolve(state: DickeState, kind: HamiltonianKind, gamma: float, t: float) -> DickeState:
     """Evolve under H = gamma*h for time t (diagonal phases in the Dicke basis)."""
     if t < 0:

@@ -27,7 +27,3 @@ def rb87():
 def typical():
     return physconfig.typical_species()
 
-
-@pytest.fixture(scope="session")
-def trap_1d(rb87):
-    return physconfig.typical_trap(1, mass=rb87.mass)

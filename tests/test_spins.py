@@ -8,6 +8,7 @@ import pytest
 import dense_oracle as oracle
 from becmetrology import spins
 from becmetrology.physconfig import Superposition
+from spin_moments import expectation
 
 
 def random_dicke(n, rng):
@@ -35,7 +36,7 @@ def test_prepare_product_small_cases():
     st = spins.prepare_product(2, Superposition(1.0, 0.0))
     assert np.allclose(st.amplitudes, [0, 0, 1])  # all atoms up: m = +1
     st = spins.prepare_product(50, Superposition.equal())
-    mean, var = spins.expectation(st, "z")
+    mean, var = expectation(st, "z")
     assert mean == pytest.approx(0.0, abs=1e-12)
     assert var == pytest.approx(12.5, rel=1e-12)
 
@@ -53,17 +54,17 @@ def test_prepare_product_matches_dense():
 def test_prepare_product_large_n():
     st = spins.prepare_product(4096, Superposition.equal())
     assert np.vdot(st.amplitudes, st.amplitudes).real == pytest.approx(1.0, abs=1e-12)
-    _, var = spins.expectation(st, "z")
+    _, var = expectation(st, "z")
     assert var == pytest.approx(1024.0, rel=1e-10)
 
 
 def test_expectation_easy_cases():
     st = spins.prepare_product(6, Superposition(1.0, 0.0))
-    assert spins.expectation(st, "z") == (pytest.approx(3.0), pytest.approx(0.0, abs=1e-12))
+    assert expectation(st, "z") == (pytest.approx(3.0), pytest.approx(0.0, abs=1e-12))
     st = spins.prepare_product(10, Superposition.equal())
-    mean, var = spins.expectation(st, "z")
+    mean, var = expectation(st, "z")
     assert (mean, var) == (pytest.approx(0.0, abs=1e-12), pytest.approx(2.5, rel=1e-12))
-    mean_x, _ = spins.expectation(st, "x")
+    mean_x, _ = expectation(st, "x")
     assert mean_x == pytest.approx(5.0, rel=1e-12)
 
 
@@ -73,7 +74,7 @@ def test_expectation_matches_dense_oracle():
         st = random_dicke(n, rng)
         dense = oracle.dense_from_dicke(st.amplitudes)
         for comp in ("x", "y", "z"):
-            mean, var = spins.expectation(st, comp)
+            mean, var = expectation(st, comp)
             dm, dv = oracle.collective_expectation(dense, comp)
             assert mean == pytest.approx(dm, abs=1e-10)
             assert var == pytest.approx(dv, abs=1e-10)
@@ -106,8 +107,8 @@ def test_rotate_x_maps_y_onto_z():
     rng = np.random.default_rng(13)
     for n in (2, 7, 12, 20):
         st = random_dicke(n, rng)
-        before, _ = spins.expectation(st, "y")
-        after, _ = spins.expectation(rotate(st, "x", math.pi / 2), "z")
+        before, _ = expectation(st, "y")
+        after, _ = expectation(rotate(st, "x", math.pi / 2), "z")
         assert after == pytest.approx(before, abs=1e-10)
 
 
@@ -126,7 +127,7 @@ def test_evolve_cases():
     # a pi rotation about z flips the equatorial Bloch vector
     one = spins.prepare_product(1, Superposition.equal())
     out = spins.evolve(one, ham, math.pi, 1.0)
-    assert spins.expectation(out, "x")[0] == pytest.approx(-0.5, rel=1e-12)
+    assert expectation(out, "x")[0] == pytest.approx(-0.5, rel=1e-12)
     with pytest.raises(ValueError):
         spins.evolve(st, ham, 1.0, -1.0)
 

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 import dense_oracle as oracle
 from becmetrology import spins
 from becmetrology.physconfig import Superposition
+from spin_moments import expectation
 
 
 def schroedinger_readout(n, sup, kind, gamma, t):
     state = spins.evolve(spins.prepare_product(n, sup), kind, gamma, t)
     state = spins.DickeState(n, oracle.rotate_dicke(state.amplitudes, "y", -math.pi / 2.0))
-    mean, var = spins.expectation(state, "z")
+    mean, var = expectation(state, "z")
     return mean, var, spins.single_qubit_purity(state)
 
 
