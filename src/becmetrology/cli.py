@@ -4,7 +4,9 @@ One subcommand per theme: `bounds` (spin-metrology sensitivities), `scaling`
 (critical numbers and exponents), `condensate` (GP ground states, two-mode
 overlap, loss budget), `counting` (detector-noise penalty).  Every output file
 embeds the fully resolved configuration as comment lines, so a data file is
-self-describing.
+self-describing.  A command writes its files, and the `<command>_index.json`
+that lists them, only after it has computed all of them, so a run that exits
+2 or 3 writes nothing.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
@@ -203,18 +205,13 @@ def config_from_text(text: str) -> RunConfig:
     return cfg
 
 
-def _header(cfg: RunConfig, command: str) -> list[str]:
-    lines = [f"becmetrology {command}", "resolved configuration:"]
-    lines += config_to_text(cfg).rstrip("\n").split("\n")
-    return lines
-
-
 # --- subcommands -----------------------------------------------------------
+# Each command computes and returns ({file name: (columns, rows)}, index facts),
+# the tables in write order; `main` writes them.
 
-def cmd_bounds(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
+def cmd_bounds(cfg: RunConfig) -> tuple[dict, dict]:
     from . import spins  # only this command simulates spins
 
-    header = _header(cfg, "bounds")
     qubit = spins.SpectrumBound(Lambda=0.5, lam=-0.5)
     rows = []
     for n in cfg.n_values:
@@ -230,49 +227,34 @@ def cmd_bounds(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
         nl = spins.crb_nonlinear(spins.SpectrumBound(0.5, -0.5, k_body=2), n, tq)
         rows.append((quad.protocol, n, tq, cfg.gamma, quad.delta_gamma,
                      nl.crb, nl.product_state_reference, quad.purity))
-    sweep_path = os.path.join(out_dir, "bounds.csv")
-    csvio.write_csv(sweep_path,
-                    ("protocol", "N", "t", "gamma", "delta_gamma",
-                     "bound_HL", "bound_QNL", "purity"),
-                    rows, header)
     # time trace of the quadratic protocol: sensitivity and entanglement witness
     n_trace = max(cfg.n_values)
     t_grid = [x * 2.0 / (cfg.gamma * n_trace) / 24 for x in range(1, 25)]
     trace = spins.product_nonlinear_protocol(n_trace, cfg.gamma, t_grid)
-    trace_path = os.path.join(out_dir, "quadratic_trace.csv")
-    csvio.write_csv(trace_path,
-                    ("N", "t", "gamma", "delta_gamma", "purity"),
-                    [(r.n_atoms, r.t, r.gamma, r.delta_gamma, r.purity)
-                     for r in trace], header)
     slopes = []
     for name in ("ramsey", "cat", "enhanced", "quadratic"):
         pts = [(r[1], r[4] * r[2]) for r in rows if r[0] == name]  # (N, t*delta)
         slope = math.nan if len(pts) < 2 else \
             spins.fit_loglog_slope([p[0] for p in pts], [p[1] for p in pts])
         slopes.append((name, slope))
-    slopes_path = os.path.join(out_dir, "bounds_slopes.csv")
-    csvio.write_csv(slopes_path, ("protocol", "loglog_slope"), slopes, header)
-    return [sweep_path, trace_path, slopes_path], {}
+    return {"bounds.csv": (("protocol", "N", "t", "gamma", "delta_gamma",
+                            "bound_HL", "bound_QNL", "purity"), rows),
+            "quadratic_trace.csv": (("N", "t", "gamma", "delta_gamma", "purity"),
+                                    [(r.n_atoms, r.t, r.gamma, r.delta_gamma, r.purity)
+                                     for r in trace]),
+            "bounds_slopes.csv": (("protocol", "loglog_slope"), slopes)}, {}
 
 
-def cmd_scaling(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
-    header = _header(cfg, "scaling")
+def cmd_scaling(cfg: RunConfig) -> tuple[dict, dict]:
     fig_rows = [(q, float(x1), float(x2), float(x3), str(x1), str(x2), str(x3))
                 for q, x1, x2, x3 in scaling.fig1_table(cfg.q_values)]
-    fig_path = os.path.join(out_dir, "exponents.csv")
-    csvio.write_csv(fig_path,
-                    ("q", "xi_1d", "xi_2d", "xi_3d",
-                     "xi_1d_exact", "xi_2d_exact", "xi_3d_exact"),
-                    fig_rows, header)
     crit_rows = []
     for d in (1, 2, 3):
-        for q in (cfg.trap_q, math.inf):
+        for q in dict.fromkeys((cfg.trap_q, math.inf)):  # a hard-wall trap_q once
             geom = trap_from_lengths(d, q, cfg.rho0, cfg.r0, cfg.species.mass)
             crit = scaling.critical_numbers(geom, cfg.species.a11)
             crit_rows.append((d, "inf" if math.isinf(q) else q, crit.n_lower,
                               "" if crit.n_upper is None else crit.n_upper))
-    crit_path = os.path.join(out_dir, "critical_numbers.csv")
-    csvio.write_csv(crit_path, ("d", "q", "n_lower", "n_upper"), crit_rows, header)
     # closed-form inverse-volume estimate across all three regimes
     geom = cfg.trap()
     crit = scaling.critical_numbers(geom, cfg.species.a11)
@@ -282,9 +264,10 @@ def cmd_scaling(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
     eta_rows = [(n, scaling.eta_estimate(geom, cfg.species.a11, n),
                  scaling.classify_regime(geom, cfg.species.a11, n).value)
                 for n in n_grid]
-    eta_path = os.path.join(out_dir, "eta_estimate.csv")
-    csvio.write_csv(eta_path, ("N", "eta_m3", "regime"), eta_rows, header)
-    return [fig_path, crit_path, eta_path], {}
+    return {"exponents.csv": (("q", "xi_1d", "xi_2d", "xi_3d",
+                               "xi_1d_exact", "xi_2d_exact", "xi_3d_exact"), fig_rows),
+            "critical_numbers.csv": (("d", "q", "n_lower", "n_upper"), crit_rows),
+            "eta_estimate.csv": (("N", "eta_m3", "regime"), eta_rows)}, {}
 
 
 def _linspace(a, b, count):
@@ -292,8 +275,7 @@ def _linspace(a, b, count):
     return [a + i * step for i in range(count)]
 
 
-def cmd_condensate(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
-    header = _header(cfg, "condensate")
+def cmd_condensate(cfg: RunConfig) -> tuple[dict, dict]:
     if math.isinf(cfg.trap_q):
         raise ConfigError("the condensate solver needs a finite hardness "
                           "exponent; hard-wall traps are covered analytically "
@@ -325,15 +307,9 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
                              extent_factor=cfg.grid_extent_factor) for n in n_list]
     results = gp.ground_states(geom, species, n_list, grids)
     slopes = gp.local_log_slopes(n_list, [res.eta_n for res in results])
-    eta_rows = []
-    for n, res, slope, eta_tf_val in zip(n_list, results, slopes, etas_tf):
-        eta_rows.append((n, (n - 1.0) / (crit.n_lower - 1.0), res.eta_n, eta_tf_val,
-                         res.eta_n / eta_tf_val - 1.0, slope, res.mu, res.residual))
-    eta_path = os.path.join(out_dir, "eta_sweep.csv")
-    csvio.write_csv(eta_path,
-                    ("N", "n_over_nl", "eta_n", "eta_n_tf", "rel_err",
-                     "local_slope", "mu", "residual"),
-                    eta_rows, header)
+    eta_rows = [(n, (n - 1.0) / (crit.n_lower - 1.0), res.eta_n, eta_tf_val,
+                 res.eta_n / eta_tf_val - 1.0, slope, res.mu, res.residual)
+                for n, res, slope, eta_tf_val in zip(n_list, results, slopes, etas_tf)]
 
     # two-mode overlap against the Gaussian model at the largest swept N
     ground = results[-1]
@@ -345,41 +321,31 @@ def cmd_condensate(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
         model = tf.overlap_gaussian(phase, t)
         overlap_rows.append((t, ov.real, ov.imag, abs(ov), abs(model),
                              -phase.omega_N * t, p1, p2, n1, n2))
-    overlap_path = os.path.join(out_dir, "overlap.csv")
-    csvio.write_csv(overlap_path,
-                    ("t", "overlap_re", "overlap_im", "overlap_abs",
-                     "model_abs", "model_phase", "p1", "p2", "norm1", "norm2"),
-                    overlap_rows, header)
 
     budget = gp.loss_budget(species, geom, n_run, sup, phase)
-    loss_path = os.path.join(out_dir, "loss_budget.csv")
-    csvio.write_csv(loss_path,
-                    ("N", "gamma_loss", "omega_N", "ratio", "inverse_ratio"),
-                    [(n_run, budget.gamma, budget.omega_N, budget.ratio,
-                      1.0 / budget.ratio)],
-                    header)
-    return [eta_path, overlap_path, loss_path], \
-        {"regimes": regimes,
-         "two_mode": {"steps": steps, "points": record.points, "error": error,
-                      "tolerance": gp.TWO_MODE_TOLERANCE}}
+    tables = {"eta_sweep.csv": (("N", "n_over_nl", "eta_n", "eta_n_tf", "rel_err",
+                                 "local_slope", "mu", "residual"), eta_rows),
+              "overlap.csv": (("t", "overlap_re", "overlap_im", "overlap_abs", "model_abs",
+                               "model_phase", "p1", "p2", "norm1", "norm2"), overlap_rows),
+              "loss_budget.csv": (("N", "gamma_loss", "omega_N", "ratio", "inverse_ratio"),
+                                  [(n_run, budget.gamma, budget.omega_N, budget.ratio,
+                                    1.0 / budget.ratio)])}
+    return tables, {"regimes": regimes,
+                    "two_mode": {"steps": steps, "points": record.points, "error": error,
+                                 "tolerance": gp.TWO_MODE_TOLERANCE}}
 
 
-def cmd_counting(cfg: RunConfig, out_dir: str) -> tuple[list[str], dict]:
+def cmd_counting(cfg: RunConfig) -> tuple[dict, dict]:
     from . import counting as cnt  # only this command counts atoms
 
-    header = _header(cfg, "counting")
     n = cfg.counting_n
     gamma = 0.5 * math.pi / cfg.t  # quarter fringe: maximal slope
     noises = [cnt.CountingNoise(sigma=s * math.sqrt(n)) for s in cfg.sigma_over_sqrtn]
     results = cnt.simulate_counts(cfg.t, n, noises, gamma, cfg.trials, cfg.seed)
     rows = [(noise.sigma, n, gamma, cnt.corrected_uncertainty(cfg.t, n, noise, gamma),
              mc.delta_gamma, mc.stderr) for noise, mc in zip(noises, results)]
-    path = os.path.join(out_dir, "counting.csv")
-    csvio.write_csv(path,
-                    ("sigma", "N", "gamma", "delta_gamma_analytic",
-                     "delta_gamma_mc", "mc_stderr"),
-                    rows, header)
-    return [path], {}
+    return {"counting.csv": (("sigma", "N", "gamma", "delta_gamma_analytic",
+                              "delta_gamma_mc", "mc_stderr"), rows)}, {}
 
 
 COMMANDS = {"bounds": cmd_bounds, "scaling": cmd_scaling,
@@ -425,7 +391,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
         if not os.access(out_dir, os.W_OK):
             raise ConfigError(f"output directory {out_dir} is not writable")
-        written, facts = COMMANDS[args.command](cfg, out_dir)
+        tables, facts = COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -435,11 +401,16 @@ def main(argv=None) -> int:
     except gp.StepSizeError as exc:
         print(f"two-mode evolution failed: {exc}", file=sys.stderr)
         return 3
+    # every table is computed before the first file is written
+    header = [f"becmetrology {args.command}", "resolved configuration:",
+              *config_to_text(cfg).splitlines()]
+    paths = [os.path.join(out_dir, name) for name in tables]
+    for path, (columns, rows) in zip(paths, tables.values()):
+        csvio.write_csv(path, columns, rows, header)
     csvio.write_json(os.path.join(out_dir, f"{args.command}_index.json"),
                      {"command": args.command, "seed": cfg.seed,
-                      "outputs": [os.path.basename(p) for p in written], **facts})
-    for path in written:
-        print(path)
+                      "outputs": list(tables), **facts})
+    print(*paths, sep="\n")
     return 0
 
 

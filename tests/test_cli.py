@@ -31,6 +31,11 @@ def read_csv(path):
     return header_lines, fieldnames, rows
 
 
+def no_outputs(out):
+    """True if the directory holds no CSV and no run index."""
+    return not list(out.glob("*.csv")) and not list(out.glob("*_index.json"))
+
+
 def test_csv_roundtrip(tmp_path):
     path = tmp_path / "table.csv"
     csvio.write_csv(path, ("a", "b"), [(1, 2.5), (3, 4.5)], header_lines=["hello", "x = 1"])
@@ -410,6 +415,7 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("[sweep]\nn_over_nl = 100 180 320\n")
     assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
+    assert no_outputs(tmp_path)
 
 
 def test_two_mode_step_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -420,3 +426,33 @@ def test_two_mode_step_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.gp, "evolve_two_mode_to_tolerance", explode)
     assert cli.main(["condensate", "--out", str(tmp_path)]) == 3
     assert "two-mode evolution failed: no step count up to 51200" in capsys.readouterr().err
+    assert no_outputs(tmp_path)  # not even eta_sweep.csv, computed before the ladder ran
+
+
+SMALL = ("[grid]\npoints = 256\n\n[sweep]\nn_values = 8 16\nn_over_nl = 100 180\n"
+         "counting_n = 100\ntrials = 2000\n")
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_commands_compute_and_main_writes(tmp_path, monkeypatch, command):
+    work, out = tmp_path / "work", tmp_path / "out"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    tables, _ = cli.COMMANDS[command](cli.config_from_text(SMALL))
+    assert not list(work.iterdir())  # a command writes no file
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(SMALL)
+    assert cli.main([command, "--config", str(cfgfile), "--out", str(out)]) == 0
+    index = json.loads((out / f"{command}_index.json").read_text())
+    assert index["outputs"] == list(tables)
+    assert sorted(p.name for p in out.iterdir()) == sorted([*tables, f"{command}_index.json"])
+
+
+@pytest.mark.parametrize("q, rows", [("2", 6), ("hard", 3)])
+def test_scaling_lists_each_critical_number_once(tmp_path, q, rows):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"[trap]\nq = {q}\n")
+    assert cli.main(["scaling", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    _, _, crit = read_csv(tmp_path / "critical_numbers.csv")
+    keys = [(r["d"], r["q"]) for r in crit]
+    assert len(keys) == len(set(keys)) == rows
