@@ -18,7 +18,6 @@ import configparser
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field, replace
 
 from . import csvio, gp, scaling, thomas_fermi as tf
@@ -289,19 +288,17 @@ def cmd_condensate(cfg: RunConfig) -> tuple[dict, dict]:
     crit = scaling.critical_numbers(geom, species.a11)
     n_list = [1.0 + y * (crit.n_lower - 1.0) for y in sorted(cfg.n_over_nl)]
     n_run = n_list[-1]
-    # the index records each N's regime, so a Thomas-Fermi profile built for
-    # an N outside the intermediate regime it assumes does not warn as well
+    # the index records each N's regime, and with it where the eta_n_tf
+    # column lies outside the intermediate regime that it assumes
     regimes = [{"N": n, "regime": scaling.classify_regime(geom, species.a11, n).value}
                for n in n_list]
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "atom number .* classifies as", UserWarning)
-        # a superposition without signal fails here, before any ground state is solved
-        try:
-            phase = tf.phase_dynamics(geom, species, n_run, sup)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        # the largest N's TF profile is the one phase_dynamics has built
-        etas_tf = [tf.tf_profile(geom, species, n).eta_N for n in n_list[:-1]] + [phase.eta_N]
+    # a superposition without signal fails here, before any ground state is solved
+    try:
+        phase = tf.phase_dynamics(geom, species, n_run, sup)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    # the largest N's TF profile is the one phase_dynamics has built
+    etas_tf = [tf.tf_profile(geom, species, n).eta_N for n in n_list[:-1]] + [phase.eta_N]
 
     grids = [gp.default_grid(geom, species, n, points=cfg.grid_points,
                              extent_factor=cfg.grid_extent_factor) for n in n_list]

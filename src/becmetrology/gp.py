@@ -112,8 +112,6 @@ class Field:
 class GroundStateResult:
     field: Field
     mu: float               # longitudinal chemical potential
-    mu_total: float         # including the transverse zero-point offset
-    e0: float               # single-particle kinetic + trap energy (longitudinal)
     eta_longitudinal: float
     eta_n: float            # eta_T * eta_longitudinal
     residual: float         # relative gradient norm |H psi - mu psi| / mu
@@ -315,7 +313,7 @@ def _minimize(kinetic, V, w, geff, n_atoms, start, tolerance):
     operator takes from the start state's mean kinetic energy <T> and mean
     interaction potential <g psi^2>; each step follows the great circle
     through the direction, by an angle from a secant on the energy's slope.
-    Returns psi, e0, mu, the relative gradient norm |H psi - mu psi| / mu and
+    Returns psi, mu, the relative gradient norm |H psi - mu psi| / mu and
     the iteration count of every row.
 
     Every row keeps its own coefficients, trial angle and restarts, and each
@@ -345,7 +343,7 @@ def _minimize(kinetic, V, w, geff, n_atoms, start, tolerance):
         return np.vecdot(w * a, b, keepdims=True)
 
     rows = np.arange(len(start))  # the batch row of each active row
-    out_psi, e0, mu_out = np.empty(start.shape), np.empty(len(rows)), np.empty(len(rows))
+    out_psi, mu_out = np.empty(start.shape), np.empty(len(rows))
     residual_out, steps = np.empty(len(rows)), np.empty(len(rows), dtype=int)
     geff = geff[:, None]
     psi = start / np.sqrt(dot(start, start))
@@ -380,12 +378,11 @@ def _minimize(kinetic, V, w, geff, n_atoms, start, tolerance):
                 continue
             index = rows[done]
             out_psi[index] = psi[done]
-            e0[index] = np.vecdot(w_psi[done], linear[done])
             mu_out[index], residual_out[index], steps[index] = mu[done, 0], residual[done, 0], \
                 iteration
             keep = ~done
             if not keep.any():
-                return out_psi, e0, mu_out, residual_out, steps
+                return out_psi, mu_out, residual_out, steps
             rows, psi, linear, V, w, geff, per_length, mu, residual, gradient, w_psi, \
                 w_gradient = (a[keep] for a in (rows, psi, linear, V, w, geff, per_length, mu,
                                                 residual, gradient, w_psi, w_gradient))
@@ -468,7 +465,9 @@ def ground_states(geom: TrapGeometry, species: Species, n_list, grids,
     quantile lies below hbar omega_L.
     On radial grids the states with a node are restarted together from
     |psi|, and one that keeps its node raises ConvergenceError.  N = 1 turns
-    the interaction off and recovers the bare trap ground state.
+    the interaction off and recovers the bare trap ground state.  An atom
+    number that scaling.classify_regime labels full TF warns once: above N_T
+    the reduced equation's Gaussian transverse state no longer holds.
     """
     if len(n_list) == 0 or len(n_list) != len(grids):
         raise ValueError("need one grid per atom number, and at least one atom number")
@@ -487,7 +486,11 @@ def ground_states(geom: TrapGeometry, species: Species, n_list, grids,
     V = np.array([_potential(geom, grid.coordinates()) for grid in grids])
     start = np.empty(V.shape)
     for n, grid, v, row in zip(n_list, grids, V, start):
-        if classify_regime(geom, species.a11, n) != Regime.BARE:
+        regime = classify_regime(geom, species.a11, n)
+        if regime == Regime.FULL_TF:
+            warnings.warn(f"N = {n:.6g} is above N_T, where the transverse state is no longer "
+                          "the Gaussian that the reduced GP equation assumes", stacklevel=2)
+        if regime != Regime.BARE:
             profile = tf_profile(geom, species, n, Regime.INTERMEDIATE)
             if grid.extent < MIN_EXTENT_FACTOR * profile.r_tilde:
                 warnings.warn(f"N = {n:.6g}: grid extent is below {MIN_EXTENT_FACTOR}x the TF "
@@ -508,8 +511,8 @@ def ground_states(geom: TrapGeometry, species: Species, n_list, grids,
 
     w = np.array([grid.weights() for grid in grids])
     kinetic_operator = _SpectralKinetic if geom.d == 1 else _RadialKinetic
-    psi, e0, mu, residual, steps = _minimize(kinetic_operator(grids, geom.mass, hb), V, w,
-                                             geff, n_atoms, start, tolerance)
+    psi, mu, residual, steps = _minimize(kinetic_operator(grids, geom.mass, hb), V, w,
+                                         geff, n_atoms, start, tolerance)
     # on radial grids H = T + V + g psi^2 has negative off-diagonals, so its
     # lowest state has one sign: a state with a node is an excited stationary
     # state, which the minimizer leaves when restarted from |psi|.  The 1D
@@ -520,8 +523,8 @@ def ground_states(geom: TrapGeometry, species: Species, n_list, grids,
             again = _minimize(kinetic_operator([grids[i] for i in noded], geom.mass, hb),
                               V[noded], w[noded], geff[noded], n_atoms[noded],
                               np.abs(psi[noded]), tolerance)
-            psi[noded], e0[noded], mu[noded], residual[noded] = again[:4]
-            steps[noded] += again[4]
+            psi[noded], mu[noded], residual[noded] = again[:3]
+            steps[noded] += again[3]
             for i in noded:
                 share = _minority_share(psi[i], w[i])
                 if share > _NODE_SHARE:
@@ -529,7 +532,6 @@ def ground_states(geom: TrapGeometry, species: Species, n_list, grids,
                                            f"node ({share:.1e} of its norm has the minority "
                                            "sign), also when restarted from |psi|",
                                            residual=float(residual[i]))
-    mu_offset = geom.transverse_dimensions * hb * geom.omega_T / 2.0
     results = []
     for i, (n, grid) in enumerate(zip(n_list, grids)):
         if geom.d == 1:
@@ -541,9 +543,8 @@ def ground_states(geom: TrapGeometry, species: Species, n_list, grids,
         eta_l = float(np.sum(w[i] * psi[i]**4))
         results.append(GroundStateResult(
             field=Field(grid=grid, values=psi[i].astype(complex), n_atoms=n),
-            mu=float(mu[i]), mu_total=float(mu[i]) + mu_offset, e0=float(e0[i]),
-            eta_longitudinal=eta_l, eta_n=eta_t * eta_l, residual=float(residual[i]),
-            steps=int(steps[i])))
+            mu=float(mu[i]), eta_longitudinal=eta_l, eta_n=eta_t * eta_l,
+            residual=float(residual[i]), steps=int(steps[i])))
     return results
 
 

@@ -15,13 +15,11 @@ sqrt(2(d+3q)/d), so the phase-dispersion time tau_pd is closed form too.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .physconfig import (SI, Species, Superposition, TrapGeometry,
                          coupling_constant, differential_coupling)
-from .scaling import (UNIT_SPHERE_VOLUME, Regime, classify_regime,
-                      critical_numbers, eta_transverse)
+from .scaling import UNIT_SPHERE_VOLUME, Regime, critical_numbers, eta_transverse
 
 
 def j_integral(l: float, d: int, q: float) -> float:
@@ -81,20 +79,14 @@ def tf_profile(geom: TrapGeometry, species: Species, n_atoms: float,
                regime: Regime = Regime.INTERMEDIATE) -> TFProfile:
     """TF profile of the single-mode condensate (all atoms in state 1, a = a11).
 
-    regime must be Regime.INTERMEDIATE.  An atom number that classifies as bare
-    or full TF only warns, since the closed forms remain evaluable.
+    regime must be Regime.INTERMEDIATE.  The closed forms are evaluated at any
+    N > 1; whether they hold there is scaling.classify_regime's label.
     """
     if n_atoms <= 1:
         raise ValueError("need more than one atom for a mean-field profile")
     if regime != Regime.INTERMEDIATE:
         raise ValueError("TF profiles exist for the intermediate regime only")
-    a = species.a11
-    actual = classify_regime(geom, a, n_atoms)
-    if actual != regime:
-        warnings.warn(f"atom number {n_atoms:g} classifies as {actual.value}, "
-                      f"not the requested {regime.value}; TF validity is marginal",
-                      stacklevel=2)
-    r_tilde, mu, peak = _intermediate_pieces(geom, a, n_atoms)
+    r_tilde, mu, peak = _intermediate_pieces(geom, species.a11, n_atoms)
     eta_l = (j_integral(2.0, geom.d, geom.q) / j_integral(1.0, geom.d, geom.q)) * peak
     eta_t = eta_transverse(geom)
     return TFProfile(mu=mu, r_tilde=r_tilde, eta_L=eta_l, eta_T=eta_t,

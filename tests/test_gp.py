@@ -49,8 +49,6 @@ def test_ground_state_noninteracting_1d(geom_rb, rb87):
     eta_exact = 1.0 / (2.0 * math.sqrt(math.pi) * sigma)
     assert res.eta_longitudinal == pytest.approx(eta_exact, rel=1e-3)
     assert res.mu == pytest.approx(0.5 * HBAR * geom_rb.omega_L, rel=1e-3)
-    assert res.mu == res.e0  # no interaction energy
-    assert res.mu_total == pytest.approx(res.mu + HBAR * geom_rb.omega_T, rel=1e-12)
 
 
 def test_ground_state_noninteracting_3d(rb87):
@@ -112,6 +110,23 @@ def test_ground_state_errors_and_warnings(geom_rb, rb87, monkeypatch):
         gp.ground_state(geom_rb, rb87, n, small)
     with pytest.raises(ValueError):
         gp.ground_state(geom_rb, rb87, 100.0, gp.Grid(dimension=2, points=128, extent=1e-3))
+
+
+def test_full_tf_ground_state_warns_once_from_the_solver(rb87):
+    # r0 = 3 rho0 puts N_T near 1696; at 10 N_T the transverse state is no
+    # longer the Gaussian that the reduced equation assumes, and only the
+    # solver says so: the grid's TF radius and the TF start guess do not
+    geom = pc.trap_from_lengths(1, 2.0, 1.0 * pc.UM, 3.0 * pc.UM, rb87.mass)
+    n = 10.0 * sc.critical_numbers(geom, rb87.a11).n_upper
+    assert sc.classify_regime(geom, rb87.a11, n) == sc.Regime.FULL_TF
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = gp.ground_state(geom, rb87, n)
+    assert [(w.category, str(w.message)) for w in caught] == \
+        [(UserWarning, f"N = {n:.6g} is above N_T, where the transverse state is no longer "
+                       "the Gaussian that the reduced GP equation assumes")]
+    assert caught[0].filename == gp.__file__
+    assert res.residual < 1e-10
 
 
 def test_ground_state_pinned_solution(geom_rb, rb87):
@@ -334,7 +349,7 @@ def test_radial_ground_state_has_no_node(rb87, d, noded_energy):
     minority = min(np.sum(w * np.minimum(psi, 0.0)**2), np.sum(w * np.maximum(psi, 0.0)**2))
     assert minority / np.sum(w * psi**2) < 1e-12
     geff = pc.coupling_constant(rb87.a11, rb87.mass) * (n - 1.0) * sc.eta_transverse(geom)
-    assert res.e0 + 0.5 * geff * res.eta_longitudinal < 0.99 * noded_energy
+    assert res.mu - 0.5 * geff * res.eta_longitudinal < 0.99 * noded_energy
     assert res.residual < 1e-10
 
 
@@ -403,7 +418,7 @@ def test_ground_state_on_bound_kernels_matches_numpy_fft_bits(geom_rb, rb87, mon
     assert bound.steps == wrapped.steps
     assert bound.residual < 1e-10
     assert np.array_equal(bound.field.values, wrapped.field.values)
-    assert (bound.mu, bound.e0, bound.eta_n) == (wrapped.mu, wrapped.e0, wrapped.eta_n)
+    assert (bound.mu, bound.eta_n) == (wrapped.mu, wrapped.eta_n)
 
 
 def test_ground_states_name_the_atom_number(geom_rb, rb87, monkeypatch):
@@ -1014,10 +1029,15 @@ def test_loss_budget_values(geom_rb, rb87):
         gp.loss_budget(flat, geom_rb, 2000.0, sup)
 
 
-def test_loss_budget_builds_one_tf_profile(geom_rb, rb87):
-    # N = 2 classifies as bare in this trap, so each TF profile built for it
-    # warns once
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        gp.loss_budget(rb87, geom_rb, 2.0, pc.Superposition.equal())
-    assert sum("classifies as bare" in str(w.message) for w in caught) == 1
+def test_loss_budget_builds_one_tf_profile(geom_rb, rb87, monkeypatch):
+    # N = 2 classifies as bare in this trap; the profile is built all the same
+    builds = []
+
+    def spy(*args, **kwargs):
+        builds.append(args)
+        return profile(*args, **kwargs)
+
+    profile = tf.tf_profile
+    monkeypatch.setattr(tf, "tf_profile", spy)
+    gp.loss_budget(rb87, geom_rb, 2.0, pc.Superposition.equal())
+    assert len(builds) == 1

@@ -1,5 +1,7 @@
-"""The package runs on numpy alone: no module of scipy is imported, and
-importing the package itself loads neither numpy nor any of its own modules."""
+"""The package runs on numpy alone: no module of scipy is imported, the
+condensate command loads neither numpy.ma, numpy.random nor the spins module,
+and importing the package itself loads neither numpy nor any of its own
+modules."""
 
 import os
 import subprocess
@@ -80,6 +82,28 @@ def _last_line(script: str) -> str:
 
 def test_commands_run_without_scipy():
     assert _last_line(SCRIPT) == "ok"
+
+
+# The condensate command in an interpreter where scipy is importable: a
+# guarded `try: import scipy` would pass the blocked run above unseen.  Only
+# counting draws random numbers and only bounds simulates spins, so neither
+# numpy.random nor the spins module may load either.
+CONDENSATE_SCRIPT = r"""
+import os, sys, tempfile
+from becmetrology import cli
+
+with tempfile.TemporaryDirectory() as out:
+    path = os.path.join(out, "run.cfg")
+    with open(path, "w") as fh:
+        fh.write("[grid]\npoints = 128\n\n[sweep]\nn_over_nl = 100 316\n")
+    assert cli.main(["condensate", "--config", path, "--out", out]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m in
+             ("numpy.ma", "numpy.random", "becmetrology.spins")))
+"""
+
+
+def test_condensate_loads_no_scipy_numpy_ma_numpy_random_or_spins():
+    assert _last_line(CONDENSATE_SCRIPT) == "[]"
 
 
 def test_package_import_loads_no_submodule_and_no_numpy():

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import tf_closed_forms as closed_forms
+from becmetrology import gp
 from becmetrology import physconfig as pc
 from becmetrology import scaling as sc
 from becmetrology import thomas_fermi as tf
@@ -148,8 +149,12 @@ def test_tf_profile_intermediate(geom_1d, rb87):
 
 
 def test_tf_profile_warns_out_of_regime(geom_1d, rb87):
-    with pytest.warns(UserWarning):
+    """Below N_L tf_profile evaluates its closed forms without a warning; it
+    refuses only N <= 1 and a regime argument that is not intermediate."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         tf.tf_profile(geom_1d, rb87, 1.5, sc.Regime.INTERMEDIATE)  # below N_L
+    assert [str(w.message) for w in caught] == []
     with pytest.raises(ValueError):
         tf.tf_profile(geom_1d, rb87, 1.0)
     with pytest.raises(ValueError):
@@ -159,8 +164,11 @@ def test_tf_profile_warns_out_of_regime(geom_1d, rb87):
 
 
 def test_tf_profile_warns_where_the_regime_is_not_intermediate(geom_1d, rb87):
+    """The regime is scaling.classify_regime's label, recorded where it
+    matters; the closed forms warn nowhere, on either side of N_L and N_T."""
     crit = sc.critical_numbers(geom_1d, rb87.a11)
     inter = sc.Regime.INTERMEDIATE
+    sup = pc.Superposition.equal()
     for n, regime in ((crit.n_lower, sc.Regime.BARE),
                       (crit.n_lower * (1 + 1e-9), inter),
                       (crit.n_upper, inter),
@@ -169,7 +177,9 @@ def test_tf_profile_warns_where_the_regime_is_not_intermediate(geom_1d, rb87):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             tf.tf_profile(geom_1d, rb87, n)
-        assert len(caught) == (regime != inter), n
+            tf.phase_dynamics(geom_1d, rb87, n, sup)
+            gp.loss_budget(rb87, geom_1d, n, sup)
+        assert [str(w.message) for w in caught] == [], n
 
 
 def omega_tau_quadrature(d, q):
