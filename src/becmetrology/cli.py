@@ -18,7 +18,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import csvio, gp, scaling, thomas_fermi as tf
 from .physconfig import (CM3, NM, SPECIES_PRESETS, UM, Species, Superposition,
@@ -31,7 +31,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Fully resolved run parameters (defaults <- preset <- file <- flags)."""
+    """Fully resolved run parameters (defaults <- file)."""
 
     species_preset: str = "rb87"
     species: Species = field(default_factory=SPECIES_PRESETS["rb87"])
@@ -67,7 +67,7 @@ class RunConfig:
 # SPECIES_KEYS are written in its place.
 KEYS = (("species", "preset", "species_preset", 1.0),
         ("trap", "d", "trap_d", 1.0),
-        ("trap", "q", "trap_q", 1.0),  # also "hard" or "hard_wall" for inf
+        ("trap", "q", "trap_q", 1.0),  # also "hard" for inf
         ("trap", "rho0_um", "rho0", UM),
         ("trap", "r0_um", "r0", UM),
         ("grid", "points", "grid_points", 1.0),
@@ -122,9 +122,6 @@ def config_to_text(cfg: RunConfig) -> str:
     return "\n".join(lines[1:]) + "\n"
 
 
-_SEED_RULE = "seed must be nonnegative"  # numpy's generators take no negative seed
-
-
 def _finite(key: str, value):
     """Return value; a float in it that is nan or infinite is a configuration error,
     except inf for a hardness exponent, which is a hard wall."""
@@ -156,7 +153,7 @@ def config_from_text(text: str) -> RunConfig:
         for sec, key, attr, unit in KEYS:
             if cp.has_option(sec, key):
                 value = cp[sec][key]
-                if key == "q" and value.lower() in ("hard", "hard_wall"):
+                if key == "q" and value.lower() == "hard":
                     value = "inf"
                 setattr(cfg, attr, _finite(key, _parse(value, getattr(cfg, attr), unit)))
         inline = {attr: _finite(key, _parse(cp["species"][key], 0.0, unit))
@@ -194,7 +191,8 @@ def config_from_text(text: str) -> RunConfig:
                          (cfg.counting_n >= 1 and cfg.trials >= 2,
                           "counting_n must be at least 1 and trials at least 2"),
                          (cfg.gamma > 0 and cfg.t > 0, "gamma and t must be positive"),
-                         (cfg.seed >= 0, _SEED_RULE)):
+                         # numpy's generators take no negative seed
+                         (cfg.seed >= 0, "seed must be nonnegative")):
             if not ok:
                 raise ConfigError(f"invalid configuration value: {rule}")
     except ConfigError:
@@ -356,31 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", metavar="PATH", help="key-value configuration file")
     parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument("--preset", choices=sorted(SPECIES_PRESETS),
-                        help="species preset override")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        text = ""  # no file: every key takes its default
         if args.config:
             try:
                 with open(args.config) as fh:
                     text = fh.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read configuration: {exc}") from exc
-            cfg = config_from_text(text)
-        else:
-            cfg = RunConfig()
-        if args.preset:
-            cfg = replace(cfg, species_preset=args.preset,
-                          species=SPECIES_PRESETS[args.preset]())
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"invalid configuration value: {_SEED_RULE}")
-            cfg = replace(cfg, seed=args.seed)
+        cfg = config_from_text(text)
         out_dir = args.out
         try:
             os.makedirs(out_dir, exist_ok=True)

@@ -169,10 +169,6 @@ class TrapGeometry:
             raise ValueError("hardness exponent q must be >= 1 (or inf)")
         if self.rho0 <= 0 or self.r0 <= 0 or self.mass <= 0:
             raise ValueError("lengths and mass must be positive")
-        if self.r0 <= self.rho0:
-            warnings.warn(
-                "r0 <= rho0: the loose/tight trap separation assumed by the "
-                "scaling formulas is violated", stacklevel=3)
 
 
 def trap_from_lengths(d: int, q: float, rho0: float, r0: float,
@@ -189,5 +185,9 @@ def trap_from_lengths(d: int, q: float, rho0: float, r0: float,
     except ArithmeticError:  # r0^(q+2) under- or overflows
         raise ValueError(f"hardness exponent q = {q:g} is out of float range for "
                          f"r0 = {r0:g} m; use q = inf for a hard wall") from None
-    return TrapGeometry(d=d, q=float(q), rho0=rho0, r0=r0, mass=mass,
+    geom = TrapGeometry(d=d, q=float(q), rho0=rho0, r0=r0, mass=mass,
                         k=k, omega_T=omega_T, omega_L=omega_L)
+    if r0 <= rho0:
+        warnings.warn("r0 <= rho0: the loose/tight trap separation assumed by the "
+                      "scaling formulas is violated", stacklevel=2)
+    return geom

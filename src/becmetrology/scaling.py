@@ -103,18 +103,6 @@ def eta_estimate(geom: TrapGeometry, a: float, n_atoms: float) -> float:
     return eta_at_nt * ((n_atoms - 1.0) / (crit.n_upper - 1.0)) ** (-full_expo)
 
 
-def _as_fraction(q) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
-    if isinstance(q, int):
-        return Fraction(q)
-    if isinstance(q, float):
-        if math.isinf(q):
-            raise ValueError
-        return Fraction(q).limit_denominator(10**6)
-    raise TypeError(f"unsupported exponent type {type(q)!r}")
-
-
 def scaling_exponent(d: int, q, regime: Regime) -> Fraction:
     """Sensitivity exponent xi in delta-gamma ~ 1/N^xi, as an exact rational.
 
@@ -126,15 +114,13 @@ def scaling_exponent(d: int, q, regime: Regime) -> Fraction:
     if regime == Regime.BARE:
         return Fraction(3, 2)
     hard = isinstance(q, float) and math.isinf(q)
+    qf = None if hard else Fraction(q).limit_denominator(10**6)
     if regime == Regime.INTERMEDIATE:
-        if hard:
-            return Fraction(3, 2)
-        qf = _as_fraction(q)
-        return (d + 3 * qf) / (2 * (d + qf))
+        return Fraction(3, 2) if hard else (d + 3 * qf) / (2 * (d + qf))
     if regime == Regime.FULL_TF:
         if d == 3:
             raise ValueError("no full TF regime for d = 3")
-        two_d_over_q = Fraction(0) if hard else 2 * d / _as_fraction(q)
+        two_d_over_q = Fraction(0) if hard else 2 * d / qf
         return Fraction(3, 2) - (3 - d + two_d_over_q) / (5 - d + two_d_over_q)
     raise ValueError(f"unknown regime {regime!r}")
 

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import os
@@ -69,6 +70,7 @@ def test_output_files_get_the_mode_the_umask_allows(tmp_path, umask, mode):
 
 def test_config_roundtrip_idempotent():
     cfg = cli.RunConfig()
+    assert cli.config_from_text("") == cfg  # a run without a file resolves to the defaults
     text1 = cli.config_to_text(cfg)
     text2 = cli.config_to_text(cli.config_from_text(text1))
     assert text1 == text2
@@ -78,7 +80,7 @@ def test_config_roundtrip_idempotent():
     assert cli.config_to_text(cli.config_from_text(canon)) == canon
     parsed = cli.config_from_text(canon)
     assert parsed.trap_d == 2 and parsed.trap_q == 4.0 and parsed.t == 0.5
-    for hard in ("hard", "inf", "hard_wall"):
+    for hard in ("hard", "inf"):
         parsed = cli.config_from_text(f"[species]\npreset = rb87\n\n[trap]\nd = 1\nq = {hard}\n")
         assert parsed.trap().hard_wall and parsed.species.a11 == pytest.approx(5.31e-9)
         assert "q = inf" in cli.config_to_text(parsed)
@@ -189,7 +191,12 @@ def test_config_rejects_out_of_range_values(tmp_path, capsys, command, text):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(text)
     assert cli.main([command, "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
-    assert re.search(r"^configuration error: ", capsys.readouterr().err, re.M)
+    err = capsys.readouterr().err
+    assert re.search(r"^configuration error: ", err, re.M)
+    if text == "[protocol]\nseed = -3\n":  # numpy's generators take no negative seed
+        assert "configuration error: invalid configuration value: seed must be nonnegative" \
+            in err
+    assert no_outputs(tmp_path)
 
 
 @pytest.mark.parametrize("command, text", [
@@ -212,10 +219,20 @@ def test_config_rejects_nonfinite_values_at_parse_time(tmp_path, capsys, command
     assert not out.exists()  # rejected before the output directory is made
 
 
-def test_negative_seed_flag_is_a_configuration_error(tmp_path, capsys):
-    assert cli.main(["counting", "--seed", "-3", "--out", str(tmp_path)]) == 2
+def test_a_run_without_a_file_validates_the_defaults(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "RunConfig", functools.partial(cli.RunConfig, seed=-1))
+    assert cli.main(["counting", "--out", str(tmp_path)]) == 2
     assert "configuration error: invalid configuration value: seed must be nonnegative" \
         in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--preset", "typical"]])
+def test_settings_come_only_from_the_file(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["counting", "--out", str(tmp_path), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -280,8 +297,9 @@ def test_scaling_command(tmp_path):
 
 def test_counting_command(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("[sweep]\nsigma_over_sqrtn = 0 1\ncounting_n = 100\ntrials = 20000\n")
-    rc = cli.main(["counting", "--config", str(cfgfile), "--out", str(tmp_path), "--seed", "5"])
+    cfgfile.write_text("[sweep]\nsigma_over_sqrtn = 0 1\ncounting_n = 100\ntrials = 20000\n"
+                       "\n[protocol]\nseed = 5\n")
+    rc = cli.main(["counting", "--config", str(cfgfile), "--out", str(tmp_path)])
     assert rc == 0
     _, _, rows = read_csv(tmp_path / "counting.csv")
     quiet = [r for r in rows if float(r["sigma"]) == 0.0][0]
@@ -290,24 +308,21 @@ def test_counting_command(tmp_path):
     assert float(noisy["delta_gamma_analytic"]) == \
         pytest.approx(0.1 * math.sqrt(3.0), rel=1e-9)
     first = (tmp_path / "counting.csv").read_bytes()
-    assert cli.main(["counting", "--config", str(cfgfile), "--out", str(tmp_path),
-                     "--seed", "5"]) == 0
+    assert cli.main(["counting", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "counting.csv").read_bytes() == first  # same seed: same bytes
 
 
 def test_counting_header_reruns_the_same_bytes(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(INLINE + "\n[sweep]\nsigma_over_sqrtn = 0 1\ncounting_n = 100\n"
-                       "trials = 2000\n")
+                       "trials = 2000\n\n[protocol]\nseed = 11\n")
     first, second = tmp_path / "first", tmp_path / "second"
-    assert cli.main(["counting", "--config", str(cfgfile), "--out", str(first),
-                     "--seed", "11"]) == 0
+    assert cli.main(["counting", "--config", str(cfgfile), "--out", str(first)]) == 0
     header, _, _ = read_csv(first / "counting.csv")
     assert header[:2] == ["becmetrology counting", "resolved configuration:"]
     resolved = tmp_path / "resolved.cfg"
     resolved.write_text("\n".join(header[2:]) + "\n")
-    assert cli.main(["counting", "--config", str(resolved), "--out", str(second),
-                     "--seed", "11"]) == 0
+    assert cli.main(["counting", "--config", str(resolved), "--out", str(second)]) == 0
     for name in ("counting.csv", "counting_index.json"):
         assert (second / name).read_bytes() == (first / name).read_bytes()
 

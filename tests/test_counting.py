@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 import threading
@@ -178,6 +179,24 @@ def test_counting_csv_is_independent_of_the_cpu_count(monkeypatch, tmp_path):
         assert cli.main(["counting", "--out", str(out)]) == 0
         outputs.append((out / "counting.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_every_public_call_runs_on_the_calling_thread(monkeypatch):
+    # a per-layer tracer swaps each public function for a wrapper by module
+    # attribute and keeps one stack of open spans, so a public call made on a
+    # worker thread would break it
+    calls = []
+    for name, fn in list(vars(cnt).items()):
+        if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == cnt.__name__:
+            def recorded(*args, _fn=fn, _name=name, **kwargs):
+                calls.append((_name, threading.current_thread()))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cnt, name, recorded)
+    monkeypatch.setattr(cnt, "_available_cpus", lambda: 4)
+    cnt.simulate_counts(1.0, 100, [cnt.CountingNoise(0.0), cnt.CountingNoise(3.0)], 1.0,
+                        trials=4 * 20_000 + 5, seed=1)  # five chunks on four threads
+    assert {"simulate_counts", "ramsey_mean", "ramsey_slope"} <= {name for name, _ in calls}
+    assert {thread for _, thread in calls} == {threading.current_thread()}
 
 
 # With two CPUs the calling thread runs the even chunks and a worker the odd ones.

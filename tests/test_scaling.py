@@ -88,8 +88,9 @@ def test_eta_transverse(typical_geoms):
 
 def test_degenerate_lengths_warn_and_match():
     mass = pc.typical_species().mass
-    with pytest.warns(UserWarning, match="loose/tight"):
+    with pytest.warns(UserWarning, match="loose/tight") as record:
         geom = pc.trap_from_lengths(1, 2, 1e-6, 1e-6, mass)  # rho0 = r0
+    assert record[0].filename == __file__  # the warning names the caller's line
     crit = sc.critical_numbers(geom, 10e-9)
     assert crit.n_upper == pytest.approx(crit.n_lower, rel=1e-12)
 
