@@ -209,21 +209,19 @@ def config_from_text(text: str) -> RunConfig:
 def cmd_bounds(cfg: RunConfig) -> tuple[dict, dict]:
     from . import spins  # only this command simulates spins
 
-    qubit = spins.SpectrumBound(Lambda=0.5, lam=-0.5)
+    linear = spins.SpectrumBound(0.5, -0.5)
+    quadratic = spins.SpectrumBound(0.5, -0.5, k_body=2)
     rows = []
     for n in cfg.n_values:
-        lin = spins.crb_linear(qubit, n, cfg.t)
-        for result in (spins.simulate_ramsey(n, cfg.gamma, cfg.t),
-                       spins.simulate_cat(n, cfg.gamma, cfg.t),
-                       spins.simulate_enhanced(n, cfg.gamma, cfg.t)):
-            rows.append((result.protocol, n, result.t, cfg.gamma, result.delta_gamma,
-                         lin.heisenberg, lin.qnl, result.purity))
         # quadratic protocol in its short-time window gamma*t*N <= 0.1
         tq = 0.1 / (cfg.gamma * n)
-        quad = spins.simulate_quadratic(n, cfg.gamma, tq)
-        nl = spins.crb_nonlinear(spins.SpectrumBound(0.5, -0.5, k_body=2), n, tq)
-        rows.append((quad.protocol, n, tq, cfg.gamma, quad.delta_gamma,
-                     nl.crb, nl.product_state_reference, quad.purity))
+        for result, coupling in ((spins.simulate_ramsey(n, cfg.gamma, cfg.t), linear),
+                                 (spins.simulate_cat(n, cfg.gamma, cfg.t), linear),
+                                 (spins.simulate_enhanced(n, cfg.gamma, cfg.t), linear),
+                                 (spins.simulate_quadratic(n, cfg.gamma, tq), quadratic)):
+            bound = spins.cramer_rao(coupling, n, result.t)
+            rows.append((result.protocol, n, result.t, cfg.gamma, result.delta_gamma,
+                         bound.crb, bound.product_state_reference, result.purity))
     # time trace of the quadratic protocol: sensitivity and entanglement witness
     n_trace = max(cfg.n_values)
     t_grid = [x * 2.0 / (cfg.gamma * n_trace) / 24 for x in range(1, 25)]

@@ -39,7 +39,8 @@ from numpy.fft._pocketfft_umath import (fft as _fft, ifft as _ifft, irfft as _ir
                                         rfft_n_even as _rfft_n_even,
                                         rfft_n_odd as _rfft_n_odd)
 
-from .physconfig import SI, Species, Superposition, TrapGeometry, coupling_constant
+from .physconfig import (SI, Species, Superposition, TrapGeometry, check_trap_mass,
+                         coupling_constant)
 from .scaling import Regime, classify_regime, eta_transverse, unit_sphere_area
 from .thomas_fermi import PhaseDynamics, phase_dynamics, tf_profile
 
@@ -54,9 +55,9 @@ class ConvergenceError(RuntimeError):
 
 class StepSizeError(ValueError):
     """A two-mode run that cannot be trusted at its step count: a start field
-    its grid does not resolve, final fields at a split-step resonance, an
-    explicit count below the 0.1-rad guard, or a step ladder that meets no
-    tolerance below its cap."""
+    its grid does not resolve, final fields at a split-step resonance, a
+    lossless run whose norms drift by more than 1e-6, an explicit count below
+    the 0.1-rad guard, or a step ladder that meets no tolerance below its cap."""
 
 
 @dataclass(frozen=True)
@@ -467,8 +468,10 @@ def ground_states(geom: TrapGeometry, species: Species, n_list, grids,
     |psi|, and one that keeps its node raises ConvergenceError.  N = 1 turns
     the interaction off and recovers the bare trap ground state.  An atom
     number that scaling.classify_regime labels full TF warns once: above N_T
-    the reduced equation's Gaussian transverse state no longer holds.
+    the reduced equation's Gaussian transverse state no longer holds.  A trap
+    built for another mass than the species' raises ValueError.
     """
+    check_trap_mass(geom, species)
     if len(n_list) == 0 or len(n_list) != len(grids):
         raise ValueError("need one grid per atom number, and at least one atom number")
     if len({(grid.dimension, grid.points) for grid in grids}) != 1:
@@ -644,11 +647,13 @@ class EvolutionRecord:
     points: int           # grid points the fields were evolved on
 
 
-def _two_mode_field(initial: GroundStateResult | Field, geom: TrapGeometry,
-                    t_final: float) -> Field:
+def _two_mode_field(initial: GroundStateResult | Field, species: Species,
+                    geom: TrapGeometry, t_final: float) -> Field:
     """initial's field, after the checks that both two-mode entry points make
     once per call: a start field past the _SPECTRAL_TAIL rule on its own grid,
-    which no step count evolves, raises StepSizeError before any run."""
+    which no step count evolves, raises StepSizeError before any run, and a
+    trap built for another mass than the species' raises ValueError."""
+    check_trap_mass(geom, species)
     field = initial.field if isinstance(initial, GroundStateResult) else initial
     if field.grid.dimension != 1 or geom.d != 1:
         raise ValueError("two-mode evolution is implemented for 1D longitudinal grids")
@@ -709,7 +714,7 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     band, the mark of a split-step resonance there (Weideman & Herbst 1986);
     record_every < 1 raises ValueError.
     """
-    field = _two_mode_field(initial, geom, t_final)
+    field = _two_mode_field(initial, species, geom, t_final)
     if steps < 1:
         raise ValueError("need at least one step")
     if record_every < 1:
@@ -734,22 +739,23 @@ def evolve_two_mode_to_tolerance(initial: GroundStateResult | Field, sup: Superp
     |overlap| over the records the two runs share: 51 for S = 100, 101 from
     S = 200.  Each rung's run is the next rung's coarse run, and a 50-step
     run is the first rung's.  The first S whose estimate is at most
-    TWO_MODE_TOLERANCE is kept, with no 0.1-rad guard.  A run that ends
-    near a split-step resonance, the only StepSizeError a run raises, has no
-    estimate, and the ladder goes on to 2S.  The S-step run records every
-    (S / 100)-th step, 101 states.  Returns that record, S and the estimate.
-    An under-resolved start field raises StepSizeError before any run
-    (_two_mode_field), and so does a ladder past _MAX_TWO_MODE_STEPS.
+    TWO_MODE_TOLERANCE is kept, with no 0.1-rad guard.  A run that raises
+    StepSizeError, because it ends near a split-step resonance or its norms
+    drift, has no estimate, and the ladder goes on to 2S.  The S-step run
+    records every (S / 100)-th step, 101 states.  Returns that record, S and
+    the estimate.  An under-resolved start field raises StepSizeError before
+    any run (_two_mode_field), and so does a ladder past _MAX_TWO_MODE_STEPS,
+    naming the last failure of a run if there was one.
     """
-    field = _two_mode_field(initial, geom, t_final)
-    coarse, error = None, math.nan
+    field = _two_mode_field(initial, species, geom, t_final)
+    coarse, error, failure = None, math.nan, None
     steps = _FIRST_TWO_MODE_STEPS // 2
     while steps <= _MAX_TWO_MODE_STEPS:
         try:
             record = _evolve_two_mode(field, sup, species, geom, t_final, steps, False,
                                       max(1, steps // _FIRST_TWO_MODE_STEPS))
-        except StepSizeError:
-            record = None
+        except StepSizeError as exc:
+            record, failure = None, exc
         if record is not None and coarse is not None:
             # the S-step run's records at the coarse run's times
             shared = record.overlap[::(record.overlap.size - 1) // (coarse.overlap.size - 1)]
@@ -757,8 +763,10 @@ def evolve_two_mode_to_tolerance(initial: GroundStateResult | Field, sup: Superp
             if error <= TWO_MODE_TOLERANCE:
                 return record, steps, error
         coarse, steps = record, 2 * steps
-    last = "no pair ran clear of a resonance" if math.isnan(error) else \
+    last = "no pair of runs gave an estimate" if math.isnan(error) else \
         f"last estimate {error:.1e}"
+    if failure is not None:
+        last += f"; last failure: {failure}"
     raise StepSizeError(f"no step count up to {_MAX_TWO_MODE_STEPS} brings the two-mode "
                         f"splitting error within {TWO_MODE_TOLERANCE:.0e} ({last})")
 
@@ -767,7 +775,7 @@ def _evolve_two_mode(field: Field, sup: Superposition, species: Species,
                      geom: TrapGeometry, t_final: float, steps: int, loss: bool,
                      record_every: int) -> EvolutionRecord:
     """The split-step loop of evolve_two_mode on a field _two_mode_field has
-    checked: resonance (its only StepSizeError) and norm-drift checks, no guard."""
+    checked: resonance and norm-drift checks, each a StepSizeError, no guard."""
     grid, n_atoms = field.grid, field.n_atoms
     hb, mass = SI.hbar, geom.mass
     # the fields evolve on the fewest points that hold the start field's band,
@@ -884,7 +892,7 @@ def _evolve_two_mode(field: Field, sup: Superposition, species: Species,
     if not loss:
         drift = float(np.max(np.abs(norms - 1.0)))
         if drift > 1e-6:
-            raise RuntimeError(f"lossless evolution is unstable: norm drift {drift:.3e}")
+            raise StepSizeError(f"lossless evolution is unstable: norm drift {drift:.3e}")
     norm1, norm2 = norms.T
     mean = 0.5 * (weights[0] * norm1 + weights[1] * norm2)
     fringe = 2.0 * sup.c1 * sup.c2 * overlaps.imag

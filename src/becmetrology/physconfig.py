@@ -171,6 +171,14 @@ class TrapGeometry:
             raise ValueError("lengths and mass must be positive")
 
 
+def check_trap_mass(geom: TrapGeometry, species: Species) -> None:
+    """Raise ValueError unless geom was built for species' mass: the solvers'
+    kinetic terms read geom.mass and the couplings read species.mass."""
+    if geom.mass != species.mass:
+        raise ValueError(f"the trap was built for a mass of {geom.mass:.6g} kg, not the "
+                         f"species' {species.mass:.6g} kg")
+
+
 def trap_from_lengths(d: int, q: float, rho0: float, r0: float,
                       mass: float) -> TrapGeometry:
     """Build a TrapGeometry from its two bare half-widths.

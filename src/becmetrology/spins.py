@@ -4,8 +4,8 @@ N symmetric qubits live in the (N+1)-dimensional ladder of collective J_z
 eigenvalues m = -N/2 ... N/2, which makes exact simulation cheap out to very
 large N.  Everything here works directly on that amplitude vector: state
 preparation, diagonal evolutions, moments, the generator spread (a pure
-state's quantum Fisher information is 4 <Delta^2 K>), and the Cramer-Rao /
-quantum-noise-limit / Heisenberg bounds.
+state's quantum Fisher information is 4 <Delta^2 K>), and the Cramer-Rao bound
+of a k-body coupling, whose k = 1 case is the Heisenberg limit.
 
 The simulated protocols read out in the Heisenberg picture: a closing
 rotation is folded into the measured observable (J_z after R_y(-pi/2) is
@@ -116,8 +116,7 @@ def _raising_coefficients(n_atoms: int) -> np.ndarray:
 
 
 def _apply_component(values: np.ndarray, n_atoms: int, component: str) -> np.ndarray:
-    if component == "z":
-        return (np.arange(n_atoms + 1) - n_atoms / 2.0) * values
+    """J_x or J_y applied to an amplitude vector; J_z is the linear generator's diagonal."""
     if component not in ("x", "y"):
         raise ValueError(f"unknown spin component {component!r}")
     c = _raising_coefficients(n_atoms)
@@ -125,11 +124,6 @@ def _apply_component(values: np.ndarray, n_atoms: int, component: str) -> np.nda
     up[1:] = c * values[:-1]
     dn[:-1] = c * values[1:]
     return 0.5 * (up + dn) if component == "x" else (up - dn) / 2.0j
-
-
-def _spread(p: np.ndarray, h: np.ndarray) -> float:
-    """Two-pass variance sum p (h - <h>)^2 of a diagonal generator."""
-    return float(np.dot(p, (h - np.dot(p, h)) ** 2))
 
 
 def _moments(values: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
@@ -164,39 +158,20 @@ def single_qubit_purity(state: DickeState) -> float:
 # --- closed-form bounds ---------------------------------------------------
 
 @dataclass(frozen=True)
-class LinearBounds:
-    heisenberg: float
-    qnl: float
-
-
-def crb_linear(bound: SpectrumBound, n_atoms: int, t: float) -> LinearBounds:
-    """Heisenberg bound 1/(t N (Lambda-lam)) and quantum noise limit 1/(t sqrt(N) (Lambda-lam))."""
-    if t <= 0:
-        raise ValueError("time must be positive")
-    if bound.k_body != 1:
-        raise ValueError("linear bound needs k_body = 1")
-    width = bound.Lambda - bound.lam
-    if width == 0.0:
-        raise ValueError("degenerate spectrum: the generator is trivial and the "
-                         "sensitivity is unbounded")
-    return LinearBounds(heisenberg=1.0 / (t * n_atoms * width),
-                        qnl=1.0 / (t * math.sqrt(n_atoms) * width))
-
-
-@dataclass(frozen=True)
-class NonlinearBound:
+class CramerRaoBound:
     crb: float
     product_state_reference: float
     norm: float
 
 
-def crb_nonlinear(bound: SpectrumBound, n_atoms: int, t: float) -> NonlinearBound:
-    """Cramer-Rao bound for a k-body coupling (sum of per-qubit couplings)^k.
+def cramer_rao(bound: SpectrumBound, n_atoms: int, t: float) -> CramerRaoBound:
+    """Cramer-Rao bound 1/(t ||h||) for a k-body coupling (sum of per-qubit couplings)^k.
 
-    The seminorm of the generator is the spread of s^k over s in
+    The seminorm ||h|| of the generator is the spread of s^k over s in
     [N lam, N Lambda]; if the interval straddles zero and k is even the
-    minimum is 0.  Also reports the product-state scaling reference
-    1/(t N^(k-1/2)).
+    minimum is 0.  Also reports the product-state reference
+    1/(t N^(k-1/2) (Lambda-lam)^k).  At k = 1 these are the Heisenberg limit
+    1/(t N (Lambda-lam)) and the quantum noise limit 1/(t sqrt(N) (Lambda-lam)).
     """
     if t <= 0:
         raise ValueError("time must be positive")
@@ -208,8 +183,10 @@ def crb_nonlinear(bound: SpectrumBound, n_atoms: int, t: float) -> NonlinearBoun
     if norm == 0.0:
         raise ValueError("degenerate spectrum: the generator is trivial and the "
                          "sensitivity is unbounded")
-    return NonlinearBound(crb=1.0 / (t * norm),
-                          product_state_reference=1.0 / (t * n_atoms ** (bound.k_body - 0.5)),
+    width = bound.Lambda - bound.lam
+    return CramerRaoBound(crb=1.0 / (t * norm),
+                          product_state_reference=1.0 / (t * n_atoms ** (bound.k_body - 0.5)
+                                                         * width**bound.k_body),
                           norm=norm)
 
 
@@ -248,7 +225,7 @@ def _simulate(protocol: str, state: DickeState, kind: HamiltonianKind, gamma: fl
     return ProtocolResult(protocol=protocol, n_atoms=state.n_atoms, gamma=gamma, t=t,
                           delta_gamma=delta, signal_mean=mean, signal_variance=var,
                           signal_slope=slope, purity=single_qubit_purity(evolved),
-                          generator_sd=t * math.sqrt(_spread(np.abs(psi) ** 2, h)))
+                          generator_sd=t * math.sqrt(_moments(psi, h * psi)[1]))
 
 
 def _extremal_coherence(values: np.ndarray) -> np.ndarray:
@@ -275,11 +252,10 @@ def simulate_cat(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
     return _simulate("cat", cat_state(n_atoms), "linear_Jz", gamma, t, _extremal_coherence)
 
 
-def simulate_enhanced(n_atoms: int, gamma: float, t: float,
-                      sup: Superposition = Superposition.equal()) -> ProtocolResult:
+def simulate_enhanced(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
     """Product-state protocol driven by the N-amplified linear coupling."""
-    return _simulate("enhanced", prepare_product(n_atoms, sup), "enhanced_NJz", gamma, t,
-                     lambda v: _apply_component(v, n_atoms, "x"))
+    return _simulate("enhanced", prepare_product(n_atoms, Superposition.equal()),
+                     "enhanced_NJz", gamma, t, lambda v: _apply_component(v, n_atoms, "x"))
 
 
 def _quadratic_trace(n_atoms: int, gamma: float,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .physconfig import (SI, Species, Superposition, TrapGeometry,
+from .physconfig import (SI, Species, Superposition, TrapGeometry, check_trap_mass,
                          coupling_constant, differential_coupling)
 from .scaling import UNIT_SPHERE_VOLUME, Regime, critical_numbers, eta_transverse
 
@@ -80,8 +80,10 @@ def tf_profile(geom: TrapGeometry, species: Species, n_atoms: float,
     """TF profile of the single-mode condensate (all atoms in state 1, a = a11).
 
     regime must be Regime.INTERMEDIATE.  The closed forms are evaluated at any
-    N > 1; whether they hold there is scaling.classify_regime's label.
+    N > 1; whether they hold there is scaling.classify_regime's label.  A trap
+    built for another mass than the species' raises ValueError.
     """
+    check_trap_mass(geom, species)
     if n_atoms <= 1:
         raise ValueError("need more than one atom for a mean-field profile")
     if regime != Regime.INTERMEDIATE:

@@ -312,14 +312,14 @@ def test_acceptance_9_cross_cutting():
     for n in (2, 10, 100):
         for gamma_t in (0.5, 1.1):
             configs.append((spins.simulate_ramsey(n, gamma_t, 1.0),
-                            spins.crb_linear(qubit, n, 1.0).heisenberg))
+                            spins.cramer_rao(qubit, n, 1.0).crb))
             configs.append((spins.simulate_cat(n, gamma_t, 1.0),
-                            spins.crb_linear(qubit, n, 1.0).heisenberg))
+                            spins.cramer_rao(qubit, n, 1.0).crb))
             configs.append((spins.simulate_enhanced(n, gamma_t, 1.0),
                             1.0 / (1.0 * n * n)))  # seminorm of the amplified coupling
     for n in (10, 100):
         for t in (0.05 / n, 0.1 / n, 2.0 / n):
-            nl = spins.crb_nonlinear(spins.SpectrumBound(0.5, -0.5, k_body=2), n, t)
+            nl = spins.cramer_rao(spins.SpectrumBound(0.5, -0.5, k_body=2), n, t)
             configs.append((spins.simulate_quadratic(n, 1.0, t), nl.crb))
     for result, bound in configs:
         if math.isinf(result.delta_gamma):

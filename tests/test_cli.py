@@ -444,6 +444,18 @@ def test_two_mode_step_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert no_outputs(tmp_path)  # not even eta_sweep.csv, computed before the ladder ran
 
 
+def test_two_mode_norm_drift_exit_code(tmp_path, monkeypatch, capsys):
+    # a lossless run whose norms drift is a StepSizeError, which exits 3
+    ifft = gp._ifft
+    monkeypatch.setattr(gp, "_ifft", lambda a, fct, out: ifft(a, fct * (1.0 + 1e-6), out))
+    monkeypatch.setattr(gp, "_MAX_TWO_MODE_STEPS", 200)
+    assert cli.main(["condensate", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "two-mode evolution failed: no step count up to 200" in err
+    assert "norm drift" in err
+    assert no_outputs(tmp_path)
+
+
 SMALL = ("[grid]\npoints = 256\n\n[sweep]\nn_values = 8 16\nn_over_nl = 100 180\n"
          "counting_n = 100\ntrials = 2000\n")
 

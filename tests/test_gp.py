@@ -547,6 +547,53 @@ def test_two_mode_ladder_past_its_cap_raises(monkeypatch):
         gp.evolve_two_mode_to_tolerance(ground, sup, species, geom, t_final)
 
 
+def _drifting_ifft(monkeypatch):
+    """Make every inverse FFT of the two-mode loop scale its output by 1 + 1e-6."""
+    ifft = gp._ifft
+    monkeypatch.setattr(gp, "_ifft", lambda a, fct, out: ifft(a, fct * (1.0 + 1e-6), out))
+
+
+def test_two_mode_norm_drift_is_a_step_size_error(geom_rb, rb87, moving_state, monkeypatch):
+    field, mu = moving_state
+    sup, t_final = pc.Superposition.equal(), 8 * 0.05 * HBAR / mu
+    _drifting_ifft(monkeypatch)
+    with pytest.raises(gp.StepSizeError, match="norm drift"):
+        gp.evolve_two_mode(field, sup, rb87, geom_rb, t_final, 8)
+    # the ladder goes on past a drifting run and names the last failure
+    runs = []
+
+    def counted(*args):
+        runs.append(args[5])
+        return evolve(*args)
+
+    evolve = gp._evolve_two_mode
+    monkeypatch.setattr(gp, "_evolve_two_mode", counted)
+    monkeypatch.setattr(gp, "_MAX_TWO_MODE_STEPS", 200)
+    with pytest.raises(gp.StepSizeError, match=r"no step count up to 200 .*no pair of runs "
+                       r"gave an estimate; last failure: lossless evolution is unstable: "
+                       r"norm drift"):
+        gp.evolve_two_mode_to_tolerance(field, sup, rb87, geom_rb, t_final)
+    assert runs == [50, 100, 200]
+
+
+def test_a_trap_built_for_another_mass_is_rejected(geom_rb, rb87, tf_state):
+    # the kinetic terms read the trap's mass and the couplings the species':
+    # in a trap built for twice the species' mass, the ground state's eta_N
+    # came out 20.7% below tf_profile's, with no error
+    heavy = pc.trap_from_lengths(1, 2, 1e-6, 100e-6, 2.0 * rb87.mass)
+    n, ground = tf_state
+    sup = pc.Superposition.equal()
+    for call in (lambda: tf.tf_profile(heavy, rb87, n),
+                 lambda: tf.phase_dynamics(heavy, rb87, n, sup),
+                 lambda: gp.default_grid(heavy, rb87, n),
+                 lambda: gp.ground_states(heavy, rb87, [n], [ground.field.grid]),
+                 lambda: gp.loss_budget(rb87, heavy, n, sup),
+                 lambda: gp.evolve_two_mode(ground, sup, rb87, heavy, 1e-3, 100),
+                 lambda: gp.evolve_two_mode_to_tolerance(ground, sup, rb87, heavy, 1e-3)):
+        with pytest.raises(ValueError, match="trap was built for a mass of"):
+            call()
+
+
 def test_two_mode_overlap_matches_gaussian_model(geom_rb, rb87, tf_state):
     n, ground = tf_state
     sup = pc.Superposition.equal()

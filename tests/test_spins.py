@@ -145,13 +145,15 @@ QUBIT = spins.SpectrumBound(0.5, -0.5)
 
 
 def test_ramsey_uncertainty_and_signal():
-    assert spins.crb_linear(QUBIT, 100, 1.0).qnl == pytest.approx(0.1, rel=1e-14)
-    assert spins.crb_linear(QUBIT, 1, 2.0).qnl == pytest.approx(0.5, rel=1e-14)
+    assert spins.cramer_rao(QUBIT, 100, 1.0).product_state_reference == \
+        pytest.approx(0.1, rel=1e-14)
+    assert spins.cramer_rao(QUBIT, 1, 2.0).product_state_reference == \
+        pytest.approx(0.5, rel=1e-14)
     res = spins.simulate_ramsey(10, 0.7, 1.0)
     assert res.signal_mean == pytest.approx(5 * math.cos(0.7))
     assert res.signal_variance == pytest.approx(2.5 * math.sin(0.7) ** 2)
     with pytest.raises(ValueError):
-        spins.crb_linear(QUBIT, 10, 0.0)
+        spins.cramer_rao(QUBIT, 10, 0.0)
 
 
 @pytest.mark.parametrize("n", [2, 10, 100])
@@ -166,12 +168,13 @@ def test_simulated_ramsey_matches_formula(n):
 
 
 def test_cat_uncertainty_and_signal():
-    assert spins.crb_linear(QUBIT, 100, 1.0).heisenberg == pytest.approx(0.01, rel=1e-14)
+    assert spins.cramer_rao(QUBIT, 100, 1.0).crb == pytest.approx(0.01, rel=1e-14)
     res = spins.simulate_cat(8, 0.3, 1.0)
     assert res.signal_mean == pytest.approx(math.cos(2.4))
     assert res.signal_variance == pytest.approx(math.sin(2.4) ** 2)
     # N = 1 cat is just an equatorial qubit
-    assert spins.crb_linear(QUBIT, 1, 1.0).heisenberg == spins.crb_linear(QUBIT, 1, 1.0).qnl
+    one = spins.cramer_rao(QUBIT, 1, 1.0)
+    assert one.crb == one.product_state_reference
 
 
 @pytest.mark.parametrize("n", [3, 8, 20])
@@ -192,7 +195,7 @@ def test_qfi_pure():
     cat = spins.cat_state(30)
     assert oracle.qfi_pure(cat.amplitudes, lin, 1.0) == pytest.approx(900.0, rel=1e-12)
     assert 1.0 / math.sqrt(oracle.qfi_pure(cat.amplitudes, lin, 2.0)) == \
-        pytest.approx(spins.crb_linear(QUBIT, 30, 2.0).heisenberg, rel=1e-12)
+        pytest.approx(spins.cramer_rao(QUBIT, 30, 2.0).crb, rel=1e-12)
     # a protocol's generator spread is half the root QFI of its input state
     assert 2.0 * spins.simulate_cat(30, 0.4, 2.0).generator_sd == \
         pytest.approx(math.sqrt(oracle.qfi_pure(cat.amplitudes, lin, 2.0)), rel=1e-12)
@@ -241,16 +244,16 @@ def test_classical_fisher_bounded_by_qfi():
 
 def test_crb_linear():
     qubit = spins.SpectrumBound(0.5, -0.5)
-    bounds = spins.crb_linear(qubit, 100, 1.0)
-    assert bounds.heisenberg == pytest.approx(0.01, rel=1e-14)
-    assert bounds.qnl == pytest.approx(0.1, rel=1e-14)
-    b1 = spins.crb_linear(qubit, 1, 1.0)
-    assert b1.heisenberg == b1.qnl
+    bounds = spins.cramer_rao(qubit, 100, 1.0)
+    assert bounds.crb == pytest.approx(0.01, rel=1e-14)
+    assert bounds.product_state_reference == pytest.approx(0.1, rel=1e-14)
+    b1 = spins.cramer_rao(qubit, 1, 1.0)
+    assert b1.crb == b1.product_state_reference
     for n in (4, 32, 500):
-        assert spins.crb_linear(qubit, 2 * n, 1.0).heisenberg == \
-            pytest.approx(0.5 * spins.crb_linear(qubit, n, 1.0).heisenberg, rel=1e-14)
+        assert spins.cramer_rao(qubit, 2 * n, 1.0).crb == \
+            pytest.approx(0.5 * spins.cramer_rao(qubit, n, 1.0).crb, rel=1e-14)
     with pytest.raises(ValueError):
-        spins.crb_linear(spins.SpectrumBound(1.0, 1.0), 10, 1.0)
+        spins.cramer_rao(spins.SpectrumBound(1.0, 1.0), 10, 1.0)
 
 
 def brute_force_norm(lam, Lam, k, n):
@@ -260,20 +263,18 @@ def brute_force_norm(lam, Lam, k, n):
 
 def test_crb_nonlinear():
     b = spins.SpectrumBound(1.0, 0.5, k_body=2)
-    res = spins.crb_nonlinear(b, 10, 1.0)
+    res = spins.cramer_rao(b, 10, 1.0)
     assert res.norm == pytest.approx(75.0, rel=1e-14)
     assert res.crb == pytest.approx(1.0 / 75.0, rel=1e-14)
-    # k = 1 reduces to the linear Cramer-Rao bound
-    lin = spins.crb_linear(spins.SpectrumBound(1.0, 0.5), 10, 1.0)
-    assert spins.crb_nonlinear(spins.SpectrumBound(1.0, 0.5), 10, 1.0).crb == \
-        pytest.approx(lin.heisenberg, rel=1e-14)
+    # product states reach 1/(t N^(k-1/2) (Lambda-lam)^k)
+    assert res.product_state_reference == pytest.approx(1.0 / (10**1.5 * 0.5**2), rel=1e-14)
     # sign-straddling interval with even power: minimum is zero
     qubit2 = spins.SpectrumBound(0.5, -0.5, k_body=2)
-    res = spins.crb_nonlinear(qubit2, 10, 1.0)
+    res = spins.cramer_rao(qubit2, 10, 1.0)
     assert res.norm == pytest.approx(25.0, rel=1e-14)
     assert res.crb == pytest.approx(4.0 / 100.0 / 1.0**2, rel=1e-14)
     for bound in (b, qubit2, spins.SpectrumBound(-0.2, -1.0, k_body=3)):
-        assert spins.crb_nonlinear(bound, 7, 1.0).norm == pytest.approx(
+        assert spins.cramer_rao(bound, 7, 1.0).norm == pytest.approx(
             brute_force_norm(bound.lam, bound.Lambda, bound.k_body, 7), rel=1e-8)
 
 
@@ -393,10 +394,10 @@ def test_mandelstam_tamm_and_crb_ordering():
     qubit = spins.SpectrumBound(0.5, -0.5)
     for n in (2, 16, 128):
         for res, bound in [
-            (spins.simulate_ramsey(n, 0.9, 1.0), spins.crb_linear(qubit, n, 1.0).heisenberg),
-            (spins.simulate_cat(n, 0.9, 1.0), spins.crb_linear(qubit, n, 1.0).heisenberg),
+            (spins.simulate_ramsey(n, 0.9, 1.0), spins.cramer_rao(qubit, n, 1.0).crb),
+            (spins.simulate_cat(n, 0.9, 1.0), spins.cramer_rao(qubit, n, 1.0).crb),
             (spins.simulate_quadratic(n, 1.0, 0.05 / n),
-             spins.crb_nonlinear(spins.SpectrumBound(0.5, -0.5, k_body=2), n, 0.05 / n).crb),
+             spins.cramer_rao(spins.SpectrumBound(0.5, -0.5, k_body=2), n, 0.05 / n).crb),
         ]:
             assert res.delta_gamma >= bound - 1e-9
             assert res.delta_gamma * res.generator_sd >= 0.5 - 1e-9

@@ -27,8 +27,10 @@ def test_heisenberg_readout_matches_rotated_state(n, phase, t, angle, enhanced):
     scale = n if enhanced else 1
     gamma = phase / (t * scale)
     if enhanced:
+        # simulate_enhanced's pipeline on any product state, not only the equal one
         kind, sup = "enhanced_NJz", Superposition(math.cos(angle), math.sin(angle))
-        res = spins.simulate_enhanced(n, gamma, t, sup)
+        res = spins._simulate("enhanced", spins.prepare_product(n, sup), kind, gamma, t,
+                              lambda v: spins._apply_component(v, n, "x"))
     else:
         kind, sup = "linear_Jz", Superposition.equal()
         res = spins.simulate_ramsey(n, gamma, t)
