@@ -209,17 +209,18 @@ def config_from_text(text: str) -> RunConfig:
 def cmd_bounds(cfg: RunConfig) -> tuple[dict, dict]:
     from . import spins  # only this command simulates spins
 
-    linear = spins.SpectrumBound(0.5, -0.5)
-    quadratic = spins.SpectrumBound(0.5, -0.5, k_body=2)
+    qubit = spins.SpectrumBound(0.5, -0.5)
+    pair = spins.SpectrumBound(0.5, -0.5, k_body=2)
     rows = []
     for n in cfg.n_values:
+        linear = spins.cramer_rao(qubit, n, cfg.t)
         # quadratic protocol in its short-time window gamma*t*N <= 0.1
         tq = 0.1 / (cfg.gamma * n)
-        for result, coupling in ((spins.simulate_ramsey(n, cfg.gamma, cfg.t), linear),
-                                 (spins.simulate_cat(n, cfg.gamma, cfg.t), linear),
-                                 (spins.simulate_enhanced(n, cfg.gamma, cfg.t), linear),
-                                 (spins.simulate_quadratic(n, cfg.gamma, tq), quadratic)):
-            bound = spins.cramer_rao(coupling, n, result.t)
+        for result, bound in ((spins.simulate_ramsey(n, cfg.gamma, cfg.t), linear),
+                              (spins.simulate_cat(n, cfg.gamma, cfg.t), linear),
+                              (spins.simulate_enhanced(n, cfg.gamma, cfg.t), linear),
+                              (spins.simulate_quadratic(n, cfg.gamma, tq),
+                               spins.cramer_rao(pair, n, tq))):
             rows.append((result.protocol, n, result.t, cfg.gamma, result.delta_gamma,
                          bound.crb, bound.product_state_reference, result.purity))
     # time trace of the quadratic protocol: sensitivity and entanglement witness
