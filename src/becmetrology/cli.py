@@ -294,8 +294,7 @@ def cmd_condensate(cfg: RunConfig) -> tuple[dict, dict]:
         phase = tf.phase_dynamics(geom, species, n_run, sup)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # the largest N's TF profile is the one phase_dynamics has built
-    etas_tf = [tf.tf_profile(geom, species, n).eta_N for n in n_list[:-1]] + [phase.eta_N]
+    etas_tf = [tf.tf_profile(geom, species, n).eta_N for n in n_list]
 
     grids = [gp.default_grid(geom, species, n, points=cfg.grid_points,
                              extent_factor=cfg.grid_extent_factor) for n in n_list]
@@ -316,7 +315,7 @@ def cmd_condensate(cfg: RunConfig) -> tuple[dict, dict]:
         overlap_rows.append((t, ov.real, ov.imag, abs(ov), abs(model),
                              -phase.omega_N * t, p1, p2, n1, n2))
 
-    budget = gp.loss_budget(species, geom, n_run, sup, phase)
+    budget = gp.loss_budget(species, geom, n_run, sup)
     tables = {"eta_sweep.csv": (("N", "n_over_nl", "eta_n", "eta_n_tf", "rel_err",
                                  "local_slope", "mu", "residual"), eta_rows),
               "overlap.csv": (("t", "overlap_re", "overlap_im", "overlap_abs", "model_abs",

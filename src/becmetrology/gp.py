@@ -42,7 +42,7 @@ from numpy.fft._pocketfft_umath import (fft as _fft, ifft as _ifft, irfft as _ir
 from .physconfig import (SI, Species, Superposition, TrapGeometry, check_trap_mass,
                          coupling_constant)
 from .scaling import Regime, classify_regime, eta_transverse, unit_sphere_area
-from .thomas_fermi import PhaseDynamics, phase_dynamics, tf_profile
+from .thomas_fermi import phase_dynamics, tf_profile
 
 
 class ConvergenceError(RuntimeError):
@@ -78,8 +78,8 @@ class Grid:
             raise ValueError("grid dimension must be 1, 2, or 3")
         if self.points < 64:
             raise ValueError("need at least 64 grid points per axis")
-        if self.extent <= 0:
-            raise ValueError("grid extent must be positive")
+        if not 0 < self.extent < math.inf:
+            raise ValueError("grid extent must be positive and finite")
 
     @property
     def spacing(self) -> float:
@@ -137,6 +137,11 @@ def default_grid(geom: TrapGeometry, species: Species, n_atoms: float,
 
 
 _MAX_ITERATIONS = 20_000
+# iterations without a halving of a row's residual after which the minimizer
+# gives the row up: converging solves go at most 173 iterations without one
+# over the test suite and 222 on radial q = 10 grids of 2048 points; a
+# residual on its round-off floor above tolerance never halves again
+_STALL_ITERATIONS = 2000
 # default_grid spans max(extent_factor R_TF, 4 r0): at this extent_factor and
 # above the cloud is never clipped, below it eta_N can be off by order one
 MIN_EXTENT_FACTOR = 1.5
@@ -206,7 +211,8 @@ class _SpectralKinetic:
 class _RadialKinetic:
     """2D/3D kinetic operator T as the tridiagonal FD form of -(hbar^2/2m)
     (1/r^(d-1)) d/dr (r^(d-1) d/dr); _SpectralKinetic's contract, with one
-    tridiagonal solve per row.
+    tridiagonal solve per row.  All rows share one description of T: the face
+    areas r^(d-1) at r +- dr/2, c = hbar^2 / (2 m dr^2) and r^(d-1).
 
     The shift lam is <T> alone: on 96 radial cases (d = 2, 3; q = 1 to 10;
     64 to 2048 points; N/N_L = 0.01 to 1e4), <T> + <g psi^2> and
@@ -216,22 +222,16 @@ class _RadialKinetic:
 
     def __init__(self, grids, mass, hb):
         d = grids[0].dimension
-        a_plus, scale, self._bands = [], [], []
-        for grid in grids:
-            r, dr = grid.coordinates(), grid.spacing
-            plus = (r + 0.5 * dr) ** (d - 1)
-            minus = (r - 0.5 * dr) ** (d - 1)
-            minus[0] = 0.0  # regularity at the origin
-            c = hb**2 / (2.0 * mass * dr**2)
-            self._bands.append((c * (plus + minus) / r ** (d - 1),   # diagonal
-                                -c * minus[1:] / r[1:] ** (d - 1),    # lower
-                                -c * plus[:-1] / r[:-1] ** (d - 1)))  # upper
-            a_plus.append(plus)
-            scale.append(-c / r ** (d - 1))
+        r = np.array([grid.coordinates() for grid in grids])
+        dr = np.array([[grid.spacing] for grid in grids])
+        self._plus, self._minus = (r + 0.5 * dr) ** (d - 1), (r - 0.5 * dr) ** (d - 1)
+        self._minus[:, 0] = 0.0  # regularity at the origin
+        self._c = np.array([[hb**2 / (2.0 * mass * grid.spacing**2)] for grid in grids])
+        self._area = r ** (d - 1)
         # apply in flux form, differences first: diagonal plus off-diagonals
         # cancels to a round-off that holds |H psi - mu psi| / mu above 1e-10
         # on fine grids
-        self._a_plus, self._scale = np.array(a_plus), np.array(scale)
+        self._scale = -self._c / self._area
         # flux[:, i] through r_i - dr/2; none at the origin
         self._flux = np.zeros((len(grids), grids[0].points + 1))
         self._solves = None
@@ -240,20 +240,23 @@ class _RadialKinetic:
         flux = self._flux
         np.subtract(psi[:, 1:], psi[:, :-1], out=flux[:, 1:-1])
         flux[:, -1] = -psi[:, -1]  # psi = 0 beyond the grid
-        flux[:, 1:] *= self._a_plus
+        flux[:, 1:] *= self._plus
         return self._scale * (flux[:, 1:] - flux[:, :-1])
 
     def shift(self, kinetic, interaction):
-        self._solves = [_tridiagonal_solve(lam + diag, lower, upper)
-                        for lam, (diag, lower, upper) in zip(kinetic[:, 0], self._bands)]
+        c, plus, minus, area = self._c, self._plus, self._minus, self._area
+        diagonal = kinetic + c * (plus + minus) / area
+        lower = -c * minus[:, 1:] / area[:, 1:]
+        upper = -c * plus[:, :-1] / area[:, :-1]
+        self._solves = [_tridiagonal_solve(*bands) for bands in zip(diagonal, lower, upper)]
 
     def precondition(self, psi):
         return np.array([solve(row) for solve, row in zip(self._solves, psi)])
 
     def keep(self, rows):
-        self._a_plus, self._scale = self._a_plus[rows], self._scale[rows]
-        self._flux = self._flux[:len(self._a_plus)]
-        self._bands = [b for b, k in zip(self._bands, rows) if k]
+        self._plus, self._minus, self._c, self._area, self._scale = \
+            (a[rows] for a in (self._plus, self._minus, self._c, self._area, self._scale))
+        self._flux = self._flux[:len(self._plus)]
         self._solves = [s for s, k in zip(self._solves, rows) if k]
 
 
@@ -327,18 +330,21 @@ def _minimize(kinetic, V, w, geff, n_atoms, start, tolerance):
     applies T only to that direction besides the preconditioner's solve: two
     real FFT pairs on 1D grids.  A row whose carried residual falls below
     tolerance has (T + V) psi recomputed, and only that fresh residual
-    certifies convergence.  The slope at the trial angle is
+    certifies convergence.  A row whose residual has not halved for
+    _STALL_ITERATIONS iterations, or any row at _MAX_ITERATIONS, raises
+    ConvergenceError naming its atom number.  The slope at the trial angle is
     c <linear, tau> + s <linear_unit, tau> + g <(c psi + s unit)^3, tau> for
     the tangent tau = c unit - s psi, so H at the trial point is never formed.
 
-    An iteration makes 84 numpy calls whatever the row count.  On a 2-core VM
-    (Python 3.11.7, numpy 2.4.6) the five default states, 512 points each,
-    take 169 iterations in 43 iterations of the batch: 7.2 ms (6.6-9.6),
-    about 165 us per batch iteration, against 14.7 ms (14.0-29.9) and 217
-    iterations solved one at a time from the quantile start guess (medians
-    and ranges of five interleaved rounds, best of 9 each, on a loaded
-    host).  A batch of one pays for its per-row scalars as (1, 1) arrays,
-    20-30 us per iteration more than Python floats cost.
+    An iteration makes 86 numpy calls whatever the row count, 3 more where a
+    residual halves.  On a 2-core VM (Python 3.11.7, numpy 2.4.6) the five
+    default states, 512 points each, take 169 iterations in 43 iterations of
+    the batch: 7.2 ms (6.6-9.6), about 165 us per batch iteration, against
+    14.7 ms (14.0-29.9) and 217 iterations solved one at a time from the
+    quantile start guess (medians and ranges of five interleaved rounds,
+    best of 9 each, on a loaded host).  A batch of one pays for its per-row
+    scalars as (1, 1) arrays, 20-30 us per iteration more than Python floats
+    cost.
     """
     def dot(a, b):
         return np.vecdot(w * a, b, keepdims=True)
@@ -355,6 +361,10 @@ def _minimize(kinetic, V, w, geff, n_atoms, start, tolerance):
     refreshed = False  # linear of the converged rows recomputed from psi
     direction = z_old = gz_old = None
     per_length = np.ones((len(rows), 1))  # trial angle per unit length of the direction
+    # half each row's residual at its last halving, the iteration of that
+    # halving, and the earliest such iteration among the rows
+    half, halved = np.full((len(rows), 1), np.inf), np.zeros((len(rows), 1), dtype=int)
+    oldest = 0
     iteration = 0
     while True:
         # H psi, then the gradient H psi - mu psi, in one buffer
@@ -385,11 +395,27 @@ def _minimize(kinetic, V, w, geff, n_atoms, start, tolerance):
             if not keep.any():
                 return out_psi, mu_out, residual_out, steps
             rows, psi, linear, V, w, geff, per_length, mu, residual, gradient, w_psi, \
-                w_gradient = (a[keep] for a in (rows, psi, linear, V, w, geff, per_length, mu,
-                                                residual, gradient, w_psi, w_gradient))
+                w_gradient, half, halved = (a[keep] for a in (
+                    rows, psi, linear, V, w, geff, per_length, mu, residual, gradient, w_psi,
+                    w_gradient, half, halved))
             if direction is not None:
                 direction, z_old, gz_old = direction[keep], z_old[keep], gz_old[keep]
             kinetic.keep(keep)
+            oldest = int(halved.min())
+        # halvings count only after the refresh: a carried residual below
+        # tolerance can lie far below the fresh one
+        below = residual < half
+        if below.any():
+            np.multiply(0.5, residual, out=half, where=below)
+            np.copyto(halved, iteration, where=below)
+            oldest = int(halved.min())
+        if iteration - oldest == _STALL_ITERATIONS:
+            i = int(np.argmin(halved))
+            reached = float(2.0 * half[i, 0])
+            raise ConvergenceError(f"N = {n_atoms[rows[i]]:.6g}: no ground state after "
+                                   f"{iteration} iterations: the residual has not halved "
+                                   f"since iteration {oldest}, where it reached {reached:.3e} "
+                                   f"(now {float(residual[i, 0]):.3e})", residual=reached)
         if iteration == _MAX_ITERATIONS:
             worst = float(residual[0, 0])
             raise ConvergenceError(f"N = {n_atoms[rows[0]]:.6g}: no ground state after "
@@ -456,9 +482,11 @@ def ground_states(geom: TrapGeometry, species: Species, n_list, grids,
 
     Minimizes the discrete GP energy over unit-normalized real states until
     each state's relative gradient norm |H psi - mu psi| / mu falls below
-    tolerance; every state comes out as ground_state gives it alone.  The
-    grids must share their dimension and point count: a mismatch, an empty
-    list or lists of unequal length raise ValueError.  On 1D grids a state
+    tolerance; every state comes out as ground_state gives it alone.  A state
+    whose residual has not halved in _STALL_ITERATIONS iterations, as where
+    round-off on a fine grid holds it above tolerance, raises
+    ConvergenceError.  The grids must share their dimension and point count:
+    a mismatch, an empty list or lists of unequal length raise ValueError.  On 1D grids a state
     outside the bare regime starts from its Thomas-Fermi profile
     sqrt(max(mu_TF - V, 0)); bare states, and all states on radial grids,
     where that profile took more iterations than this guess, start from a
@@ -910,17 +938,16 @@ class LossBudget:
 
 
 def loss_budget(species: Species, geom: TrapGeometry, n_atoms: float,
-                sup: Superposition, phase: PhaseDynamics | None = None) -> LossBudget:
+                sup: Superposition) -> LossBudget:
     """Spin-exchange decay rate against the phase-accumulation rate.
 
     The ratio hbar (Gamma12 + Gamma22 c2^2) / (2 Delta-g) is independent of the
-    atom number and of every trap parameter; the common eta_N cancels.  phase
-    is the cloud's thomas_fermi.phase_dynamics, built here when None; that
-    function owns the no-signal rule and raises ValueError on a vanishing
-    Delta-g.
+    atom number and of every trap parameter; the common eta_N cancels.  Both
+    rates are those of the intermediate-regime TF cloud, from
+    thomas_fermi.phase_dynamics, which owns the no-signal rule and raises
+    ValueError on a vanishing Delta-g.
     """
-    if phase is None:
-        phase = phase_dynamics(geom, species, n_atoms, sup)
+    phase = phase_dynamics(geom, species, n_atoms, sup)
     gamma = (n_atoms - 1.0) * phase.eta_N * \
         (species.gamma12_loss + species.gamma22_loss * sup.c2**2) / 2.0
     return LossBudget(gamma=gamma, omega_N=phase.omega_N, ratio=gamma / abs(phase.omega_N))

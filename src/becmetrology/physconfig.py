@@ -50,12 +50,12 @@ class Species:
     gamma22_loss: float = 0.0
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
-        if min(self.a11, self.a22, self.a12) <= 0:
-            raise ValueError("scattering lengths must be positive")
-        if self.gamma12_loss < 0 or self.gamma22_loss < 0:
-            raise ValueError("loss constants must be nonnegative")
+        if not 0 < self.mass < math.inf:
+            raise ValueError("mass must be positive and finite")
+        if not all(0 < a < math.inf for a in (self.a11, self.a22, self.a12)):
+            raise ValueError("scattering lengths must be positive and finite")
+        if not all(0 <= g < math.inf for g in (self.gamma12_loss, self.gamma22_loss)):
+            raise ValueError("loss constants must be nonnegative and finite")
 
 
 def rb87() -> Species:
@@ -113,7 +113,7 @@ class Superposition:
     c2: float
 
     def __post_init__(self):
-        if abs(self.c1**2 + self.c2**2 - 1.0) > 1e-12:
+        if not abs(self.c1**2 + self.c2**2 - 1.0) <= 1e-12:  # also rejects nan
             raise ValueError("amplitudes must satisfy c1^2 + c2^2 = 1")
 
     @classmethod
@@ -167,8 +167,8 @@ class TrapGeometry:
             raise ValueError("longitudinal dimension d must be 1, 2, or 3")
         if not (self.q >= 1.0):
             raise ValueError("hardness exponent q must be >= 1 (or inf)")
-        if self.rho0 <= 0 or self.r0 <= 0 or self.mass <= 0:
-            raise ValueError("lengths and mass must be positive")
+        if not all(0 < v < math.inf for v in (self.rho0, self.r0, self.mass)):
+            raise ValueError("lengths and mass must be positive and finite")
 
 
 def check_trap_mass(geom: TrapGeometry, species: Species) -> None:

@@ -80,27 +80,27 @@ def eta_transverse(geom: TrapGeometry) -> float:
 
 
 def eta_estimate(geom: TrapGeometry, a: float, n_atoms: float) -> float:
-    """Inverse occupied volume eta_N (m^-3), piecewise power law continuous at both
-    critical numbers.
+    """Inverse occupied volume eta_N ~ N^(xi - 3/2) (m^-3), with xi the
+    scaling_exponent of N's classify_regime label: continuous at both critical numbers.
 
     The full-regime branch is a scaling law with an undetermined prefactor; it is
     anchored to match the intermediate branch at N_T, so the estimate never jumps.
     Exact prefactors live in the Thomas-Fermi module.
     """
-    d, q = geom.d, geom.q
+    regime = classify_regime(geom, a, n_atoms)
+    eta = eta_transverse(geom) / (UNIT_SPHERE_VOLUME[geom.d] * geom.r0**geom.d)
+    if regime == Regime.BARE:
+        return eta
     crit = critical_numbers(geom, a)
-    eta0 = eta_transverse(geom) / (UNIT_SPHERE_VOLUME[d] * geom.r0**d)
-    if n_atoms <= crit.n_lower:
-        return eta0
-    int_expo = 0.0 if math.isinf(q) else d / (d + q)
-    y = (n_atoms - 1.0) / (crit.n_lower - 1.0)
-    if crit.n_upper is None or n_atoms <= crit.n_upper:
-        return eta0 * y ** (-int_expo)
-    y_t = (crit.n_upper - 1.0) / (crit.n_lower - 1.0)
-    eta_at_nt = eta0 * y_t ** (-int_expo)
-    two_d_over_q = 0.0 if math.isinf(q) else 2.0 * d / q
-    full_expo = (3.0 - d + two_d_over_q) / (5.0 - d + two_d_over_q)
-    return eta_at_nt * ((n_atoms - 1.0) / (crit.n_upper - 1.0)) ** (-full_expo)
+
+    def exponent(label):
+        return float(Fraction(3, 2) - scaling_exponent(geom.d, geom.q, label))
+
+    n_knee = n_atoms if regime == Regime.INTERMEDIATE else crit.n_upper
+    eta *= ((n_knee - 1.0) / (crit.n_lower - 1.0)) ** -exponent(Regime.INTERMEDIATE)
+    if regime == Regime.FULL_TF:
+        eta *= ((n_atoms - 1.0) / (crit.n_upper - 1.0)) ** -exponent(Regime.FULL_TF)
+    return eta
 
 
 def scaling_exponent(d: int, q, regime: Regime) -> Fraction:

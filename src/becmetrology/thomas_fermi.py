@@ -38,28 +38,6 @@ def j_integral(l: float, d: int, q: float) -> float:
                     - math.lgamma(d / q + l + 1.0)) / q
 
 
-def _intermediate_pieces(geom: TrapGeometry, a: float, n_atoms: float):
-    """(r_tilde, mu_L, X) for the intermediate-regime TF profile.
-
-    X = mu_L / ((N-1) g eta_T) is the peak longitudinal density; it carries the
-    dimensions of eta_L.
-    """
-    d, q = geom.d, geom.q
-    crit = critical_numbers(geom, a)
-    y = (n_atoms - 1.0) / (crit.n_lower - 1.0)
-    g = coupling_constant(a, geom.mass)
-    eta_t = eta_transverse(geom)
-    if geom.hard_wall:
-        r_tilde = geom.r0
-        peak = 1.0 / (UNIT_SPHERE_VOLUME[d] * geom.r0**d)
-        mu = (n_atoms - 1.0) * g * eta_t * peak
-        return r_tilde, mu, peak
-    r_tilde = geom.r0 * ((d + q) / q * y) ** (1.0 / (d + q))
-    mu = 0.5 * geom.k * r_tilde**q
-    peak = mu / ((n_atoms - 1.0) * g * eta_t)
-    return r_tilde, mu, peak
-
-
 @dataclass(frozen=True)
 class TFProfile:
     """Intermediate-regime Thomas-Fermi description of the condensate.
@@ -79,20 +57,31 @@ def tf_profile(geom: TrapGeometry, species: Species, n_atoms: float,
                regime: Regime = Regime.INTERMEDIATE) -> TFProfile:
     """TF profile of the single-mode condensate (all atoms in state 1, a = a11).
 
-    regime must be Regime.INTERMEDIATE.  The closed forms are evaluated at any
-    N > 1; whether they hold there is scaling.classify_regime's label.  A trap
-    built for another mass than the species' raises ValueError.
+    eta_L is J_2/J_1 times the peak density mu / geff, geff = (N-1) g eta_T;
+    a hard wall holds the bare trap's flat density out to r0.  regime must be
+    Regime.INTERMEDIATE.  The closed forms are evaluated at any N > 1; whether
+    they hold there is scaling.classify_regime's label.  A trap built for
+    another mass than the species' raises ValueError.
     """
     check_trap_mass(geom, species)
     if n_atoms <= 1:
         raise ValueError("need more than one atom for a mean-field profile")
     if regime != Regime.INTERMEDIATE:
         raise ValueError("TF profiles exist for the intermediate regime only")
-    r_tilde, mu, peak = _intermediate_pieces(geom, species.a11, n_atoms)
-    eta_l = (j_integral(2.0, geom.d, geom.q) / j_integral(1.0, geom.d, geom.q)) * peak
+    d, q = geom.d, geom.q
     eta_t = eta_transverse(geom)
-    return TFProfile(mu=mu, r_tilde=r_tilde, eta_L=eta_l, eta_T=eta_t,
-                     eta_N=eta_t * eta_l)
+    geff = (n_atoms - 1.0) * coupling_constant(species.a11, geom.mass) * eta_t
+    if geom.hard_wall:
+        r_tilde = geom.r0
+        peak = 1.0 / (UNIT_SPHERE_VOLUME[d] * geom.r0**d)
+        mu = geff * peak
+    else:
+        y = (n_atoms - 1.0) / (critical_numbers(geom, species.a11).n_lower - 1.0)
+        r_tilde = geom.r0 * ((d + q) / q * y) ** (1.0 / (d + q))
+        mu = 0.5 * geom.k * r_tilde**q
+        peak = mu / geff
+    eta_l = (j_integral(2.0, d, q) / j_integral(1.0, d, q)) * peak
+    return TFProfile(mu=mu, r_tilde=r_tilde, eta_L=eta_l, eta_T=eta_t, eta_N=eta_t * eta_l)
 
 
 @dataclass(frozen=True)

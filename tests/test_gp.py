@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -41,6 +42,12 @@ def test_grid_validation():
     assert grid.weights().sum() == pytest.approx(2.0)
     radial = gp.Grid(dimension=3, points=128, extent=1.0)
     assert radial.weights().sum() == pytest.approx(4 * math.pi / 3, rel=1e-4)
+
+
+@pytest.mark.parametrize("extent", [math.nan, math.inf])
+def test_grid_rejects_a_nonfinite_extent(extent):
+    with pytest.raises(ValueError, match="finite"):
+        gp.Grid(dimension=1, points=512, extent=extent)
 
 
 def test_ground_state_noninteracting_1d(geom_rb, rb87):
@@ -380,6 +387,22 @@ def test_under_resolved_1d_state_warns(geom_rb, rb87):
         gp.ground_state(geom_rb, rb87, n, gp.default_grid(geom_rb, rb87, n, points=64))
 
 
+@pytest.mark.parametrize("d, points, extent_factor, warning", [
+    (1, 512, 1.2, "grid extent is below 1.5x the TF radius"),
+    # 64 points at N/N_L = 1000 space 1.4 healing lengths apart, 512 points 0.18
+    (2, 64, 2.0, "grid spacing does not resolve the healing length")])
+def test_grid_checks_warn_on_a_grid_built_to_trip_them(rb87, d, points, extent_factor,
+                                                       warning):
+    geom = pc.trap_from_lengths(d, 2.0, 1e-6, 100e-6, rb87.mass)
+    n = 1.0 + 1000.0 * (sc.critical_numbers(geom, rb87.a11).n_lower - 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gp.ground_state(geom, rb87, n)  # on default_grid's grid
+    grid = gp.default_grid(geom, rb87, n, points=points, extent_factor=extent_factor)
+    with pytest.warns(UserWarning, match=rf"N = {n:.6g}: {warning}"):
+        gp.ground_state(geom, rb87, n, grid)
+
+
 @pytest.mark.parametrize("shape", [(2, 256), (2, 125)])
 def test_bound_complex_fft_kernels_give_numpy_fft_bits(shape):
     # gp calls numpy's private pocketfft gufuncs; a numpy release that moves
@@ -432,6 +455,19 @@ def test_ground_states_name_the_atom_number(geom_rb, rb87, monkeypatch):
     with pytest.warns(UserWarning, match=rf"N = {n:.6g}: grid extent"), \
             pytest.raises(gp.ConvergenceError):
         gp.ground_state(geom_rb, rb87, n, small)
+
+
+def test_a_stalled_ground_state_fails_fast(geom_rb, rb87):
+    # on 4096 points the bare state's residual reaches a round-off floor above
+    # 1e-10 within 200 iterations and never halves again
+    n = 1.0 + 0.01 * (sc.critical_numbers(geom_rb, rb87.a11).n_lower - 1.0)
+    grid = gp.default_grid(geom_rb, rb87, n, points=4096)
+    with pytest.raises(gp.ConvergenceError, match=rf"N = {n:.6g}: no ground state") as err:
+        gp.ground_state(geom_rb, rb87, n, grid)
+    after, since = map(int, re.search(r"after (\d+) iterations: the residual has not "
+                                      r"halved since iteration (\d+)", str(err.value)).groups())
+    assert after == since + gp._STALL_ITERATIONS and since < 200
+    assert err.value.residual > 1e-10
 
 
 def test_eta_sweep_slope(geom_rb, rb87):

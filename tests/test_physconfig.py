@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -78,6 +79,13 @@ def test_species_validation():
         pc.Species(mass=1e-25, a11=1e-9, a22=1e-9, a12=1e-9, gamma12_loss=-1.0)
 
 
+@pytest.mark.parametrize("name", ["mass", "a11", "a22", "a12", "gamma12_loss",
+                                  "gamma22_loss"])
+def test_species_rejects_nan(rb87, name):
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(rb87, **{name: math.nan})
+
+
 def test_trap_frequencies_match_quoted_values(rb87):
     geom = pc.trap_from_lengths(1, 2, 1e-6, 100e-6, rb87.mass)
     assert geom.omega_T / (2 * math.pi) == pytest.approx(58.0, rel=0.01)
@@ -108,6 +116,17 @@ def test_trap_validation_and_hard_wall(rb87):
     assert hard.hard_wall and hard.k is None
     with pytest.warns(UserWarning):
         pc.trap_from_lengths(1, 2, 1e-6, 0.5e-6, rb87.mass)  # r0 < rho0
+
+
+@pytest.mark.parametrize("rho0, r0", [(math.nan, 100e-6), (1e-6, math.inf)])
+def test_trap_rejects_nonfinite_lengths(rb87, rho0, r0):
+    with pytest.raises(ValueError, match="finite"):
+        pc.trap_from_lengths(1, 2, rho0, r0, rb87.mass)
+
+
+def test_superposition_rejects_nan():
+    with pytest.raises(ValueError):
+        pc.Superposition(math.nan, math.nan)
 
 
 def test_superposition_validation():
