@@ -242,8 +242,10 @@ def cmd_bounds(cfg: RunConfig) -> tuple[dict, dict]:
 
 
 def cmd_scaling(cfg: RunConfig) -> tuple[dict, dict]:
-    fig_rows = [(q, float(x1), float(x2), float(x3), str(x1), str(x2), str(x3))
-                for q, x1, x2, x3 in scaling.fig1_table(cfg.q_values)]
+    fig_rows = []
+    for q in cfg.q_values:  # Fig. 1's table of intermediate-regime exponents
+        xi = [scaling.scaling_exponent(d, q, scaling.Regime.INTERMEDIATE) for d in (1, 2, 3)]
+        fig_rows.append((float(q), *map(float, xi), *map(str, xi)))
     crit_rows = []
     for d in (1, 2, 3):
         for q in dict.fromkeys((cfg.trap_q, math.inf)):  # a hard-wall trap_q once

@@ -76,6 +76,8 @@ class Grid:
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
             raise ValueError("grid dimension must be 1, 2, or 3")
+        if not isinstance(self.points, (int, np.integer)):
+            raise ValueError(f"grid point count must be an integer, not {self.points!r}")
         if self.points < 64:
             raise ValueError("need at least 64 grid points per axis")
         if not 0 < self.extent < math.inf:
@@ -494,10 +496,11 @@ def ground_states(geom: TrapGeometry, species: Species, n_list, grids,
     quantile lies below hbar omega_L.
     On radial grids the states with a node are restarted together from
     |psi|, and one that keeps its node raises ConvergenceError.  N = 1 turns
-    the interaction off and recovers the bare trap ground state.  An atom
-    number that scaling.classify_regime labels full TF warns once: above N_T
-    the reduced equation's Gaussian transverse state no longer holds.  A trap
-    built for another mass than the species' raises ValueError.
+    the interaction off and recovers the bare trap ground state; N < 1 raises
+    ValueError.  An atom number that scaling.classify_regime labels full TF
+    warns once: above N_T the reduced equation's Gaussian transverse state no
+    longer holds.  A trap built for another mass than the species' raises
+    ValueError.
     """
     check_trap_mass(geom, species)
     if len(n_list) == 0 or len(n_list) != len(grids):
@@ -506,12 +509,13 @@ def ground_states(geom: TrapGeometry, species: Species, n_list, grids,
         raise ValueError("the grids of one batch must share their dimension and point count")
     if grids[0].dimension != geom.d:
         raise ValueError("grid dimension does not match the trap geometry")
+    for n in n_list:  # Species refuses a11 <= 0, so the interaction is repulsive
+        if n < 1:
+            raise ValueError(f"N = {n:.6g}: need at least one atom")
     g = coupling_constant(species.a11, species.mass)
     eta_t = eta_transverse(geom)
     n_atoms = np.array(n_list, dtype=float)
     geff = g * (n_atoms - 1.0) * eta_t
-    if np.any(geff < 0):
-        raise ValueError("attractive interactions are not supported")
     hb = SI.hbar
     e_floor = hb * geom.omega_L
     V = np.array([_potential(geom, grid.coordinates()) for grid in grids])

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 NM = 1e-9
 UM = 1e-6
@@ -141,8 +141,8 @@ class TrapGeometry:
 
     q is the longitudinal hardness exponent; q = inf marks a hard-walled trap,
     in which case the stiffness k is None and formulas take analytic limits.
-    Lengths rho0 (transverse half-width) and r0 (bare longitudinal half-width)
-    determine the strengths through the mass used at construction.
+    The bare half-widths rho0 (transverse) and r0 (longitudinal) and the mass fix
+    the rest: rho0^2 = hbar/(2 m omega_T), r0^(q+2) = hbar^2/(m k), omega_L = hbar/(m r0^2).
     """
 
     d: int
@@ -150,9 +150,9 @@ class TrapGeometry:
     rho0: float
     r0: float
     mass: float
-    k: float | None
-    omega_T: float
-    omega_L: float
+    k: float | None = field(init=False)
+    omega_T: float = field(init=False)
+    omega_L: float = field(init=False)
 
     @property
     def transverse_dimensions(self) -> int:
@@ -169,6 +169,16 @@ class TrapGeometry:
             raise ValueError("hardness exponent q must be >= 1 (or inf)")
         if not all(0 < v < math.inf for v in (self.rho0, self.r0, self.mass)):
             raise ValueError("lengths and mass must be positive and finite")
+        hb, q, mass = SI.hbar, float(self.q), self.mass
+        try:
+            k = None if math.isinf(q) else hb**2 / (mass * self.r0 ** (q + 2.0))
+        except ArithmeticError:  # r0^(q+2) under- or overflows
+            raise ValueError(f"hardness exponent q = {q:g} is out of float range for "
+                             f"r0 = {self.r0:g} m; use q = inf for a hard wall") from None
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "omega_T", hb / (2.0 * mass * self.rho0**2))
+        object.__setattr__(self, "omega_L", hb / (mass * self.r0**2))
 
 
 def check_trap_mass(geom: TrapGeometry, species: Species) -> None:
@@ -181,20 +191,9 @@ def check_trap_mass(geom: TrapGeometry, species: Species) -> None:
 
 def trap_from_lengths(d: int, q: float, rho0: float, r0: float,
                       mass: float) -> TrapGeometry:
-    """Build a TrapGeometry from its two bare half-widths.
-
-    rho0^2 = hbar/(2 m omega_T), r0^(q+2) = hbar^2/(m k), omega_L = hbar/(m r0^2).
-    """
-    hb = SI.hbar
-    omega_T = hb / (2.0 * mass * rho0**2)
-    omega_L = hb / (mass * r0**2)
-    try:
-        k = None if math.isinf(q) else hb**2 / (mass * r0 ** (q + 2.0))
-    except ArithmeticError:  # r0^(q+2) under- or overflows
-        raise ValueError(f"hardness exponent q = {q:g} is out of float range for "
-                         f"r0 = {r0:g} m; use q = inf for a hard wall") from None
-    geom = TrapGeometry(d=d, q=float(q), rho0=rho0, r0=r0, mass=mass,
-                        k=k, omega_T=omega_T, omega_L=omega_L)
+    """TrapGeometry(d, q, rho0, r0, mass), warning where r0 <= rho0 breaks the
+    loose/tight trap separation that the scaling formulas assume."""
+    geom = TrapGeometry(d=d, q=q, rho0=rho0, r0=r0, mass=mass)
     if r0 <= rho0:
         warnings.warn("r0 <= rho0: the loose/tight trap separation assumed by the "
                       "scaling formulas is violated", stacklevel=2)

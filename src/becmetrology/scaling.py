@@ -40,11 +40,6 @@ class CriticalNumbers:
     n_upper: float | None
 
 
-def _upper_exponent(d: int, q: float) -> float:
-    # d(q+2)/q, with the hard-wall limit d
-    return float(d) if math.isinf(q) else d * (q + 2.0) / q
-
-
 def critical_numbers(geom: TrapGeometry, a: float) -> CriticalNumbers:
     if a <= 0:
         raise ValueError("scattering length must be positive")
@@ -53,7 +48,8 @@ def critical_numbers(geom: TrapGeometry, a: float) -> CriticalNumbers:
     n_lower = 1.0 + beta * (geom.r0 / a) * (geom.rho0 / geom.r0) ** geom.transverse_dimensions
     if d == 3:
         return CriticalNumbers(n_lower=n_lower, n_upper=None)
-    n_upper = 1.0 + beta * (geom.rho0 / a) * (geom.r0 / geom.rho0) ** _upper_exponent(d, q)
+    upper_exponent = float(d) if geom.hard_wall else d * (q + 2.0) / q  # d(q+2)/q
+    n_upper = 1.0 + beta * (geom.rho0 / a) * (geom.r0 / geom.rho0) ** upper_exponent
     return CriticalNumbers(n_lower=n_lower, n_upper=n_upper)
 
 
@@ -108,12 +104,16 @@ def scaling_exponent(d: int, q, regime: Regime) -> Fraction:
 
     bare: 3/2.  intermediate: (d+3q)/(2(d+q)).  full: 3/2 - (3-d+2d/q)/(5-d+2d/q).
     Hard wall (q = inf): 3/2, 3/2, and 3/2 - (3-d)/(5-d) respectively.
+    q must be >= 1 or inf.  The intermediate exponent, Fig. 1's table,
+    increases with q and crosses 1 exactly at q = d.
     """
     if d not in (1, 2, 3):
         raise ValueError("d must be 1, 2, or 3")
+    if not q >= 1:  # also rejects nan
+        raise ValueError("hardness exponent q must be >= 1 (or inf)")
     if regime == Regime.BARE:
         return Fraction(3, 2)
-    hard = isinstance(q, float) and math.isinf(q)
+    hard = math.isinf(q)
     qf = None if hard else Fraction(q).limit_denominator(10**6)
     if regime == Regime.INTERMEDIATE:
         return Fraction(3, 2) if hard else (d + 3 * qf) / (2 * (d + qf))
@@ -123,20 +123,3 @@ def scaling_exponent(d: int, q, regime: Regime) -> Fraction:
         two_d_over_q = Fraction(0) if hard else 2 * d / qf
         return Fraction(3, 2) - (3 - d + two_d_over_q) / (5 - d + two_d_over_q)
     raise ValueError(f"unknown regime {regime!r}")
-
-
-def fig1_table(q_values) -> list[tuple[float, Fraction, Fraction, Fraction]]:
-    """Intermediate-regime exponent xi(q) for 1D, 2D, and 3D traps.
-
-    Each row is (q, xi_1D, xi_2D, xi_3D).  xi increases with q, crosses 1
-    exactly at q = d, and tends to 3/2 in the hard-wall limit.
-    """
-    rows = []
-    for q in q_values:
-        if not (isinstance(q, float) and math.isinf(q)) and q < 1:
-            raise ValueError("hardness exponents must be >= 1")
-        rows.append((float(q),
-                     scaling_exponent(1, q, Regime.INTERMEDIATE),
-                     scaling_exponent(2, q, Regime.INTERMEDIATE),
-                     scaling_exponent(3, q, Regime.INTERMEDIATE)))
-    return rows

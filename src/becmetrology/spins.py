@@ -222,10 +222,12 @@ def _simulate(protocol: str, state: DickeState, kind: HamiltonianKind, gamma: fl
     mean, var = _moments(psi, av)
     slope = 2.0 * np.real(np.vdot(av, dpsi))
     delta = math.sqrt(var) / abs(slope) if slope != 0.0 else math.inf
+    weights = psi.real**2 + psi.imag**2  # h is diagonal: its spread is |psi|^2-weighted
+    h_var = np.dot(weights, (h - np.dot(weights, h)) ** 2)
     return ProtocolResult(protocol=protocol, n_atoms=state.n_atoms, gamma=gamma, t=t,
                           delta_gamma=delta, signal_mean=mean, signal_variance=var,
                           signal_slope=slope, purity=single_qubit_purity(evolved),
-                          generator_sd=t * math.sqrt(_moments(psi, h * psi)[1]))
+                          generator_sd=t * math.sqrt(h_var))
 
 
 def _extremal_coherence(values: np.ndarray) -> np.ndarray:
@@ -258,19 +260,9 @@ def simulate_enhanced(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
                      "enhanced_NJz", gamma, t, lambda v: _apply_component(v, n_atoms, "x"))
 
 
-def _quadratic_trace(n_atoms: int, gamma: float,
-                     t_grid: Sequence[float]) -> list[ProtocolResult]:
-    """The quadratic protocol at each time of t_grid, from one prepared state."""
-    if n_atoms < 2:
-        raise ValueError("a nonlinear protocol needs at least two atoms")
-    state = prepare_product(n_atoms, Superposition.quadratic_optimal())
-    return [_simulate("quadratic", state, "quadratic_Jz2", gamma, t,
-                      lambda v: _apply_component(v, n_atoms, "y")) for t in t_grid]
-
-
 def simulate_quadratic(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
     """Product-state protocol under the quadratic coupling with a J_y readout."""
-    return _quadratic_trace(n_atoms, gamma, (t,))[0]
+    return product_nonlinear_protocol(n_atoms, gamma, (t,))[0]
 
 
 def product_nonlinear_protocol(n_atoms: int, gamma: float,
@@ -282,7 +274,11 @@ def product_nonlinear_protocol(n_atoms: int, gamma: float,
     reported with infinite delta_gamma.  The product state is prepared once
     for the whole grid.
     """
-    return _quadratic_trace(n_atoms, gamma, t_grid)
+    if n_atoms < 2:
+        raise ValueError("a nonlinear protocol needs at least two atoms")
+    state = prepare_product(n_atoms, Superposition.quadratic_optimal())
+    return [_simulate("quadratic", state, "quadratic_Jz2", gamma, t,
+                      lambda v: _apply_component(v, n_atoms, "y")) for t in t_grid]
 
 
 def fit_loglog_slope(n_values: Sequence[float], delta_gammas: Sequence[float]) -> float:

@@ -37,6 +37,9 @@ def test_grid_validation():
         gp.Grid(dimension=4, points=128, extent=1.0)
     with pytest.raises(ValueError):
         gp.Grid(dimension=1, points=128, extent=-1.0)
+    with pytest.raises(ValueError, match="integer"):
+        gp.Grid(dimension=1, points=100.5, extent=1.0)
+    assert gp.Grid(dimension=1, points=np.int64(128), extent=1.0).coordinates().size == 128
     grid = gp.Grid(dimension=1, points=128, extent=1.0)
     assert grid.coordinates()[0] == -1.0
     assert grid.weights().sum() == pytest.approx(2.0)
@@ -262,6 +265,12 @@ def test_ground_states_rejects_empty_and_mixed_batches(geom_rb, rb87):
     with pytest.raises(ValueError, match="dimension"):
         gp.ground_states(geom_rb, rb87, [10.0, 20.0],
                          [grid, dataclasses.replace(grid, dimension=2)])
+
+
+@pytest.mark.parametrize("n_atoms", [0.5, 0.0])
+def test_ground_state_needs_at_least_one_atom(geom_rb, rb87, n_atoms):
+    with pytest.raises(ValueError, match=f"N = {n_atoms:g}: need at least one atom"):
+        gp.ground_state(geom_rb, rb87, n_atoms)
 
 
 def _fresh_residual(res, geom, species):

@@ -118,6 +118,23 @@ def test_trap_validation_and_hard_wall(rb87):
         pc.trap_from_lengths(1, 2, 1e-6, 0.5e-6, rb87.mass)  # r0 < rho0
 
 
+def test_trap_derives_its_scales_from_its_lengths(rb87):
+    geom = pc.trap_from_lengths(1, 2, 1e-6, 100e-6, rb87.mass)
+    moved = dataclasses.replace(geom, r0=50e-6)
+    fresh = pc.trap_from_lengths(1, 2, 1e-6, 50e-6, rb87.mass)
+    assert (moved.k, moved.omega_T, moved.omega_L) == (fresh.k, fresh.omega_T, fresh.omega_L)
+    assert moved == fresh
+    direct = pc.TrapGeometry(1, 2, 1e-6, 100e-6, rb87.mass)
+    assert direct == geom and direct.q == 2.0
+    with pytest.raises(TypeError):
+        pc.TrapGeometry(1, 2, 1e-6, 100e-6, rb87.mass, k=1.0)
+
+
+def test_trap_built_directly_checks_the_float_range(rb87):
+    with pytest.raises(ValueError, match="q = inf"):
+        pc.TrapGeometry(1, 500.0, 1e-6, 100e-6, rb87.mass)  # r0^(q+2) underflows
+
+
 @pytest.mark.parametrize("rho0, r0", [(math.nan, 100e-6), (1e-6, math.inf)])
 def test_trap_rejects_nonfinite_lengths(rb87, rho0, r0):
     with pytest.raises(ValueError, match="finite"):

@@ -162,8 +162,11 @@ def test_intermediate_exponent_identity():
             assert xi == Fraction(3, 2) - Fraction(d, d + q)
 
 
-def test_fig1_table():
-    rows = sc.fig1_table([1.0, 2.0, 3.0, 10.0, math.inf])
+def test_intermediate_exponent_table():
+    # Fig. 1's table: the intermediate exponent of 1D, 2D and 3D traps against q
+    q_values = [1.0, 2.0, 3.0, 10.0, math.inf]
+    rows = [(q, *(sc.scaling_exponent(d, q, sc.Regime.INTERMEDIATE) for d in (1, 2, 3)))
+            for q in q_values]
     by_q = {row[0]: row[1:] for row in rows}
     assert by_q[2.0] == (Fraction(7, 6), Fraction(1), Fraction(9, 10))
     assert by_q[math.inf] == (Fraction(3, 2),) * 3
@@ -179,4 +182,12 @@ def test_fig1_table():
             q, xi = row[0], row[1 + col]
             assert (xi > 1) == (q > col + 1)
     with pytest.raises(ValueError):
-        sc.fig1_table([0.5])
+        sc.scaling_exponent(1, 0.5, sc.Regime.INTERMEDIATE)
+
+
+@pytest.mark.parametrize("regime", list(sc.Regime))
+def test_scaling_exponent_hardness_rule(regime):
+    for q in (0.5, math.nan):
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            sc.scaling_exponent(2, q, regime)
+    assert sc.scaling_exponent(2, math.inf, regime) >= 1
