@@ -47,14 +47,6 @@ def ramsey_slope(t: float, n0: int, gamma: float) -> float:
     return -0.5 * n0 * t * math.sin(gamma * t)
 
 
-def _ramsey_sample(rng: np.random.Generator, t: float, n0: int, gamma: float,
-                   out: np.ndarray) -> None:
-    """Write out.size exact ideal outcomes m' = Binomial(N0, cos^2(gamma t/2)) - N0/2
-    of n0 atoms, drawn from rng, into the float array out."""
-    p_up = math.cos(gamma * t / 2.0) ** 2
-    np.subtract(rng.binomial(n0, p_up, size=out.shape), 0.5 * n0, out=out)
-
-
 def corrected_uncertainty(t: float, n_atoms: int, noise: CountingNoise,
                           gamma: float) -> float:
     """Parameter uncertainty delta-gamma of n_atoms atoms under counting noise,
@@ -95,38 +87,31 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _chunk_moments(t: float, n_atoms: int, gamma: float, mean: float, slope: float,
-                   scales: list[float], rng: np.random.Generator,
-                   buffers: np.ndarray) -> list[tuple[int, float, float]]:
-    """(count, mean, sum of squared deviations) of one chunk's errors
-    gamma_est - gamma, one triple per noise scale.
+def _chunk_sums(n_atoms: int, p_up: float, draw_z: bool, rng: np.random.Generator,
+                buffers: np.ndarray) -> tuple[int, float, float, float, float, float]:
+    """(size, m'_bar, z_bar, S_mm, S_mz, S_zz) of one chunk, in counts.
 
-    buffers is the worker's (3, size) float array: m', z and scratch.  All
-    noises share one draw of m' and, if any scale is positive, one of z; a
-    noise of scale s has error (m' + s z - mean) / slope.  So the chunk
-    centres m' and z once and sums their squares and product, and each noise
-    takes its moments from those in O(1): mean (m'_bar + s z_bar - mean) /
-    slope and M2 (S_mm + 2 s S_mz + s^2 S_zz) / slope^2.  When no scale is
-    positive, z is not drawn and its mean and sums are taken as 0, so its
-    buffer is never read.  For s = 0 the z terms are exact zeros.  The
-    sums are ufunc reductions, not BLAS calls, and only numpy and underscore
-    names run here, so it is safe on a worker thread.
+    buffers is the worker's (3, size) float array: m', z and scratch.  The
+    chunk draws size ideal outcomes m' = Binomial(n_atoms, p_up) - n_atoms/2
+    from rng and, if draw_z, as many standard normals z; it centres each and
+    sums their squares and product.  Without draw_z, z's mean and sums are 0
+    and its buffer is never read.  The sums are ufunc reductions, not BLAS
+    calls; the chunk knows no Ramsey model and calls only numpy, so it is
+    safe on a worker thread.
     """
     m, z, scratch = buffers
-    _ramsey_sample(rng, t, n_atoms, gamma, m)
+    np.subtract(rng.binomial(n_atoms, p_up, size=m.shape), 0.5 * n_atoms, out=m)
     m_bar = float(m.mean())
     m -= m_bar
     s_mm = float(np.square(m, out=scratch).sum())
     z_bar = s_zz = s_mz = 0.0
-    if any(scales):
+    if draw_z:
         rng.standard_normal(out=z)
         z_bar = float(z.mean())
         z -= z_bar
         s_zz = float(np.square(z, out=scratch).sum())
         s_mz = float(np.multiply(m, z, out=scratch).sum())
-    return [(m.size, (m_bar + scale * z_bar - mean) / slope,
-             (s_mm + 2.0 * scale * s_mz + scale * scale * s_zz) / (slope * slope))
-            for scale in scales]
+    return m.size, m_bar, z_bar, s_mm, s_mz, s_zz
 
 
 def _combine(moments: list[tuple[int, float, float]]) -> MonteCarloResult:
@@ -179,12 +164,14 @@ def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: 
         raise ValueError("need at least one counting noise")
     slope = _signal_slope(t, n_atoms, gamma)  # the estimator divides by it
     mean = ramsey_mean(t, n_atoms, gamma)
+    p_up = math.cos(gamma * t / 2.0) ** 2
     scales = [math.sqrt(noise.difference_variance) for noise in noises]
+    draw_z = any(scales)
     import numpy.random  # noqa: F401  (before any worker thread can touch np.random)
     n_chunks = -(-trials // _CHUNK)
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
     workers = min(n_chunks, _available_cpus())
-    moments: list[list[tuple[int, float, float]] | None] = [None] * n_chunks
+    sums: list[tuple | None] = [None] * n_chunks
     errors: list[BaseException] = []
     failed = threading.Event()
 
@@ -196,9 +183,8 @@ def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: 
                 if failed.is_set():
                     return
                 size = min(_CHUNK, trials - i * _CHUNK)
-                moments[i] = _chunk_moments(t, n_atoms, gamma, mean, slope, scales,
-                                            np.random.default_rng(streams[i]),
-                                            buffers[:, :size])
+                sums[i] = _chunk_sums(n_atoms, p_up, draw_z,
+                                      np.random.default_rng(streams[i]), buffers[:, :size])
         except BaseException as exc:  # re-raised on the calling thread below
             failed.set()
             errors.append(exc)
@@ -211,4 +197,7 @@ def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: 
         thread.join()
     if errors:
         raise errors[0]
-    return [_combine([chunk[k] for chunk in moments]) for k in range(len(noises))]
+    return [_combine([(size, (m_bar + s * z_bar - mean) / slope,
+                       (s_mm + 2.0 * s * s_mz + s * s * s_zz) / (slope * slope))
+                      for size, m_bar, z_bar, s_mm, s_mz, s_zz in sums])
+            for s in scales]

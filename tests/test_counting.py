@@ -202,14 +202,14 @@ def test_every_public_call_runs_on_the_calling_thread(monkeypatch):
 # With two CPUs the calling thread runs the even chunks and a worker the odd ones.
 @pytest.mark.parametrize("n_chunks", [3, 4], ids=["calling-thread", "worker-thread"])
 def test_monte_carlo_error_in_a_chunk_propagates(monkeypatch, n_chunks):
-    ramsey_sample = cnt._ramsey_sample
+    chunk_sums = cnt._chunk_sums
 
-    def sample(rng, t, n0, gamma, out):
-        if out.size < 20_000:  # the last chunk, the only short one
+    def sums(n_atoms, p_up, draw_z, rng, buffers):
+        if buffers.shape[1] < 20_000:  # the last chunk, the only short one
             raise RuntimeError("detector fault")
-        ramsey_sample(rng, t, n0, gamma, out)
+        return chunk_sums(n_atoms, p_up, draw_z, rng, buffers)
 
-    monkeypatch.setattr(cnt, "_ramsey_sample", sample)
+    monkeypatch.setattr(cnt, "_chunk_sums", sums)
     monkeypatch.setattr(cnt, "_available_cpus", lambda: 2)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="detector fault"):
@@ -218,7 +218,7 @@ def test_monte_carlo_error_in_a_chunk_propagates(monkeypatch, n_chunks):
     assert set(threading.enumerate()) == before
 
 
-def _no_draws(rng, t, n0, gamma, out):
+def _no_draws(n_atoms, p_up, draw_z, rng, buffers):
     raise AssertionError("drew trials")
 
 
@@ -226,7 +226,7 @@ def _no_draws(rng, t, n0, gamma, out):
 def test_monte_carlo_rejects_a_vanishing_signal_slope(monkeypatch, n_atoms):
     # at gamma = 0 the linearized inversion divides by a zero slope; the
     # error comes before any draw, and before any worker thread starts
-    monkeypatch.setattr(cnt, "_ramsey_sample", _no_draws)
+    monkeypatch.setattr(cnt, "_chunk_sums", _no_draws)
     monkeypatch.setattr(cnt, "_available_cpus", lambda: 2)
     before = set(threading.enumerate())
     with pytest.raises(ValueError, match="signal slope vanishes"):
@@ -237,7 +237,7 @@ def test_monte_carlo_rejects_a_vanishing_signal_slope(monkeypatch, n_atoms):
 
 def test_monte_carlo_rejects_an_empty_noise_list(monkeypatch):
     # no noise, no result to report: the error comes before any draw or thread
-    monkeypatch.setattr(cnt, "_ramsey_sample", _no_draws)
+    monkeypatch.setattr(cnt, "_chunk_sums", _no_draws)
     monkeypatch.setattr(cnt, "_available_cpus", lambda: 2)
     before = set(threading.enumerate())
     with pytest.raises(ValueError, match="at least one counting noise"):
@@ -306,20 +306,17 @@ def test_point_prior_monte_carlo_is_pinned(n, sigma, gamma, seed, delta_gamma, s
 
 
 def test_zero_noise_chunk_moments_never_read_the_normal_row():
-    # with no positive scale z is not drawn, so its row holds whatever the
-    # buffer held: NaN here, which would poison a 0 * z term
-    t, n_atoms, gamma, size = 1.0, 100, 1.2, 5_000
-    mean, slope = cnt.ramsey_mean(t, n_atoms, gamma), cnt.ramsey_slope(t, n_atoms, gamma)
+    # without draw_z, z is not drawn, so its row holds whatever the buffer
+    # held: NaN here, which would poison a 0 * z term
+    n_atoms, p_up, size = 100, math.cos(0.6) ** 2, 5_000
     buffers = np.full((3, size), np.nan)
-    [(count, mu, m2)] = cnt._chunk_moments(t, n_atoms, gamma, mean, slope, [0.0],
-                                           np.random.default_rng(3), buffers)
-    m = np.empty(size)
-    cnt._ramsey_sample(np.random.default_rng(3), t, n_atoms, gamma, m)
-    errors = [(x - mean) / slope for x in m.tolist()]
-    reference_mu = math.fsum(errors) / size
-    reference_m2 = math.fsum((e - reference_mu) ** 2 for e in errors)
+    count, m_bar, z_bar, s_mm, s_mz, s_zz = cnt._chunk_sums(
+        n_atoms, p_up, False, np.random.default_rng(3), buffers)
+    m = (np.random.default_rng(3).binomial(n_atoms, p_up, size) - 0.5 * n_atoms).tolist()
+    reference_mean = math.fsum(m) / size
     assert count == size
-    assert math.isfinite(mu) and math.isfinite(m2)
-    # the chunk's mean error is (m'_bar - mean) / slope, which cancels mean's digits
-    assert abs(mu - reference_mu) <= 1e-15 * abs(mean / slope)
-    assert m2 == pytest.approx(reference_m2, rel=1e-13, abs=0.0)
+    assert (z_bar, s_mz, s_zz) == (0.0, 0.0, 0.0)
+    assert np.isnan(buffers[1]).all()
+    assert abs(m_bar - reference_mean) <= 1e-15 * n_atoms
+    assert s_mm == pytest.approx(math.fsum((x - reference_mean) ** 2 for x in m),
+                                 rel=1e-13, abs=0.0)
