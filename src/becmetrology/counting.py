@@ -114,20 +114,23 @@ def _chunk_sums(n_atoms: int, p_up: float, draw_z: bool, rng: np.random.Generato
     return m.size, m_bar, z_bar, s_mm, s_mz, s_zz
 
 
-def _combine(moments: list[tuple[int, float, float]]) -> MonteCarloResult:
-    """One noise's result from its chunks' moments, in chunk order, by Chan,
-    Golub & LeVeque's pairwise update of (count, mean, M2)."""
-    count, bias, m2 = 0, 0.0, 0.0
+def _combine(moments: list[tuple[int, float, float]], mean: float,
+             slope: float) -> MonteCarloResult:
+    """One noise's result from its chunks' (count, mean, M2) of the noisy
+    counts m' + s z, in chunk order, by Chan, Golub & LeVeque's pairwise
+    update.  The update stays in counts; the signal's mean and slope enter
+    only at the end, so the slope divides once."""
+    count, mean_count, m2 = 0, 0.0, 0.0
     for n_b, mean_b, m2_b in moments:
         total = count + n_b
-        delta = mean_b - bias
-        bias += delta * n_b / total
+        delta = mean_b - mean_count
+        mean_count += delta * n_b / total
         m2 += m2_b + delta * delta * count * n_b / total
         count = total
-    delta_gamma = math.sqrt(m2 / (count - 1))
+    delta_gamma = math.sqrt(m2 / (count - 1)) / abs(slope)
     return MonteCarloResult(delta_gamma=delta_gamma,
                             stderr=delta_gamma / math.sqrt(2.0 * (count - 1)),
-                            trials=count, bias=bias)
+                            trials=count, bias=(mean_count - mean) / slope)
 
 
 def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: float,
@@ -148,9 +151,13 @@ def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: 
 
     The trials run in chunks of 20 000, chunk i drawing from the i-th stream
     spawned by np.random.SeedSequence(seed).  The chunks run concurrently on as
-    many threads as the process has CPUs (at most one per chunk), and their
-    moments are combined in chunk order, so the results depend only on the
-    arguments, never on the CPU count.  An empty noise list or a vanishing
+    many threads as the process has CPUs (at most one per chunk).  A chunk
+    knows only n_atoms and p_up = cos^2(gamma t/2) and returns its sums in
+    counts.  The calling thread gives each noise of scale s its chunk moments
+    of m' + s z, combines them in chunk order, and only then applies the
+    Ramsey model: delta-gamma = sqrt(M2/(trials - 1)) / |slope| and bias =
+    (mean - <J_z>) / slope, so the slope's square never forms.  The results
+    depend only on the arguments, never on the CPU count.  An empty noise list or a vanishing
     signal slope raises ValueError before any draw, as in
     corrected_uncertainty.
 
@@ -197,7 +204,6 @@ def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: 
         thread.join()
     if errors:
         raise errors[0]
-    return [_combine([(size, (m_bar + s * z_bar - mean) / slope,
-                       (s_mm + 2.0 * s * s_mz + s * s * s_zz) / (slope * slope))
-                      for size, m_bar, z_bar, s_mm, s_mz, s_zz in sums])
+    return [_combine([(size, m_bar + s * z_bar, s_mm + 2.0 * s * s_mz + s * s * s_zz)
+                      for size, m_bar, z_bar, s_mm, s_mz, s_zz in sums], mean, slope)
             for s in scales]

@@ -251,11 +251,13 @@ def test_monte_carlo_rejects_an_empty_noise_list(monkeypatch):
 # is the one-noise Monte Carlo at that seed, recorded when the rows stopped
 # taking a seed of their own.  The "20.0" row was re-recorded when the chunk
 # moments came to be formed from sums over the centred draws (last digit of
-# both values, each within 2.2e-16 of _reference_monte_carlo).
+# both values, each within 2.2e-16 of _reference_monte_carlo).  The "0.0" and
+# "10.0" rows were re-recorded when the moments came to be combined in counts
+# and divided by the slope once (one ulp in both values).
 DEFAULT_COUNTING_MC = {  # sigma: (delta_gamma_mc, mc_stderr)
-    "0.0": ("0.050159621907633026", "0.00011216088511698273"),
+    "0.0": ("0.05015962190763303", "0.00011216088511698274"),
     "5.0": ("0.05318041674016482", "0.00011891562148237017"),
-    "10.0": ("0.06139352482648895", "0.00013728078129597278"),
+    "10.0": ("0.061393524826488945", "0.00013728078129597276"),
     "20.0": ("0.08681992027302013", "0.0001941362142150829"),
     "40.0": ("0.15040224473745661", "0.0003363113247623407"),
 }
@@ -289,14 +291,50 @@ def test_default_counting_analytic_is_the_closed_form(tmp_path):
         assert r["delta_gamma_analytic"] == repr(math.sqrt(sigma**2 / 2 + n / 4) / (n * t / 2))
 
 
+# At N = 400 the quarter-fringe slope N t/2 is 2e-298 and 2e302 at the ends;
+# its square, which the moments were once divided by, underflows or overflows.
+EXTREME_T = [1e-300, 1e-158, 1e152, 1e300]
+
+
+@pytest.mark.parametrize("t", EXTREME_T)
+def test_monte_carlo_stays_in_counts_at_extreme_times(t):
+    n, gamma = 400, 0.5 * math.pi / t
+    noises = [cnt.CountingNoise(s * math.sqrt(n)) for s in (0.0, 1.0)]
+    results = cnt.simulate_counts(t, n, noises, gamma, trials=45_678, seed=9)
+    for noise, mc in zip(noises, results):
+        assert math.isfinite(mc.delta_gamma) and math.isfinite(mc.bias)
+        assert abs(mc.delta_gamma - cnt.corrected_uncertainty(t, n, noise, gamma)) \
+            < 3 * mc.stderr
+
+
+@pytest.mark.parametrize("t", EXTREME_T)
+def test_counting_command_runs_at_extreme_times(tmp_path, t):
+    import csv
+
+    from becmetrology import cli
+
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"[protocol]\nt = {t!r}\n")
+    assert cli.main(["counting", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "counting.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert len(rows) == len(cli.RunConfig().sigma_over_sqrtn)
+    for r in rows:
+        mc, analytic = float(r["delta_gamma_mc"]), float(r["delta_gamma_analytic"])
+        assert math.isfinite(mc) and abs(mc - analytic) < 3 * float(r["mc_stderr"])
+
+
 # N p = 200 draws by BTPE, N p = 13.6 by inversion; both chunks of 20 000 and a short one.
 # The biases were re-recorded when the chunk moments came to be formed from
-# sums over the centred draws; each moved by 2e-15 relative or less.
+# sums over the centred draws; each moved by 2e-15 relative or less.  Both
+# cases were re-recorded when the moments came to be combined in counts and
+# divided by the slope once: each btpe value by one ulp, the inversion
+# bias by 1.1e-14 relative.
 @pytest.mark.parametrize("n, sigma, gamma, seed, delta_gamma, stderr, bias", [
     (400, 3.0, math.pi / 2, 17,
-     0.051241825225633524, 0.0001695355606644811, -0.0005010073561778749),
+     0.05124182522563352, 0.00016953556066448108, -0.000501007356177875),
     (20, 0.0, 1.2, 23,
-     0.22375479921304026, 0.0007403014074716184, -0.0018302972284559777),
+     0.22375479921304026, 0.0007403014074716184, -0.0018302972284559569),
 ], ids=["btpe", "inversion"])
 def test_point_prior_monte_carlo_is_pinned(n, sigma, gamma, seed, delta_gamma, stderr, bias):
     res = cnt.simulate_counts(1.0, n, [cnt.CountingNoise(sigma)], gamma,
