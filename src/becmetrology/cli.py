@@ -67,7 +67,7 @@ class RunConfig:
 # SPECIES_KEYS are written in its place.
 KEYS = (("species", "preset", "species_preset", 1.0),
         ("trap", "d", "trap_d", 1.0),
-        ("trap", "q", "trap_q", 1.0),  # also "hard" for inf
+        ("trap", "q", "trap_q", 1.0),
         ("trap", "rho0_um", "rho0", UM),
         ("trap", "r0_um", "r0", UM),
         ("grid", "points", "grid_points", 1.0),
@@ -83,6 +83,8 @@ KEYS = (("species", "preset", "species_preset", 1.0),
         ("protocol", "c1", "c1", 1.0),
         ("protocol", "c2", "c2", 1.0),
         ("protocol", "seed", "seed", 1.0))
+# Hardness keys: inf, spelled "inf" or "hard", is a hard wall there.
+_HARDNESS_KEYS = ("q", "q_values")
 # Inline [species] keys: (key, Species attribute, SI value of one file unit).
 SPECIES_KEYS = (("mass_u", "mass", atomic_mass),
                 ("a11_nm", "a11", NM),
@@ -125,7 +127,7 @@ def config_to_text(cfg: RunConfig) -> str:
 def _finite(key: str, value):
     """Return value; a float in it that is nan or infinite is a configuration error,
     except inf for a hardness exponent, which is a hard wall."""
-    hardness = key in ("q", "q_values")
+    hardness = key in _HARDNESS_KEYS
     for v in value if isinstance(value, list) else [value]:
         if isinstance(v, float) and not (math.isfinite(v) or (hardness and v == math.inf)):
             raise ConfigError(f"invalid configuration value: {key} must be finite")
@@ -153,8 +155,9 @@ def config_from_text(text: str) -> RunConfig:
         for sec, key, attr, unit in KEYS:
             if cp.has_option(sec, key):
                 value = cp[sec][key]
-                if key == "q" and value.lower() == "hard":
-                    value = "inf"
+                if key in _HARDNESS_KEYS:
+                    value = " ".join("inf" if tok.lower() == "hard" else tok
+                                     for tok in value.replace(",", " ").split())
                 setattr(cfg, attr, _finite(key, _parse(value, getattr(cfg, attr), unit)))
         inline = {attr: _finite(key, _parse(cp["species"][key], 0.0, unit))
                   for key, attr, unit in SPECIES_KEYS if cp.has_option("species", key)}

@@ -87,6 +87,19 @@ def test_config_roundtrip_idempotent():
     assert cli.config_from_text("[sweep]\nq_values = 2 inf\n").q_values == [2.0, math.inf]
 
 
+def test_hard_is_a_hard_wall_in_every_hardness_key(tmp_path):
+    cfg = cli.config_from_text("[trap]\nq = Hard\n\n[sweep]\nq_values = 1 hard,2\n")
+    assert cfg.trap_q == math.inf and cfg.q_values == [1.0, math.inf, 2.0]
+    assert "q_values = 1.0 inf 2.0" in cli.config_to_text(cfg)
+    with pytest.raises(cli.ConfigError, match="could not convert"):  # gamma has no hard wall
+        cli.config_from_text("[protocol]\ngamma = hard\n")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("[sweep]\nq_values = 1 hard\n")
+    assert cli.main(["scaling", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    _, _, rows = read_csv(tmp_path / "exponents.csv")
+    assert [r["q"] for r in rows] == ["1.0", "inf"]
+
+
 INLINE = """
 [species]
 mass_u = 86.909
