@@ -157,9 +157,9 @@ def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: 
     of m' + s z, combines them in chunk order, and only then applies the
     Ramsey model: delta-gamma = sqrt(M2/(trials - 1)) / |slope| and bias =
     (mean - <J_z>) / slope, so the slope's square never forms.  The results
-    depend only on the arguments, never on the CPU count.  An empty noise list or a vanishing
-    signal slope raises ValueError before any draw, as in
-    corrected_uncertainty.
+    depend only on the arguments, never on the CPU count.  An empty noise
+    list or a vanishing signal slope raises ValueError before any draw, as
+    in corrected_uncertainty.
 
     numpy.random loads here, on the calling thread after the argument checks
     and before any worker starts, so that no command that skips the Monte
@@ -204,6 +204,7 @@ def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: 
         thread.join()
     if errors:
         raise errors[0]
+    # for s = 0 the z terms are exact zeros, as when z is not drawn
     return [_combine([(size, m_bar + s * z_bar, s_mm + 2.0 * s * s_mz + s * s * s_zz)
                       for size, m_bar, z_bar, s_mm, s_mz, s_zz in sums], mean, slope)
             for s in scales]
