@@ -4,14 +4,13 @@ The detector miscounts each level with independent Gaussian errors of standard
 deviation sigma, so the normalized difference m = (N1 - N2)/2, which carries
 the parameter signal, has its variance inflated by sigma^2/2.  The atom
 number N0 is known.  corrected_uncertainty gives the sensitivity in closed
-form; simulate_counts cross-checks it by Monte Carlo.
+form; simulate_counts cross-checks it by a Monte Carlo that draws the
+sufficient statistics of its trials, not the trials one by one.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +68,9 @@ def _signal_slope(t: float, n_atoms: int, gamma: float) -> float:
     return slope
 
 
-_CHUNK = 20_000  # Monte Carlo trials per random stream
+# Outcomes farther than Hoeffding's radius sqrt(N0 ln(2/eps)/2) from N0 p_up
+# carry less than this mass in all; the Monte Carlo never draws them.
+_TAIL_MASS = 1e-20
 
 
 @dataclass(frozen=True)
@@ -80,57 +81,53 @@ class MonteCarloResult:
     bias: float
 
 
-def _available_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _binomial_pmf(n_atoms: int, p_up: float) -> tuple[np.ndarray, np.ndarray]:
+    """(k, pmf) of Binomial(n_atoms, p_up) over the outcomes k within
+    Hoeffding's radius of n_atoms p_up, normalized over them: O(sqrt(N0))
+    outcomes, not N0 + 1.
 
-
-def _chunk_sums(n_atoms: int, p_up: float, draw_z: bool, rng: np.random.Generator,
-                buffers: np.ndarray) -> tuple[int, float, float, float, float, float]:
-    """(size, m'_bar, z_bar, S_mm, S_mz, S_zz) of one chunk, in counts.
-
-    buffers is the worker's (3, size) float array: m', z and scratch.  The
-    chunk draws size ideal outcomes m' = Binomial(n_atoms, p_up) - n_atoms/2
-    from rng and, if draw_z, as many standard normals z; it centres each and
-    sums their squares and product.  Without draw_z, z's mean and sums are 0
-    and its buffer is never read.  The sums are ufunc reductions, not BLAS
-    calls; the chunk knows no Ramsey model and calls only numpy, so it is
-    safe on a worker thread.
+    The log-pmf is the cumulative sum of the neighbour log-ratios
+    log((N0 - k)/(k + 1) p/(1 - p)), shifted by its maximum before it is
+    exponentiated.  p_up of exactly 0 or 1, which cos^2(gamma t/2) rounds to
+    at a tiny gamma t whose slope does not vanish, is a point mass.
     """
-    m, z, scratch = buffers
-    np.subtract(rng.binomial(n_atoms, p_up, size=m.shape), 0.5 * n_atoms, out=m)
-    m_bar = float(m.mean())
-    m -= m_bar
-    s_mm = float(np.square(m, out=scratch).sum())
-    z_bar = s_zz = s_mz = 0.0
-    if draw_z:
-        rng.standard_normal(out=z)
-        z_bar = float(z.mean())
-        z -= z_bar
-        s_zz = float(np.square(z, out=scratch).sum())
-        s_mz = float(np.multiply(m, z, out=scratch).sum())
-    return m.size, m_bar, z_bar, s_mm, s_mz, s_zz
+    if p_up in (0.0, 1.0):
+        return np.array([round(n_atoms * p_up)]), np.ones(1)
+    radius = math.sqrt(n_atoms * math.log(2.0 / _TAIL_MASS) / 2.0)
+    k = np.arange(max(0, math.ceil(n_atoms * p_up - radius)),
+                  min(n_atoms, math.floor(n_atoms * p_up + radius)) + 1)
+    steps = np.log((n_atoms - k[:-1]) / (k[:-1] + 1.0)) + math.log(p_up / (1.0 - p_up))
+    log_pmf = np.concatenate(([0.0], np.cumsum(steps)))
+    pmf = np.exp(log_pmf - log_pmf.max())
+    return k, pmf / pmf.sum()
 
 
-def _combine(moments: list[tuple[int, float, float]], mean: float,
-             slope: float) -> MonteCarloResult:
-    """One noise's result from its chunks' (count, mean, M2) of the noisy
-    counts m' + s z, in chunk order, by Chan, Golub & LeVeque's pairwise
-    update.  The update stays in counts; the signal's mean and slope enter
-    only at the end, so the slope divides once."""
-    count, mean_count, m2 = 0, 0.0, 0.0
-    for n_b, mean_b, m2_b in moments:
-        total = count + n_b
-        delta = mean_b - mean_count
-        mean_count += delta * n_b / total
-        m2 += m2_b + delta * delta * count * n_b / total
-        count = total
-    delta_gamma = math.sqrt(m2 / (count - 1)) / abs(slope)
-    return MonteCarloResult(delta_gamma=delta_gamma,
-                            stderr=delta_gamma / math.sqrt(2.0 * (count - 1)),
-                            trials=count, bias=(mean_count - mean) / slope)
+def _results(m: np.ndarray, counts: np.ndarray, a: np.ndarray, chi2: float,
+             scales: list[float], mean: float, slope: float) -> list[MonteCarloResult]:
+    """One result per noise scale s from the trials' sufficient statistics.
+
+    counts[k] trials drew the ideal outcome m[k], and a[k] is the sum of their
+    standard normals z; chi2 is the sum of the z's squares about their
+    outcome's mean, so sum z^2 = sum a^2/counts + chi2.  The moments of the
+    noisy counts m' + s z stay in counts; the Ramsey model's mean and slope
+    enter only at the end, so the slope divides once.  Without normals, a
+    and chi2 are zeros and so is every z term.
+    """
+    trials = int(counts.sum())
+    m_bar = float(np.dot(counts, m)) / trials
+    dm = m - m_bar
+    z_bar = float(a.sum()) / trials
+    s_mm = float(np.dot(counts, dm * dm))
+    s_mz = float(np.dot(dm, a))
+    s_zz = float(np.dot(a, a / counts)) + chi2 - trials * z_bar * z_bar
+    results = []
+    for s in scales:
+        delta_gamma = math.sqrt((s_mm + 2.0 * s * s_mz + s * s * s_zz) / (trials - 1)) \
+            / abs(slope)
+        results.append(MonteCarloResult(delta_gamma=delta_gamma,
+                                        stderr=delta_gamma / math.sqrt(2.0 * (trials - 1)),
+                                        trials=trials, bias=(m_bar + s * z_bar - mean) / slope))
+    return results
 
 
 def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: float,
@@ -138,32 +135,32 @@ def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: 
     """Monte Carlo of the counting pipeline with a local signal-inversion
     estimator, one result per noise, in the order of noises.
 
-    Each trial draws an ideal difference m' of n_atoms atoms after a Ramsey
-    time t from the exact binomial sampler and adds each noise's counting
-    noise to it.  gamma is estimated by linearized inversion of the mean
-    signal at n_atoms; the spread of the estimates is the empirical
-    delta-gamma.  n_atoms is known, so the total count is not drawn.
+    Each trial draws an ideal difference m' = k - n_atoms/2 of n_atoms atoms
+    after a Ramsey time t, with k ~ Binomial(n_atoms, cos^2(gamma t/2)), and
+    adds each noise's counting noise to it.  gamma is estimated by
+    linearized inversion of the mean signal at n_atoms; the spread of the
+    estimates is the empirical delta-gamma.  n_atoms is known, so the total
+    count is not drawn.
 
     Every noise uses the same draws (common random numbers): one m' per
     trial and, if any sigma > 0, one standard normal z, scaled by each
     noise's sqrt(sigma^2/2).  So the results are correlated, and each equals
     the one-noise call with the same seed, bit for bit.
 
-    The trials run in chunks of 20 000, chunk i drawing from the i-th stream
-    spawned by np.random.SeedSequence(seed).  The chunks run concurrently on as
-    many threads as the process has CPUs (at most one per chunk).  A chunk
-    knows only n_atoms and p_up = cos^2(gamma t/2) and returns its sums in
-    counts.  The calling thread gives each noise of scale s its chunk moments
-    of m' + s z, combines them in chunk order, and only then applies the
-    Ramsey model: delta-gamma = sqrt(M2/(trials - 1)) / |slope| and bias =
-    (mean - <J_z>) / slope, so the slope's square never forms.  The results
-    depend only on the arguments, never on the CPU count.  An empty noise
-    list or a vanishing signal slope raises ValueError before any draw, as
-    in corrected_uncertainty.
+    The estimator reads only sufficient statistics, and those are drawn
+    exactly, in distribution, from one np.random.default_rng(seed), in this
+    order: the histogram of the trials' outcomes, one multinomial over the
+    outcomes within Hoeffding's radius (the rest carry less than 1e-20 of the
+    mass); then, if any sigma > 0, one standard normal per occupied outcome,
+    scaled by the square root of its count, which is the sum of that
+    outcome's z; then, unless every trial drew a distinct outcome, the
+    chi-square of trials minus outcomes degrees of freedom that completes
+    sum z^2.  The cost grows with sqrt(n_atoms), not with trials.  An empty
+    noise list or a vanishing signal slope raises ValueError before any
+    draw, as in corrected_uncertainty.
 
-    numpy.random loads here, on the calling thread after the argument checks
-    and before any worker starts, so that no command that skips the Monte
-    Carlo pays for it.
+    numpy.random loads here, after the argument checks, so that no command
+    that skips the Monte Carlo pays for it.
     """
     if trials < 2:
         raise ValueError("need at least two trials to estimate a spread")
@@ -171,40 +168,16 @@ def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: 
         raise ValueError("need at least one counting noise")
     slope = _signal_slope(t, n_atoms, gamma)  # the estimator divides by it
     mean = ramsey_mean(t, n_atoms, gamma)
-    p_up = math.cos(gamma * t / 2.0) ** 2
+    k, pmf = _binomial_pmf(n_atoms, math.cos(gamma * t / 2.0) ** 2)
     scales = [math.sqrt(noise.difference_variance) for noise in noises]
-    draw_z = any(scales)
-    import numpy.random  # noqa: F401  (before any worker thread can touch np.random)
-    n_chunks = -(-trials // _CHUNK)
-    streams = np.random.SeedSequence(seed).spawn(n_chunks)
-    workers = min(n_chunks, _available_cpus())
-    sums: list[tuple | None] = [None] * n_chunks
-    errors: list[BaseException] = []
-    failed = threading.Event()
-
-    def work(first: int) -> None:
-        # chunks first, first + workers, ...; the buffers live as long as the worker
-        try:
-            buffers = np.empty((3, min(_CHUNK, trials)))
-            for i in range(first, n_chunks, workers):
-                if failed.is_set():
-                    return
-                size = min(_CHUNK, trials - i * _CHUNK)
-                sums[i] = _chunk_sums(n_atoms, p_up, draw_z,
-                                      np.random.default_rng(streams[i]), buffers[:, :size])
-        except BaseException as exc:  # re-raised on the calling thread below
-            failed.set()
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    # for s = 0 the z terms are exact zeros, as when z is not drawn
-    return [_combine([(size, m_bar + s * z_bar, s_mm + 2.0 * s * s_mz + s * s * s_zz)
-                      for size, m_bar, z_bar, s_mm, s_mz, s_zz in sums], mean, slope)
-            for s in scales]
+    import numpy.random  # noqa: F401
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(trials, pmf)
+    occupied = counts > 0
+    k, counts = k[occupied], counts[occupied].astype(float)
+    a, chi2 = np.zeros(k.size), 0.0
+    if any(scales):
+        a = rng.standard_normal(k.size) * np.sqrt(counts)
+        if trials > k.size:
+            chi2 = float(rng.chisquare(trials - k.size))
+    return _results(k - 0.5 * n_atoms, counts, a, chi2, scales, mean, slope)
