@@ -194,6 +194,8 @@ def config_from_text(text: str) -> RunConfig:
                          (cfg.counting_n >= 1 and cfg.trials >= 2,
                           "counting_n must be at least 1 and trials at least 2"),
                          (cfg.gamma > 0 and cfg.t > 0, "gamma and t must be positive"),
+                         (cfg.t <= 0 or math.isfinite(_quarter_fringe_gamma(cfg.t)),
+                          "t must be large enough that pi/(2t) is finite"),
                          # numpy's generators take no negative seed
                          (cfg.seed >= 0, "seed must be nonnegative")):
             if not ok:
@@ -333,11 +335,17 @@ def cmd_condensate(cfg: RunConfig) -> tuple[dict, dict]:
                                  "tolerance": gp.TWO_MODE_TOLERANCE}}
 
 
+def _quarter_fringe_gamma(t: float) -> float:
+    """The coupling whose Ramsey signal sits at the quarter fringe, gamma t = pi/2,
+    where its slope is maximal."""
+    return 0.5 * math.pi / t
+
+
 def cmd_counting(cfg: RunConfig) -> tuple[dict, dict]:
     from . import counting as cnt  # only this command counts atoms
 
     n = cfg.counting_n
-    gamma = 0.5 * math.pi / cfg.t  # quarter fringe: maximal slope
+    gamma = _quarter_fringe_gamma(cfg.t)
     noises = [cnt.CountingNoise(sigma=s * math.sqrt(n)) for s in cfg.sigma_over_sqrtn]
     results = cnt.simulate_counts(cfg.t, n, noises, gamma, cfg.trials, cfg.seed)
     rows = [(noise.sigma, n, gamma, cnt.corrected_uncertainty(cfg.t, n, noise, gamma),

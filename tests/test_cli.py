@@ -198,6 +198,7 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, text, name):
     ("scaling", "[sweep]\nq_values = 0.5 2\n"),
     ("bounds", "[protocol]\ngamma = 0\n"),
     ("counting", "[protocol]\nt = -1\n"),
+    ("counting", "[protocol]\nt = 1e-310\n"),  # the quarter fringe pi/(2t) overflows
     ("counting", "[protocol]\nseed = -3\n"),
 ])
 def test_config_rejects_out_of_range_values(tmp_path, capsys, command, text):
