@@ -135,9 +135,13 @@ def _moments(values: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
 
 def evolve(state: DickeState, kind: HamiltonianKind, gamma: float, t: float) -> DickeState:
     """Evolve under H = gamma*h for time t (diagonal phases in the Dicke basis)."""
+    return _evolve(state, generator_eigenvalues(kind, state.n_atoms), gamma, t)
+
+
+def _evolve(state: DickeState, h: np.ndarray, gamma: float, t: float) -> DickeState:
+    """evolve under the coupling whose diagonal h is given."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    h = generator_eigenvalues(kind, state.n_atoms)
     return DickeState(state.n_atoms, np.exp(-1j * gamma * t * h) * state.amplitudes)
 
 
@@ -214,9 +218,9 @@ class ProtocolResult:
 def _simulate(protocol: str, state: DickeState, kind: HamiltonianKind, gamma: float,
               t: float, observable_apply) -> ProtocolResult:
     """Evolve a prepared state and read out observable_apply (psi -> A psi)."""
-    evolved = evolve(state, kind, gamma, t)
-    psi = evolved.amplitudes
     h = generator_eigenvalues(kind, state.n_atoms)
+    evolved = _evolve(state, h, gamma, t)
+    psi = evolved.amplitudes
     dpsi = -1j * t * h * psi
     av = observable_apply(psi)
     mean, var = _moments(psi, av)
