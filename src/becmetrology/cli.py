@@ -18,7 +18,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import csvio, gp, scaling, thomas_fermi as tf
 from .physconfig import (CM3, NM, SPECIES_PRESETS, UM, Species, Superposition,
@@ -29,29 +29,38 @@ class ConfigError(ValueError):
     pass
 
 
+def _key(section: str, key: str, default, unit: float = 1.0, hardness: bool = False):
+    """A RunConfig field set by `key` under [section], in multiples of unit; the default
+    fixes its type, and a list default is copied per RunConfig.  A hardness
+    exponent may be inf, spelled "inf" or "hard": a hard wall."""
+    spec = {"default_factory": default.copy} if isinstance(default, list) else {"default": default}
+    return field(metadata={"file": (section, key, unit, hardness)}, **spec)
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved run parameters (defaults <- file)."""
+    """Fully resolved run parameters (defaults <- file), the keyed fields in file order."""
 
-    species_preset: str = "rb87"
+    species_preset: str = _key("species", "preset", "rb87")
     species: Species = field(default_factory=SPECIES_PRESETS["rb87"])
-    trap_d: int = 1
-    trap_q: float = 2.0
-    rho0: float = 1.0 * UM
-    r0: float = 100.0 * UM
-    grid_points: int = 512
-    grid_extent_factor: float = 2.0
-    n_values: list[int] = field(default_factory=lambda: [8 * 2**k for k in range(8)])
-    n_over_nl: list[float] = field(default_factory=lambda: [100.0, 178.0, 316.0, 562.0, 1000.0])
-    sigma_over_sqrtn: list[float] = field(default_factory=lambda: [0.0, 0.25, 0.5, 1.0, 2.0])
-    q_values: list[float] = field(default_factory=lambda: [1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0])
-    gamma: float = 1.0
-    t: float = 1.0
-    c1: float = 1.0 / math.sqrt(2.0)
-    c2: float = 1.0 / math.sqrt(2.0)
-    counting_n: int = 400
-    trials: int = 100_000
-    seed: int = 20240901
+    trap_d: int = _key("trap", "d", 1)
+    trap_q: float = _key("trap", "q", 2.0, hardness=True)
+    rho0: float = _key("trap", "rho0_um", 1.0 * UM, UM)
+    r0: float = _key("trap", "r0_um", 100.0 * UM, UM)
+    grid_points: int = _key("grid", "points", 512)
+    grid_extent_factor: float = _key("grid", "extent_factor", 2.0)
+    n_values: list[int] = _key("sweep", "n_values", [8 * 2**k for k in range(8)])
+    n_over_nl: list[float] = _key("sweep", "n_over_nl", [100.0, 178.0, 316.0, 562.0, 1000.0])
+    sigma_over_sqrtn: list[float] = _key("sweep", "sigma_over_sqrtn", [0.0, 0.25, 0.5, 1.0, 2.0])
+    q_values: list[float] = _key("sweep", "q_values", [1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0],
+                                 hardness=True)
+    counting_n: int = _key("sweep", "counting_n", 400)
+    trials: int = _key("sweep", "trials", 100_000)
+    gamma: float = _key("protocol", "gamma", 1.0)
+    t: float = _key("protocol", "t", 1.0)
+    c1: float = _key("protocol", "c1", 1.0 / math.sqrt(2.0))
+    c2: float = _key("protocol", "c2", 1.0 / math.sqrt(2.0))
+    seed: int = _key("protocol", "seed", 20240901)
 
     def trap(self) -> TrapGeometry:
         return trap_from_lengths(self.trap_d, self.trap_q, self.rho0, self.r0,
@@ -61,31 +70,11 @@ class RunConfig:
         return Superposition(self.c1, self.c2)
 
 
-# The configuration file format: (section, key, RunConfig attribute, SI value
-# of one file unit), in file order.  The attribute's default is the key's
-# default and fixes its type; `preset = inline` is never written, the
-# SPECIES_KEYS are written in its place.
-KEYS = (("species", "preset", "species_preset", 1.0),
-        ("trap", "d", "trap_d", 1.0),
-        ("trap", "q", "trap_q", 1.0),
-        ("trap", "rho0_um", "rho0", UM),
-        ("trap", "r0_um", "r0", UM),
-        ("grid", "points", "grid_points", 1.0),
-        ("grid", "extent_factor", "grid_extent_factor", 1.0),
-        ("sweep", "n_values", "n_values", 1.0),
-        ("sweep", "n_over_nl", "n_over_nl", 1.0),
-        ("sweep", "sigma_over_sqrtn", "sigma_over_sqrtn", 1.0),
-        ("sweep", "q_values", "q_values", 1.0),
-        ("sweep", "counting_n", "counting_n", 1.0),
-        ("sweep", "trials", "trials", 1.0),
-        ("protocol", "gamma", "gamma", 1.0),
-        ("protocol", "t", "t", 1.0),
-        ("protocol", "c1", "c1", 1.0),
-        ("protocol", "c2", "c2", 1.0),
-        ("protocol", "seed", "seed", 1.0))
-# Hardness keys: inf, spelled "inf" or "hard", is a hard wall there.
-_HARDNESS_KEYS = ("q", "q_values")
-# Inline [species] keys: (key, Species attribute, SI value of one file unit).
+# The configuration file format: (section, key, SI value of one file unit,
+# hardness, RunConfig attribute) of each field that has a key, in file order.
+_KEYS = [(*f.metadata["file"], f.name) for f in fields(RunConfig) if f.metadata]
+# Inline [species] keys, written in place of `preset = inline`:
+# (key, Species attribute, SI value of one file unit).
 SPECIES_KEYS = (("mass_u", "mass", atomic_mass),
                 ("a11_nm", "a11", NM),
                 ("a22_nm", "a22", NM),
@@ -112,7 +101,7 @@ def _parse(text: str, like, unit: float):
 def config_to_text(cfg: RunConfig) -> str:
     """Canonical key-value serialization; parsing it back reproduces cfg."""
     lines, section = [], None
-    for sec, key, attr, unit in KEYS:
+    for sec, key, unit, _, attr in _KEYS:
         if sec != section:
             lines += ["", f"[{sec}]"]
             section = sec
@@ -124,10 +113,9 @@ def config_to_text(cfg: RunConfig) -> str:
     return "\n".join(lines[1:]) + "\n"
 
 
-def _finite(key: str, value):
+def _finite(key: str, value, hardness: bool = False):
     """Return value; a float in it that is nan or infinite is a configuration error,
     except inf for a hardness exponent, which is a hard wall."""
-    hardness = key in _HARDNESS_KEYS
     for v in value if isinstance(value, list) else [value]:
         if isinstance(v, float) and not (math.isfinite(v) or (hardness and v == math.inf)):
             raise ConfigError(f"invalid configuration value: {key} must be finite")
@@ -140,7 +128,7 @@ def config_from_text(text: str) -> RunConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed configuration: {exc}") from exc
-    known = {(sec, key) for sec, key, _, _ in KEYS}
+    known = {(sec, key) for sec, key, *_ in _KEYS}
     known |= {("species", key) for key, _, _ in SPECIES_KEYS}
     if cp.defaults():  # keys under [DEFAULT] would apply to every section
         raise ConfigError(f"unknown section [{cp.default_section}]")
@@ -152,13 +140,14 @@ def config_from_text(text: str) -> RunConfig:
                 raise ConfigError(f"unknown key '{key}' in [{sec}]")
     cfg = RunConfig()
     try:
-        for sec, key, attr, unit in KEYS:
+        for sec, key, unit, hardness, attr in _KEYS:
             if cp.has_option(sec, key):
                 value = cp[sec][key]
-                if key in _HARDNESS_KEYS:
+                if hardness:
                     value = " ".join("inf" if tok.lower() == "hard" else tok
                                      for tok in value.replace(",", " ").split())
-                setattr(cfg, attr, _finite(key, _parse(value, getattr(cfg, attr), unit)))
+                value = _parse(value, getattr(cfg, attr), unit)
+                setattr(cfg, attr, _finite(key, value, hardness))
         inline = {attr: _finite(key, _parse(cp["species"][key], 0.0, unit))
                   for key, attr, unit in SPECIES_KEYS if cp.has_option("species", key)}
         if inline:
@@ -194,15 +183,21 @@ def config_from_text(text: str) -> RunConfig:
                          (cfg.counting_n >= 1 and cfg.trials >= 2,
                           "counting_n must be at least 1 and trials at least 2"),
                          (cfg.gamma > 0 and cfg.t > 0, "gamma and t must be positive"),
+                         # the enhanced protocol's largest phase is gamma t N^2/2
+                         (math.isfinite(cfg.gamma * cfg.t * max(cfg.n_values) ** 2),
+                          "gamma * t * N^2 must be finite"),
                          (cfg.t <= 0 or math.isfinite(_quarter_fringe_gamma(cfg.t)),
                           "t must be large enough that pi/(2t) is finite"),
                          # numpy's generators take no negative seed
                          (cfg.seed >= 0, "seed must be nonnegative")):
             if not ok:
                 raise ConfigError(f"invalid configuration value: {rule}")
+        if not all(map(math.isfinite, sum(_quadratic_times(cfg.gamma, cfg.n_values), []))):
+            raise ConfigError("invalid configuration value: gamma must be large enough "
+                              "that the quadratic protocol's times 0.1/(gamma N) are finite")
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an int too large for a float overflows
         raise ConfigError(f"invalid configuration value: {exc}") from exc
     return cfg
 
@@ -217,10 +212,9 @@ def cmd_bounds(cfg: RunConfig) -> tuple[dict, dict]:
     qubit = spins.SpectrumBound(0.5, -0.5)
     pair = spins.SpectrumBound(0.5, -0.5, k_body=2)
     rows = []
-    for n in cfg.n_values:
+    t_short, t_grid = _quadratic_times(cfg.gamma, cfg.n_values)
+    for n, tq in zip(cfg.n_values, t_short):
         linear = spins.cramer_rao(qubit, n, cfg.t)
-        # quadratic protocol in its short-time window gamma*t*N <= 0.1
-        tq = 0.1 / (cfg.gamma * n)
         for result, bound in ((spins.simulate_ramsey(n, cfg.gamma, cfg.t), linear),
                               (spins.simulate_cat(n, cfg.gamma, cfg.t), linear),
                               (spins.simulate_enhanced(n, cfg.gamma, cfg.t), linear),
@@ -229,9 +223,7 @@ def cmd_bounds(cfg: RunConfig) -> tuple[dict, dict]:
             rows.append((result.protocol, n, result.t, cfg.gamma, result.delta_gamma,
                          bound.crb, bound.product_state_reference, result.purity))
     # time trace of the quadratic protocol: sensitivity and entanglement witness
-    n_trace = max(cfg.n_values)
-    t_grid = [x * 2.0 / (cfg.gamma * n_trace) / 24 for x in range(1, 25)]
-    trace = spins.product_nonlinear_protocol(n_trace, cfg.gamma, t_grid)
+    trace = spins.product_nonlinear_protocol(max(cfg.n_values), cfg.gamma, t_grid)
     slopes = []
     for name in ("ramsey", "cat", "enhanced", "quadratic"):
         pts = [(r[1], r[4] * r[2]) for r in rows if r[0] == name]  # (N, t*delta)
@@ -335,6 +327,15 @@ def cmd_condensate(cfg: RunConfig) -> tuple[dict, dict]:
                                  "tolerance": gp.TWO_MODE_TOLERANCE}}
 
 
+def _quadratic_times(gamma: float, n_values: list[int]) -> tuple[list[float], list[float]]:
+    """The quadratic protocol's times: for each N the end of its short-time
+    window, gamma t N = 0.1, and the trace's 24 steps out to gamma t N = 2 at
+    the largest N."""
+    n_trace = max(n_values)
+    return ([0.1 / (gamma * n) for n in n_values],
+            [x * 2.0 / (gamma * n_trace) / 24 for x in range(1, 25)])
+
+
 def _quarter_fringe_gamma(t: float) -> float:
     """The coupling whose Ramsey signal sits at the quarter fringe, gamma t = pi/2,
     where its slope is maximal."""
@@ -347,9 +348,13 @@ def cmd_counting(cfg: RunConfig) -> tuple[dict, dict]:
     n = cfg.counting_n
     gamma = _quarter_fringe_gamma(cfg.t)
     noises = [cnt.CountingNoise(sigma=s * math.sqrt(n)) for s in cfg.sigma_over_sqrtn]
+    analytic = [cnt.corrected_uncertainty(cfg.t, n, noise, gamma) for noise in noises]
+    if not all(map(math.isfinite, analytic)):
+        raise ConfigError("invalid configuration value: sigma_over_sqrtn must be small "
+                          "enough that sigma and delta_gamma are finite")
     results = cnt.simulate_counts(cfg.t, n, noises, gamma, cfg.trials, cfg.seed)
-    rows = [(noise.sigma, n, gamma, cnt.corrected_uncertainty(cfg.t, n, noise, gamma),
-             mc.delta_gamma, mc.stderr) for noise, mc in zip(noises, results)]
+    rows = [(noise.sigma, n, gamma, dg, mc.delta_gamma, mc.stderr)
+            for noise, dg, mc in zip(noises, analytic, results)]
     return {"counting.csv": (("sigma", "N", "gamma", "delta_gamma_analytic",
                               "delta_gamma_mc", "mc_stderr"), rows)}, {}
 

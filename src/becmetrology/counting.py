@@ -16,6 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# The share of each level's counting variance sigma^2 that m = (N1 - N2)/2 carries
+_DIFFERENCE_SHARE = 0.5
+
+
 @dataclass(frozen=True)
 class CountingNoise:
     """Per-level Gaussian counting error (standard deviation in counts)."""
@@ -28,7 +32,7 @@ class CountingNoise:
 
     @property
     def difference_variance(self) -> float:
-        return 0.5 * self.sigma**2
+        return _DIFFERENCE_SHARE * self.sigma**2
 
 
 def ramsey_mean(t: float, n0: int, gamma: float) -> float:
@@ -54,8 +58,21 @@ def corrected_uncertainty(t: float, n_atoms: int, noise: CountingNoise,
     delta-gamma^2 = (sigma^2/2 + Var J_z) / |d<J_z>/dgamma|^2: the counting
     noise adds its difference variance to the quantum one.
     """
-    variance = noise.difference_variance + ramsey_variance(t, n_atoms, gamma)
-    return math.sqrt(variance) / abs(_signal_slope(t, n_atoms, gamma))
+    variance = ramsey_variance(t, n_atoms, gamma)
+    slope = _signal_slope(t, n_atoms, gamma)
+    return _root(variance, 0.0, _DIFFERENCE_SHARE, noise.sigma) / abs(slope)
+
+
+def _root(c0: float, c1: float, c2: float, s: float, divisor: float = 1.0) -> float:
+    """sqrt((c0 + c1 s + c2 s^2)/divisor), formed at s/2^e for the least power
+    of two 2^e > s (1 for s < 1) and scaled back by 2^e, so that no square of
+    a large s overflows.  Powers of two scale exactly: where the direct form is
+    finite this gives its bits, but for a c0 or c1 term that the scaling makes
+    subnormal, and such a term is negligible beside c2 s^2."""
+    e = max(0, math.frexp(s)[1])
+    s = math.ldexp(s, -e)
+    total = math.ldexp(c0, -2 * e) + math.ldexp(c1, -e) * s + s * s * c2
+    return math.ldexp(math.sqrt(total / divisor), e)
 
 
 def _signal_slope(t: float, n_atoms: int, gamma: float) -> float:
@@ -122,8 +139,7 @@ def _results(m: np.ndarray, counts: np.ndarray, a: np.ndarray, chi2: float,
     s_zz = float(np.dot(a, a / counts)) + chi2 - trials * z_bar * z_bar
     results = []
     for s in scales:
-        delta_gamma = math.sqrt((s_mm + 2.0 * s * s_mz + s * s * s_zz) / (trials - 1)) \
-            / abs(slope)
+        delta_gamma = _root(s_mm, 2.0 * s_mz, s_zz, s, trials - 1) / abs(slope)
         results.append(MonteCarloResult(delta_gamma=delta_gamma,
                                         stderr=delta_gamma / math.sqrt(2.0 * (trials - 1)),
                                         trials=trials, bias=(m_bar + s * z_bar - mean) / slope))
@@ -169,7 +185,7 @@ def simulate_counts(t: float, n_atoms: int, noises: list[CountingNoise], gamma: 
     slope = _signal_slope(t, n_atoms, gamma)  # the estimator divides by it
     mean = ramsey_mean(t, n_atoms, gamma)
     k, pmf = _binomial_pmf(n_atoms, math.cos(gamma * t / 2.0) ** 2)
-    scales = [math.sqrt(noise.difference_variance) for noise in noises]
+    scales = [_root(0.0, 0.0, _DIFFERENCE_SHARE, noise.sigma) for noise in noises]
     import numpy.random  # noqa: F401
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(trials, pmf)

@@ -33,18 +33,19 @@ HamiltonianKind = Literal["linear_Jz", "quadratic_Jz2", "enhanced_NJz"]
 class DickeState:
     """Symmetric N-qubit state: complex amplitudes over m = -N/2 ... N/2."""
 
-    n_atoms: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_atoms < 1:
-            raise ValueError("need at least one atom")
         amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.n_atoms + 1,):
-            raise ValueError(f"amplitude vector must have length N+1 = {self.n_atoms + 1}")
+        if amp.ndim != 1 or amp.size < 2:
+            raise ValueError("need a 1-D vector of N+1 amplitudes for at least one atom")
         if abs(np.vdot(amp, amp).real - 1.0) > 1e-10:
             raise ValueError("state is not normalized")
         object.__setattr__(self, "amplitudes", amp)
+
+    @property
+    def n_atoms(self) -> int:
+        return self.amplitudes.size - 1
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,14 @@ class SpectrumBound:
             raise ValueError("k_body must be a positive integer")
 
 
+def _ladder(n_atoms: int) -> np.ndarray:
+    """The J_z eigenvalues m = -N/2 ... N/2, in ladder order."""
+    return np.arange(n_atoms + 1) - n_atoms / 2.0
+
+
 def generator_eigenvalues(kind: HamiltonianKind, n_atoms: int) -> np.ndarray:
     """Diagonal of the coupling h in the Dicke basis (units of the per-qubit scale)."""
-    m = np.arange(n_atoms + 1) - n_atoms / 2.0
+    m = _ladder(n_atoms)
     if kind == "linear_Jz":
         return m
     if kind == "quadratic_Jz2":
@@ -96,7 +102,7 @@ def prepare_product(n_atoms: int, sup: Superposition) -> DickeState:
     amp *= np.sign(sup.c1) ** n_up * np.sign(sup.c2) ** (n_atoms - n_up)
     amp = amp.astype(complex)
     amp /= np.linalg.norm(amp)
-    return DickeState(n_atoms, amp)
+    return DickeState(amp)
 
 
 def cat_state(n_atoms: int) -> DickeState:
@@ -105,21 +111,20 @@ def cat_state(n_atoms: int) -> DickeState:
         raise ValueError("need at least one atom")
     amp = np.zeros(n_atoms + 1, dtype=complex)
     amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
-    return DickeState(n_atoms, amp)
+    return DickeState(amp)
 
 
 def _raising_coefficients(n_atoms: int) -> np.ndarray:
     """<m+1|J_+|m> for m = -N/2 ... N/2 - 1: J_+ takes index i to i+1."""
-    j = n_atoms / 2.0
-    m = np.arange(n_atoms) - j
+    j, m = n_atoms / 2.0, _ladder(n_atoms)[:-1]
     return np.sqrt((j - m) * (j + m + 1.0))
 
 
-def _apply_component(values: np.ndarray, n_atoms: int, component: str) -> np.ndarray:
+def _apply_component(values: np.ndarray, component: str) -> np.ndarray:
     """J_x or J_y applied to an amplitude vector; J_z is the linear generator's diagonal."""
     if component not in ("x", "y"):
         raise ValueError(f"unknown spin component {component!r}")
-    c = _raising_coefficients(n_atoms)
+    c = _raising_coefficients(values.size - 1)
     up, dn = np.zeros_like(values), np.zeros_like(values)  # J_+ psi, J_- psi
     up[1:] = c * values[:-1]
     dn[:-1] = c * values[1:]
@@ -133,16 +138,12 @@ def _moments(values: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
     return mean, np.vdot(dev, dev).real
 
 
-def evolve(state: DickeState, kind: HamiltonianKind, gamma: float, t: float) -> DickeState:
-    """Evolve under H = gamma*h for time t (diagonal phases in the Dicke basis)."""
-    return _evolve(state, generator_eigenvalues(kind, state.n_atoms), gamma, t)
-
-
-def _evolve(state: DickeState, h: np.ndarray, gamma: float, t: float) -> DickeState:
-    """evolve under the coupling whose diagonal h is given."""
+def evolve(state: DickeState, h: np.ndarray, gamma: float, t: float) -> DickeState:
+    """Evolve under H = gamma*h for time t; h is the coupling's diagonal in the
+    Dicke basis, as generator_eigenvalues gives it."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    return DickeState(state.n_atoms, np.exp(-1j * gamma * t * h) * state.amplitudes)
+    return DickeState(np.exp(-1j * gamma * t * h) * state.amplitudes)
 
 
 def single_qubit_purity(state: DickeState) -> float:
@@ -154,7 +155,7 @@ def single_qubit_purity(state: DickeState) -> float:
     """
     n, psi = state.n_atoms, state.amplitudes
     j_plus = np.vdot(psi[1:], _raising_coefficients(n) * psi[:-1])
-    j_z = np.dot(np.arange(n + 1) - n / 2.0, np.abs(psi) ** 2)
+    j_z = np.dot(_ladder(n), np.abs(psi) ** 2)
     bloch = np.array([j_plus.real, j_plus.imag, j_z]) * (2.0 / n)
     return 0.5 * (1.0 + float(np.dot(bloch, bloch)))
 
@@ -188,9 +189,10 @@ def cramer_rao(bound: SpectrumBound, n_atoms: int, t: float) -> CramerRaoBound:
         raise ValueError("degenerate spectrum: the generator is trivial and the "
                          "sensitivity is unbounded")
     width = bound.Lambda - bound.lam
-    return CramerRaoBound(crb=1.0 / (t * norm),
-                          product_state_reference=1.0 / (t * n_atoms ** (bound.k_body - 0.5)
-                                                         * width**bound.k_body),
+    # t divides last: at a long t, t times the spread would overflow
+    return CramerRaoBound(crb=1.0 / norm / t,
+                          product_state_reference=1.0 / (n_atoms ** (bound.k_body - 0.5)
+                                                         * width**bound.k_body) / t,
                           norm=norm)
 
 
@@ -219,13 +221,15 @@ def _simulate(protocol: str, state: DickeState, kind: HamiltonianKind, gamma: fl
               t: float, observable_apply) -> ProtocolResult:
     """Evolve a prepared state and read out observable_apply (psi -> A psi)."""
     h = generator_eigenvalues(kind, state.n_atoms)
-    evolved = _evolve(state, h, gamma, t)
+    evolved = evolve(state, h, gamma, t)
     psi = evolved.amplitudes
-    dpsi = -1j * t * h * psi
     av = observable_apply(psi)
     mean, var = _moments(psi, av)
-    slope = 2.0 * np.real(np.vdot(av, dpsi))
-    delta = math.sqrt(var) / abs(slope) if slope != 0.0 else math.inf
+    # d psi/d gamma = -i t h psi: t multiplies last, so no t*h can overflow, and in
+    # Python floats, so a subnormal rate makes delta_gamma inf without a warning
+    rate = 2.0 * float(np.vdot(av, -1j * h * psi).real)
+    slope = t * rate
+    delta = math.sqrt(var) / abs(rate) / t if slope != 0.0 else math.inf
     weights = psi.real**2 + psi.imag**2  # h is diagonal: its spread is |psi|^2-weighted
     h_var = np.dot(weights, (h - np.dot(weights, h)) ** 2)
     return ProtocolResult(protocol=protocol, n_atoms=state.n_atoms, gamma=gamma, t=t,
@@ -245,7 +249,7 @@ def simulate_ramsey(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
     """Full product-state interferometer: equal superposition, linear evolution,
     closing half-rotation, population-difference readout (J_x before R_y(-pi/2))."""
     return _simulate("ramsey", prepare_product(n_atoms, Superposition.equal()), "linear_Jz",
-                     gamma, t, lambda v: _apply_component(v, n_atoms, "x"))
+                     gamma, t, lambda v: _apply_component(v, "x"))
 
 
 def simulate_cat(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
@@ -261,7 +265,7 @@ def simulate_cat(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
 def simulate_enhanced(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
     """Product-state protocol driven by the N-amplified linear coupling."""
     return _simulate("enhanced", prepare_product(n_atoms, Superposition.equal()),
-                     "enhanced_NJz", gamma, t, lambda v: _apply_component(v, n_atoms, "x"))
+                     "enhanced_NJz", gamma, t, lambda v: _apply_component(v, "x"))
 
 
 def simulate_quadratic(n_atoms: int, gamma: float, t: float) -> ProtocolResult:
@@ -282,7 +286,7 @@ def product_nonlinear_protocol(n_atoms: int, gamma: float,
         raise ValueError("a nonlinear protocol needs at least two atoms")
     state = prepare_product(n_atoms, Superposition.quadratic_optimal())
     return [_simulate("quadratic", state, "quadratic_Jz2", gamma, t,
-                      lambda v: _apply_component(v, n_atoms, "y")) for t in t_grid]
+                      lambda v: _apply_component(v, "y")) for t in t_grid]
 
 
 def fit_loglog_slope(n_values: Sequence[float], delta_gammas: Sequence[float]) -> float:

@@ -13,5 +13,5 @@ def expectation(state: DickeState, component: str) -> tuple[float, float]:
     """Exact (mean, variance) of a collective spin component."""
     psi, n = state.amplitudes, state.n_atoms
     applied = (generator_eigenvalues("linear_Jz", n) * psi if component == "z"
-               else _apply_component(psi, n, component))
+               else _apply_component(psi, component))
     return _moments(psi, applied)

@@ -200,6 +200,13 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, text, name):
     ("counting", "[protocol]\nt = -1\n"),
     ("counting", "[protocol]\nt = 1e-310\n"),  # the quarter fringe pi/(2t) overflows
     ("counting", "[protocol]\nseed = -3\n"),
+    # a time 0.1/(gamma N) or a phase gamma t N^2/2 of the bounds protocols, a
+    # sigma or a counting delta_gamma past the largest float
+    ("bounds", "[protocol]\ngamma = 1e-320\n"),
+    ("bounds", "[protocol]\nt = 1e305\n\n[sweep]\nn_values = 8 4096\n"),
+    ("bounds", "[protocol]\ngamma = 1e200\nt = 1e200\n"),
+    ("counting", "[sweep]\nsigma_over_sqrtn = 0 1e307\n"),
+    ("counting", "[protocol]\nt = 1e-300\n\n[sweep]\nsigma_over_sqrtn = 0 1e10\n"),
 ])
 def test_config_rejects_out_of_range_values(tmp_path, capsys, command, text):
     cfgfile = tmp_path / "run.cfg"
@@ -324,6 +331,46 @@ def test_counting_command(tmp_path):
     first = (tmp_path / "counting.csv").read_bytes()
     assert cli.main(["counting", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "counting.csv").read_bytes() == first  # same seed: same bytes
+
+
+@pytest.mark.parametrize("gamma", [1e-306, 1e-307])
+def test_bounds_at_a_tiny_gamma_writes_finite_values(tmp_path, gamma):
+    # t = 0.1/(gamma N) is near 1e302: no row may hold a nan, an infinite time or
+    # a zero bound, and the quadratic rows' gamma t N and delta_gamma t are those
+    # of gamma = 1
+    def run(out, gamma):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"[protocol]\ngamma = {gamma!r}\n\n[sweep]\nn_values = 8 4096\n")
+        assert cli.main(["bounds", "--config", str(cfgfile), "--out", str(out)]) == 0
+        return read_csv(out / "bounds.csv")[2], read_csv(out / "quadratic_trace.csv")[2]
+
+    rows, trace = run(tmp_path / "tiny", gamma)
+    ref_rows, ref_trace = run(tmp_path / "one", 1.0)
+    for r in rows + trace:
+        t, delta = float(r["t"]), float(r["delta_gamma"])
+        assert 0.0 < t < math.inf and 0.0 < delta < math.inf
+    for r in rows:
+        assert float(r["bound_HL"]) > 0.0 and float(r["bound_QNL"]) > 0.0
+    quadratic = [(r, ref) for r, ref in zip(rows + trace, ref_rows + ref_trace)
+                 if r.get("protocol", "quadratic") == "quadratic"]
+    assert len(quadratic) == 2 + 24
+    for r, ref in quadratic:
+        assert float(r["t"]) * gamma == pytest.approx(float(ref["t"]), rel=1e-12)
+        assert float(r["delta_gamma"]) * float(r["t"]) == \
+            pytest.approx(float(ref["delta_gamma"]) * float(ref["t"]), rel=1e-9)
+
+
+@pytest.mark.parametrize("sigma_over_sqrtn", ["1e152", "1e153"])
+def test_counting_at_a_large_noise_writes_finite_values(tmp_path, sigma_over_sqrtn):
+    # sigma^2 overflowed at 1e153; at 1e152 the Monte Carlo's s^2 times its
+    # sum of squared normals did
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"[sweep]\nsigma_over_sqrtn = 0 {sigma_over_sqrtn}\n")
+    assert cli.main(["counting", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    _, _, rows = read_csv(tmp_path / "counting.csv")
+    for r in rows:
+        mc, analytic = float(r["delta_gamma_mc"]), float(r["delta_gamma_analytic"])
+        assert math.isfinite(analytic) and abs(mc - analytic) < 3 * float(r["mc_stderr"])
 
 
 def test_counting_header_reruns_the_same_bytes(tmp_path):

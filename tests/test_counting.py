@@ -355,6 +355,19 @@ def test_counting_command_runs_at_extreme_times(tmp_path, t):
         assert math.isfinite(mc) and abs(mc - analytic) < 3 * float(r["mc_stderr"])
 
 
+# sigma^2 overflows past 1.34e154, and the Monte Carlo's s^2 times its sum of
+# squared normals near 1e152 at 10^5 trials; the noise stays a standard deviation
+@pytest.mark.parametrize("sigma", [2e153, 2e154, 1e300])
+def test_large_counting_noise_stays_finite(sigma):
+    n, t = 400, 1.0
+    gamma = 0.5 * math.pi / t
+    noise = cnt.CountingNoise(sigma)
+    analytic = cnt.corrected_uncertainty(t, n, noise, gamma)
+    assert analytic == pytest.approx(sigma / math.sqrt(2.0) / (n * t / 2.0), rel=1e-12)
+    (mc,) = cnt.simulate_counts(t, n, [noise], gamma, trials=100_000, seed=9)
+    assert math.isfinite(mc.delta_gamma) and abs(mc.delta_gamma - analytic) < 3 * mc.stderr
+
+
 # A large N at the quarter fringe with noise, and a small N off it without.
 # The ids name the binomial algorithm numpy used when each trial drew its own
 # outcome (BTPE at N p = 200, inversion at N p = 13.6).  Both cases were

@@ -14,18 +14,16 @@ from spin_moments import expectation
 def random_dicke(n, rng):
     amp = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     amp /= np.linalg.norm(amp)
-    return spins.DickeState(n, amp)
+    return spins.DickeState(amp)
 
 
 def rotate(state, axis, angle):
-    return spins.DickeState(state.n_atoms, oracle.rotate_dicke(state.amplitudes, axis, angle))
+    return spins.DickeState(oracle.rotate_dicke(state.amplitudes, axis, angle))
 
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        spins.DickeState(3, np.ones(4))  # unnormalized
-    with pytest.raises(ValueError):
-        spins.DickeState(3, np.array([1.0, 0.0, 0.0]))  # wrong length
+        spins.DickeState(np.ones(4))  # unnormalized
     with pytest.raises(ValueError):
         spins.prepare_product(0, Superposition.equal())
 
@@ -80,13 +78,22 @@ def test_expectation_matches_dense_oracle():
             assert var == pytest.approx(dv, abs=1e-10)
 
 
+def test_state_takes_its_atom_number_from_its_amplitudes():
+    assert spins.DickeState(np.array([0.6, 0.8j])).n_atoms == 1
+    assert spins.cat_state(7).n_atoms == 7
+    with pytest.raises(ValueError):
+        spins.DickeState(np.eye(2) / math.sqrt(2.0))  # normalized, but not a vector
+    with pytest.raises(ValueError):
+        spins.DickeState(np.ones(1))  # no atom
+
+
 def test_rotate_identity_and_single_qubit():
     rng = np.random.default_rng(3)
     st = random_dicke(6, rng)
     for axis in ("x", "y", "z"):
         out = rotate(st, axis, 0.0)
         assert np.allclose(out.amplitudes, st.amplitudes, atol=1e-14)
-    up = spins.DickeState(1, np.array([0.0, 1.0], dtype=complex))  # m = +1/2
+    up = spins.DickeState(np.array([0.0, 1.0], dtype=complex))  # m = +1/2
     rotated = rotate(up, "y", math.pi / 2)
     assert np.allclose(rotated.amplitudes, [1 / math.sqrt(2)] * 2, atol=1e-12)
 
@@ -116,26 +123,26 @@ def test_norm_preserved():
     rng = np.random.default_rng(17)
     st = random_dicke(30, rng)
     for out in (rotate(st, "y", 0.7),
-                spins.evolve(st, "quadratic_Jz2", 0.3, 1.2)):
+                spins.evolve(st, spins.generator_eigenvalues("quadratic_Jz2", 30), 0.3, 1.2)):
         assert np.vdot(out.amplitudes, out.amplitudes).real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_evolve_cases():
     st = spins.prepare_product(4, Superposition.equal())
-    ham = "linear_Jz"
-    assert np.allclose(spins.evolve(st, ham, 0.8, 0.0).amplitudes, st.amplitudes)
+    h = spins.generator_eigenvalues("linear_Jz", 4)
+    assert np.allclose(spins.evolve(st, h, 0.8, 0.0).amplitudes, st.amplitudes)
     # a pi rotation about z flips the equatorial Bloch vector
     one = spins.prepare_product(1, Superposition.equal())
-    out = spins.evolve(one, ham, math.pi, 1.0)
+    out = spins.evolve(one, spins.generator_eigenvalues("linear_Jz", 1), math.pi, 1.0)
     assert expectation(out, "x")[0] == pytest.approx(-0.5, rel=1e-12)
     with pytest.raises(ValueError):
-        spins.evolve(st, ham, 1.0, -1.0)
+        spins.evolve(st, h, 1.0, -1.0)
 
 
 def test_evolve_quadratic_matches_dense():
     sup = Superposition.quadratic_optimal()
     st = spins.prepare_product(4, sup)
-    out = spins.evolve(st, "quadratic_Jz2", 0.3, 1.0)
+    out = spins.evolve(st, spins.generator_eigenvalues("quadratic_Jz2", 4), 0.3, 1.0)
     dense = oracle.evolve_diagonal(oracle.product_state(4, sup.c1, sup.c2), "quadratic_Jz2", 0.3, 1.0)
     dense /= np.linalg.norm(dense)
     assert np.allclose(out.amplitudes, oracle.dicke_from_dense(dense), atol=1e-10)
@@ -210,7 +217,7 @@ def test_classical_fisher_ramsey():
         res = spins.simulate_ramsey(n, g, t)
         # binomial readout distribution reproduced from the simulated state
         st = spins.prepare_product(n, Superposition.equal())
-        st = spins.evolve(st, "linear_Jz", g, t)
+        st = spins.evolve(st, spins.generator_eigenvalues("linear_Jz", n), g, t)
         return np.abs(oracle.rotate_dicke(st.amplitudes, "y", -math.pi / 2)) ** 2
 
     # hand-differentiated binomial oracle: the information is N t^2 at any phase
@@ -234,7 +241,7 @@ def test_classical_fisher_bounded_by_qfi():
         qfi = oracle.qfi_pure(st.amplitudes, lin, t)
 
         def dist(g, st=st, t=t, n=n):
-            ev = spins.evolve(st, lin, g, t)
+            ev = spins.evolve(st, spins.generator_eigenvalues(lin, n), g, t)
             return np.abs(oracle.rotate_dicke(ev.amplitudes, "x", math.pi / 2)) ** 2
 
         step = 1e-5
@@ -345,6 +352,31 @@ def test_quadratic_undefined_sensitivity_reported():
     assert math.isinf(res.delta_gamma)
 
 
+def test_subnormal_slope_gives_infinite_delta_gamma_without_a_warning():
+    # at N gamma t = 2.2e-311 the slope is subnormal; the sensitivity is 0.4
+    # over it, past the largest float, and a numpy division by it warned
+    state = spins.prepare_product(1, Superposition(math.cos(1.0), math.sin(1.0)))
+    res = spins._simulate("enhanced", state, "enhanced_NJz", 2.225073858507e-311, 1.0,
+                          spins._extremal_coherence)  # 2 J_x at N = 1
+    assert 0.0 < abs(res.signal_slope) < 1e-300
+    assert math.isinf(res.delta_gamma)
+
+
+def test_quadratic_protocol_and_bound_at_a_long_time():
+    # gamma t N = 0.1 at gamma = 1e-306: t h reaches 1e308 and t ||h|| 1e309, so
+    # a slope or bound formed from t * h overflowed.  Both scale as 1/t.
+    n = 4096
+    pair = spins.SpectrumBound(0.5, -0.5, k_body=2)
+    for gamma in (1e-306, 1e-307):
+        t = 0.1 / (gamma * n)
+        res, ref = spins.simulate_quadratic(n, gamma, t), spins.simulate_quadratic(n, 1.0, 0.1 / n)
+        assert res.delta_gamma * t == pytest.approx(ref.delta_gamma * ref.t, rel=1e-12)
+        bound, ref_bound = spins.cramer_rao(pair, n, t), spins.cramer_rao(pair, n, ref.t)
+        assert bound.crb * t == pytest.approx(ref_bound.crb * ref.t, rel=1e-9)
+        assert bound.product_state_reference * t == \
+            pytest.approx(ref_bound.product_state_reference * ref.t, rel=1e-9)
+
+
 def test_purity():
     st = spins.prepare_product(40, Superposition.quadratic_optimal())
     assert spins.single_qubit_purity(st) == pytest.approx(1.0, abs=1e-10)
@@ -361,7 +393,7 @@ def test_purity_matches_dense():
     sup = Superposition.quadratic_optimal()
     for n in (4, 8, 12):
         st = spins.prepare_product(n, sup)
-        ev = spins.evolve(st, "quadratic_Jz2", 0.1, 1.0)
+        ev = spins.evolve(st, spins.generator_eigenvalues("quadratic_Jz2", n), 0.1, 1.0)
         dense = oracle.evolve_diagonal(oracle.product_state(n, sup.c1, sup.c2), "quadratic_Jz2", 0.1, 1.0)
         dense /= np.linalg.norm(dense)
         assert spins.single_qubit_purity(ev) == \

@@ -13,8 +13,9 @@ from spin_moments import expectation
 
 
 def schroedinger_readout(n, sup, kind, gamma, t):
-    state = spins.evolve(spins.prepare_product(n, sup), kind, gamma, t)
-    state = spins.DickeState(n, oracle.rotate_dicke(state.amplitudes, "y", -math.pi / 2.0))
+    state = spins.evolve(spins.prepare_product(n, sup), spins.generator_eigenvalues(kind, n),
+                         gamma, t)
+    state = spins.DickeState(oracle.rotate_dicke(state.amplitudes, "y", -math.pi / 2.0))
     mean, var = expectation(state, "z")
     return mean, var, spins.single_qubit_purity(state)
 
@@ -30,7 +31,7 @@ def test_heisenberg_readout_matches_rotated_state(n, phase, t, angle, enhanced):
         # simulate_enhanced's pipeline on any product state, not only the equal one
         kind, sup = "enhanced_NJz", Superposition(math.cos(angle), math.sin(angle))
         res = spins._simulate("enhanced", spins.prepare_product(n, sup), kind, gamma, t,
-                              lambda v: spins._apply_component(v, n, "x"))
+                              lambda v: spins._apply_component(v, "x"))
     else:
         kind, sup = "linear_Jz", Superposition.equal()
         res = spins.simulate_ramsey(n, gamma, t)
