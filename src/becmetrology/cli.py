@@ -169,12 +169,15 @@ def config_from_text(text: str) -> RunConfig:
             raise ConfigError("sweep ranges must be nonempty")
         gp.Grid(1, cfg.grid_points, 1.0)  # the solver's point-count rule
         # the ranges the commands need, so that no run fails halfway
+        n_list = _atom_numbers(cfg.trap(), cfg.species, cfg.n_over_nl)
         for ok, rule in ((cfg.grid_extent_factor >= gp.MIN_EXTENT_FACTOR,
                           f"extent_factor must be positive and at least {gp.MIN_EXTENT_FACTOR}"),
                          (all(n >= 2 for n in cfg.n_values), "n_values must be at least 2"),
                          (len(set(cfg.n_values)) == len(cfg.n_values),
                           "n_values must be distinct"),
-                         (all(y > 0 for y in cfg.n_over_nl), "n_over_nl must be positive"),
+                         # a tiny n_over_nl rounds N to 1, where no TF profile exists
+                         (all(1.0 < n < math.inf for n in n_list),
+                          "n_over_nl must give a finite N = 1 + n_over_nl (N_L - 1) above 1"),
                          (len(set(cfg.n_over_nl)) == len(cfg.n_over_nl),
                           "n_over_nl values must be distinct"),
                          (all(q >= 1 for q in cfg.q_values), "q_values must be at least 1"),
@@ -282,7 +285,7 @@ def cmd_condensate(cfg: RunConfig) -> tuple[dict, dict]:
     species = cfg.species
     sup = cfg.superposition()
     crit = scaling.critical_numbers(geom, species.a11)
-    n_list = [1.0 + y * (crit.n_lower - 1.0) for y in sorted(cfg.n_over_nl)]
+    n_list = _atom_numbers(geom, species, cfg.n_over_nl)
     n_run = n_list[-1]
     # the index records each N's regime, and with it where the eta_n_tf
     # column lies outside the intermediate regime that it assumes
@@ -327,6 +330,13 @@ def cmd_condensate(cfg: RunConfig) -> tuple[dict, dict]:
                                  "tolerance": gp.TWO_MODE_TOLERANCE}}
 
 
+def _atom_numbers(geom: TrapGeometry, species: Species, n_over_nl: list[float]) -> list[float]:
+    """The condensate sweep's atom numbers N = 1 + y (N_L - 1), ascending, of
+    its y = N/N_L."""
+    n_lower = scaling.critical_numbers(geom, species.a11).n_lower
+    return [1.0 + y * (n_lower - 1.0) for y in sorted(n_over_nl)]
+
+
 def _quadratic_times(gamma: float, n_values: list[int]) -> tuple[list[float], list[float]]:
     """The quadratic protocol's times: for each N the end of its short-time
     window, gamma t N = 0.1, and the trace's 24 steps out to gamma t N = 2 at
@@ -347,9 +357,11 @@ def cmd_counting(cfg: RunConfig) -> tuple[dict, dict]:
 
     n = cfg.counting_n
     gamma = _quarter_fringe_gamma(cfg.t)
-    noises = [cnt.CountingNoise(sigma=s * math.sqrt(n)) for s in cfg.sigma_over_sqrtn]
+    sigmas = [s * math.sqrt(n) for s in cfg.sigma_over_sqrtn]
+    # CountingNoise refuses a sigma that overflowed to inf: it gets no noise
+    noises = [cnt.CountingNoise(sigma) for sigma in sigmas if math.isfinite(sigma)]
     analytic = [cnt.corrected_uncertainty(cfg.t, n, noise, gamma) for noise in noises]
-    if not all(map(math.isfinite, analytic)):
+    if len(noises) < len(sigmas) or not all(map(math.isfinite, analytic)):
         raise ConfigError("invalid configuration value: sigma_over_sqrtn must be small "
                           "enough that sigma and delta_gamma are finite")
     results = cnt.simulate_counts(cfg.t, n, noises, gamma, cfg.trials, cfg.seed)

@@ -27,12 +27,8 @@ class CountingNoise:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-
-    @property
-    def difference_variance(self) -> float:
-        return _DIFFERENCE_SHARE * self.sigma**2
+        if not 0 <= self.sigma < math.inf:  # also rejects nan
+            raise ValueError("sigma must be nonnegative and finite")
 
 
 def ramsey_mean(t: float, n0: int, gamma: float) -> float:

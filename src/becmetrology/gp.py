@@ -12,14 +12,15 @@ tridiagonal finite difference on the radial grids of 2D and 3D traps.  The
 coupled two-mode real-time evolution (1D only) uses Strang split steps
 K/2 V K/2, second order with and without loss, with the two modes as the
 rows of one complex array transformed in place and each potential factor a
-Cayley transform of the tangent of half its phase.  It runs on a
-Fourier-truncated copy of the start field, on the fewest points whose band
-holds that field, once per call checked to be resolved, and its resonance
-check reads the top of that band.  Its step count is the caller's, checked
-against a 0.1-rad phase guard, or the fewest steps of a doubling ladder whose
-Richardson error estimate over every shared record meets TWO_MODE_TOLERANCE.
-The FFTs of each minimizer iteration and each split step call numpy's
-pocketfft kernels directly.
+Cayley transform of the tangent of half its phase.  One FFT of the start
+field per call checks that it is resolved and cuts it to the fewest points
+whose band holds it, where every run starts; one FFT of a run's final fields
+serves its resonance check, on the top of that band, and their way back to
+the caller's grid.  Its step count is the caller's, checked against a 0.1-rad
+phase guard, or the fewest steps of a doubling ladder whose Richardson error
+estimate over every shared record meets TWO_MODE_TOLERANCE.  The FFTs of
+each minimizer iteration and each split step call numpy's pocketfft kernels
+directly.
 """
 
 from __future__ import annotations
@@ -567,14 +568,13 @@ def ground_states(geom: TrapGeometry, species: Species, n_list, grids,
                                            f"node ({share:.1e} of its norm has the minority "
                                            "sign), also when restarted from |psi|",
                                            residual=float(residual[i]))
+    tails = _spectral_tail(np.fft.fft(psi)) if geom.d == 1 else np.zeros(len(n_list))
     results = []
-    for i, (n, grid) in enumerate(zip(n_list, grids)):
-        if geom.d == 1:
-            tail = _spectral_tail(psi[i])
-            if tail > _SPECTRAL_TAIL:
-                warnings.warn(f"N = {n:.6g}: grid spacing does not resolve the state "
-                              f"({tail:.1e} of its spectral power is in the top eighth of "
-                              "wavenumbers)", stacklevel=2)
+    for i, (n, grid, tail) in enumerate(zip(n_list, grids, tails)):
+        if tail > _SPECTRAL_TAIL:
+            warnings.warn(f"N = {n:.6g}: grid spacing does not resolve the state "
+                          f"({tail:.1e} of its spectral power is in the top eighth of "
+                          "wavenumbers)", stacklevel=2)
         eta_l = float(np.sum(w[i] * psi[i]**4))
         results.append(GroundStateResult(
             field=Field(grid=grid, values=psi[i].astype(complex), n_atoms=n),
@@ -591,44 +591,31 @@ def ground_state(geom: TrapGeometry, species: Species, n_atoms: float,
     return ground_states(geom, species, [n_atoms], [grid], tolerance)[0]
 
 
-def _spectral_tail(fields: np.ndarray, band: int | None = None) -> float:
-    """Largest share of spectral power among 1D fields' rows in or above the top
-    eighth of |k| in the band of a grid of band points on the same line (the
-    fields' own grid when None)."""
-    power = np.abs(np.fft.fft(fields))**2
+def _spectral_tail(spectrum: np.ndarray, band: int | None = None) -> np.ndarray:
+    """Each row's share of spectral power, given 1D fields' rows by their
+    Fourier spectrum, in or above the top eighth of |k| in the band of a grid
+    of band points on the same line (the fields' own grid when None)."""
+    power = np.abs(spectrum)**2
     k = np.arange(power.shape[-1])
     k = np.minimum(k, k.size - k)  # |k| in units of the grid's wavenumber spacing
     band = k.size if band is None else band
     top = np.sum(power[..., k >= (band // 2 + 1) * 7 // 8], axis=-1)
-    return float(np.max(top / np.sum(power, axis=-1)))
+    return top / np.sum(power, axis=-1)
 
 
-def _band_points(values: np.ndarray) -> int:
-    """Fewest points, from halving a 1D field's grid down to 64, whose band
-    leaves at most _BAND_TAIL of the field's spectral power in or above its
-    top eighth.  Every count is a divisor of the grid's: an odd one ends the
-    halving."""
-    points = values.size
-    while points % 2 == 0 and points >= 128 and \
-            _spectral_tail(values, points // 2) <= _BAND_TAIL:
-        points //= 2
-    return points
-
-
-def _resample(fields: np.ndarray, points: int) -> np.ndarray:
-    """1D fields' rows moved to a grid of points points on the same line by
-    their Fourier series: the modes outside the smaller grid's band are cut,
-    and those missing from it are zero.  Of the smaller count n, an odd one
-    keeps the modes |m| <= n // 2 and an even one -n / 2 <= m < n / 2."""
-    size = fields.shape[-1]
+def _resample(spectrum: np.ndarray, points: int) -> np.ndarray:
+    """1D fields' rows moved from their FFT spectrum to a grid of points points
+    on the same line: the modes outside the smaller grid's band are cut, and
+    those missing from it are zero.  Of the smaller count n, an odd one keeps
+    the modes |m| <= n // 2 and an even one -n / 2 <= m < n / 2."""
+    size = spectrum.shape[-1]
     kept = min(size, points)
     low, high = (kept + 1) // 2, kept // 2  # modes 0 .. low - 1 and -high .. -1
-    spectrum = np.fft.fft(fields)
-    out = np.zeros(fields.shape[:-1] + (points,), dtype=complex)
+    out = np.zeros(spectrum.shape[:-1] + (points,), dtype=complex)
     out[..., :low] = spectrum[..., :low]
     out[..., points - high:] = spectrum[..., size - high:]
     # an unscaled inverse and 1/size: the values of the same trigonometric series
-    return np.fft.ifft(out, norm="forward") / size
+    return _ifft(out, 1.0, out) / size
 
 
 def local_log_slopes(n_list, etas) -> list[float]:
@@ -680,23 +667,32 @@ class EvolutionRecord:
 
 
 def _two_mode_field(initial: GroundStateResult | Field, species: Species,
-                    geom: TrapGeometry, t_final: float) -> Field:
-    """initial's field, after the checks that both two-mode entry points make
-    once per call: a start field past the _SPECTRAL_TAIL rule on its own grid,
-    which no step count evolves, raises StepSizeError before any run, and a
-    trap built for another mass than the species' raises ValueError."""
+                    geom: TrapGeometry, t_final: float) -> tuple[Field, Field]:
+    """initial's field and, from one FFT of it, the start of every run: its
+    Fourier series cut to the band that evolve_two_mode describes, on a
+    Grid(1, kept, extent) whose points, kept dividing points by a power of
+    two, are every (points / kept)-th point of the field's grid to the bit.
+    Both entry points call it once: a field past the _SPECTRAL_TAIL rule on
+    its own grid, which no step count evolves, raises StepSizeError before
+    any run, and a trap built for another mass than the species' ValueError."""
     check_trap_mass(geom, species)
     field = initial.field if isinstance(initial, GroundStateResult) else initial
     if field.grid.dimension != 1 or geom.d != 1:
         raise ValueError("two-mode evolution is implemented for 1D longitudinal grids")
     if t_final <= 0:
         raise ValueError("need a positive final time")
-    tail = _spectral_tail(field.values)
+    spectrum = np.fft.fft(field.values)
+    tail = _spectral_tail(spectrum)
     if tail > _SPECTRAL_TAIL:
         raise StepSizeError(f"the start field is under-resolved ({tail:.1e} of its spectral "
                             f"power is in the top eighth of the {field.grid.points}-point "
                             "grid's wavenumbers); solve it on more points")
-    return field
+    points = field.grid.points
+    while points % 2 == 0 and points >= 128 and \
+            _spectral_tail(spectrum, points // 2) <= _BAND_TAIL:
+        points //= 2
+    return field, Field(Grid(1, points, field.grid.extent), _resample(spectrum, points),
+                        field.n_atoms)
 
 
 def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
@@ -710,14 +706,15 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     equations with population weights c1^2, c2^2.  With loss on, the
     spin-exchange non-Hermitian potentials deplete the norms.
 
-    The fields evolve on a Fourier-truncated copy of the start field: the
-    grid is halved, down to 64 points and while its point count stays even,
-    as long as the halved band leaves at most _BAND_TAIL of the start
-    field's spectral power in or above its top eighth.  The kept grid holds
-    every (points / kept)-th point of the caller's, where the potential is
-    sampled; by Parseval the records equal those of the full grid wherever
-    the band holds the fields, and final_fields are zero-padded back to the
-    caller's grid.  A field whose band fills its grid evolves on that grid.
+    The fields evolve on a Fourier-truncated copy of the start field, made
+    once per call (_two_mode_field): the grid is halved, down to 64 points
+    and while its point count stays even, as long as the halved band leaves
+    at most _BAND_TAIL of the start field's spectral power in or above its
+    top eighth.  The kept grid holds every (points / kept)-th point of the
+    caller's, where the potential is sampled; by Parseval the records equal
+    those of the full grid wherever the band holds the fields, and
+    final_fields are zero-padded back to the caller's grid.  A field whose
+    band fills its grid evolves on that grid.
 
     Strang splitting K/2 V K/2 (Bao, Jaksch & Markowich 2003): a kinetic
     half-step, a potential step, a kinetic half-step.  The kinetic half-steps
@@ -746,7 +743,7 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     band, the mark of a split-step resonance there (Weideman & Herbst 1986);
     record_every < 1 raises ValueError.
     """
-    field = _two_mode_field(initial, species, geom, t_final)
+    field, start = _two_mode_field(initial, species, geom, t_final)
     if steps < 1:
         raise ValueError("need at least one step")
     if record_every < 1:
@@ -755,7 +752,8 @@ def evolve_two_mode(initial: GroundStateResult | Field, sup: Superposition,
     if steps < needed:
         raise StepSizeError(f"step too coarse: {steps} steps advance the phase by "
                             f"more than 0.1 rad per step; use at least {needed} steps")
-    return _evolve_two_mode(field, sup, species, geom, t_final, steps, loss, record_every)
+    return _evolve_two_mode(start, sup, species, geom, t_final, steps, loss, record_every,
+                            field.grid.points)
 
 
 def evolve_two_mode_to_tolerance(initial: GroundStateResult | Field, sup: Superposition,
@@ -779,13 +777,13 @@ def evolve_two_mode_to_tolerance(initial: GroundStateResult | Field, sup: Superp
     any run (_two_mode_field), and so does a ladder past _MAX_TWO_MODE_STEPS,
     naming the last failure of a run if there was one.
     """
-    field = _two_mode_field(initial, species, geom, t_final)
+    field, start = _two_mode_field(initial, species, geom, t_final)
     coarse, error, failure = None, math.nan, None
     steps = _FIRST_TWO_MODE_STEPS // 2
     while steps <= _MAX_TWO_MODE_STEPS:
         try:
-            record = _evolve_two_mode(field, sup, species, geom, t_final, steps, False,
-                                      max(1, steps // _FIRST_TWO_MODE_STEPS))
+            record = _evolve_two_mode(start, sup, species, geom, t_final, steps, False,
+                                      max(1, steps // _FIRST_TWO_MODE_STEPS), field.grid.points)
         except StepSizeError as exc:
             record, failure = None, exc
         if record is not None and coarse is not None:
@@ -803,20 +801,17 @@ def evolve_two_mode_to_tolerance(initial: GroundStateResult | Field, sup: Superp
                         f"splitting error within {TWO_MODE_TOLERANCE:.0e} ({last})")
 
 
-def _evolve_two_mode(field: Field, sup: Superposition, species: Species,
+def _evolve_two_mode(start: Field, sup: Superposition, species: Species,
                      geom: TrapGeometry, t_final: float, steps: int, loss: bool,
-                     record_every: int) -> EvolutionRecord:
-    """The split-step loop of evolve_two_mode on a field _two_mode_field has
-    checked: resonance and norm-drift checks, each a StepSizeError, no guard."""
-    grid, n_atoms = field.grid, field.n_atoms
+                     record_every: int, points: int) -> EvolutionRecord:
+    """The split-step loop of evolve_two_mode from the start that
+    _two_mode_field builds, its final fields returned to points points:
+    resonance and norm-drift checks, each a StepSizeError, no guard."""
+    grid, kept, n_atoms = start.grid, start.grid.points, start.n_atoms
     hb, mass = SI.hbar, geom.mass
-    # the fields evolve on the fewest points that hold the start field's band,
-    # every stride-th point of its grid
-    points = _band_points(field.values)
-    stride = grid.points // points
-    x, dx = grid.coordinates()[::stride], grid.spacing * stride
-    kx = 2.0 * math.pi * np.fft.fftfreq(points, dx)
-    V = _potential(geom, x)
+    dx = grid.spacing
+    kx = 2.0 * math.pi * np.fft.fftfreq(kept, dx)
+    V = _potential(geom, grid.coordinates())
     gmat = _coupling_matrix(species, geom, n_atoms)
     eta_t = eta_transverse(geom)
     weights = np.array([sup.c1**2, sup.c2**2])
@@ -825,12 +820,11 @@ def _evolve_two_mode(field: Field, sup: Superposition, species: Species,
     dt = t_final / steps
 
     # the inverse FFT runs unscaled (np.fft.ifft's norm="forward"); its
-    # 1/points rides on the kinetic factors
+    # 1/kept rides on the kinetic factors
     kin_phase = -1j * (hb * kx**2 / (2.0 * mass)) * dt
-    kin_half = np.exp(0.5 * kin_phase) / points
-    kin_factor = np.exp(kin_phase) / points
-    start = _resample(field.values, points)
-    psi = np.array([start, start])  # row i is mode i + 1
+    kin_half = np.exp(0.5 * kin_phase) / kept
+    kin_factor = np.exp(kin_phase) / kept
+    psi = np.array([start.values, start.values])  # row i is mode i + 1
     # one potential step multiplies psi by D exp(i phase), with the phase
     # -dt/hbar (V + G rho) and D = exp(-dt/2 L rho) at density rho; v_half and
     # the columns of g_half give half that phase, whose tangent builds the factor
@@ -914,11 +908,12 @@ def _evolve_two_mode(field: Field, sup: Superposition, species: Species,
             np.vecdot(psi_parts, psi_parts, out=norms[row])
             np.vecdot(psi[1], psi[0], out=overlaps[row, ...])
         kinetic_step(kin_factor if step < steps else kin_half)
-    tail = _spectral_tail(psi)
+    spectrum = np.fft.fft(psi)
+    tail = np.max(_spectral_tail(spectrum))
     if tail > _SPECTRAL_TAIL:
         raise StepSizeError(f"{steps} steps sit near a split-step resonance ({tail:.1e} of "
                             f"the final spectral power is in the top eighth of the "
-                            f"{points}-point band's wavenumbers)")
+                            f"{kept}-point band's wavenumbers)")
     norms *= dx
     overlaps *= dx
     if not loss:
@@ -931,7 +926,7 @@ def _evolve_two_mode(field: Field, sup: Superposition, species: Species,
     return EvolutionRecord(times=recorded * dt, overlap=overlaps,
                            p1=mean - 0.5 * fringe, p2=mean + 0.5 * fringe,
                            norm1=norm1, norm2=norm2,
-                           final_fields=tuple(_resample(psi, grid.points)), points=points)
+                           final_fields=tuple(_resample(spectrum, points)), points=kept)
 
 
 @dataclass(frozen=True)

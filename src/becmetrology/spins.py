@@ -39,7 +39,7 @@ class DickeState:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.ndim != 1 or amp.size < 2:
             raise ValueError("need a 1-D vector of N+1 amplitudes for at least one atom")
-        if abs(np.vdot(amp, amp).real - 1.0) > 1e-10:
+        if not abs(np.vdot(amp, amp).real - 1.0) <= 1e-10:  # also rejects nan
             raise ValueError("state is not normalized")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -57,9 +57,9 @@ class SpectrumBound:
     k_body: int = 1
 
     def __post_init__(self):
-        if self.Lambda < self.lam:
-            raise ValueError("Lambda must be >= lam")
-        if self.k_body < 1:
+        if not -math.inf < self.lam <= self.Lambda < math.inf:  # also rejects nan
+            raise ValueError("Lambda and lam must be finite, with Lambda >= lam")
+        if not isinstance(self.k_body, (int, np.integer)) or self.k_body < 1:
             raise ValueError("k_body must be a positive integer")
 
 
@@ -141,8 +141,8 @@ def _moments(values: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
 def evolve(state: DickeState, h: np.ndarray, gamma: float, t: float) -> DickeState:
     """Evolve under H = gamma*h for time t; h is the coupling's diagonal in the
     Dicke basis, as generator_eigenvalues gives it."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"time must be nonnegative, not {t}")
     return DickeState(np.exp(-1j * gamma * t * h) * state.amplitudes)
 
 

@@ -195,6 +195,9 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, text, name):
     ("condensate", "[sweep]\nn_over_nl = -5\n"),
     ("condensate", "[sweep]\nn_over_nl = 0 100\n"),
     ("condensate", "[sweep]\nn_over_nl = 316 316 316\n"),
+    # N = 1 + y (N_L - 1) rounds to 1, or overflows
+    ("condensate", "[sweep]\nn_over_nl = 1e-20 1 2\n"),
+    ("condensate", "[sweep]\nn_over_nl = 1e308\n"),
     ("scaling", "[sweep]\nq_values = 0.5 2\n"),
     ("bounds", "[protocol]\ngamma = 0\n"),
     ("counting", "[protocol]\nt = -1\n"),

@@ -9,10 +9,16 @@ from becmetrology import counting as cnt
 
 
 def test_noise_variances():
-    noise = cnt.CountingNoise(3.0)
-    assert noise.difference_variance == pytest.approx(4.5)
-    with pytest.raises(ValueError):
-        cnt.CountingNoise(-1.0)
+    # m = (N1 - N2)/2 carries sigma^2/2 of counting variance: 4.5 at sigma = 3
+    t, n, gamma = 1.0, 400, math.pi / 2
+    quiet = cnt.corrected_uncertainty(t, n, cnt.CountingNoise(0.0), gamma)
+    noisy = cnt.corrected_uncertainty(t, n, cnt.CountingNoise(3.0), gamma)
+    slope = cnt.ramsey_slope(t, n, gamma)
+    assert (noisy**2 - quiet**2) * slope**2 == pytest.approx(4.5, rel=1e-12)
+    # a nan sigma gave a nan delta_gamma and nan Monte Carlo rows
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+            cnt.CountingNoise(sigma)
 
 
 def test_corrected_uncertainty_at_a_known_number():
@@ -27,7 +33,7 @@ def test_corrected_uncertainty_at_a_known_number():
     assert cnt.ramsey_slope(t, n, gamma) == pytest.approx(-slope, rel=1e-12)
     noise = cnt.CountingNoise(4.0)
     assert cnt.corrected_uncertainty(t, n, noise, gamma) == pytest.approx(
-        math.sqrt(noise.difference_variance + var_jz) / slope, rel=1e-12)
+        math.sqrt(4.0**2 / 2.0 + var_jz) / slope, rel=1e-12)
     assert cnt.corrected_uncertainty(t, n, cnt.CountingNoise(0.0), gamma) == \
         pytest.approx(math.sqrt(var_jz) / slope, rel=1e-12)
 
@@ -114,7 +120,7 @@ def test_monte_carlo_chunk_moments_match_one_array(n_atoms, sigma, trials):
     a = np.bincount(index, weights=z)
     chi2 = float(np.dot(z, z) - np.dot(a, a / counts))
     mean, slope = cnt.ramsey_mean(t, n_atoms, gamma), cnt.ramsey_slope(t, n_atoms, gamma)
-    scales = [math.sqrt(cnt.CountingNoise(s).difference_variance) for s in (sigma, 7.0)]
+    scales = [math.sqrt(s**2 / 2.0) for s in (sigma, 7.0)]
     results = cnt._results(values, counts, a, chi2, scales, mean, slope)
     assert len(results) == len(scales)
     for res, s in zip(results, scales):

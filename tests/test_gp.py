@@ -703,6 +703,37 @@ def test_two_mode_run_from_an_under_resolved_start_names_the_start_field(geom_rb
     assert runs == []
 
 
+def test_a_two_mode_call_transforms_its_start_field_once(geom_rb, rb87, tf_state, monkeypatch):
+    # the y = 1000 state keeps 256 of its 1024 points: one FFT of the start
+    # field serves the resolution check, both halvings and the band-limited
+    # start that every rung evolves; one FFT of each run's final fields
+    # serves its resonance check and the way back to the caller's grid
+    n, ground = tf_state
+    sup = pc.Superposition.equal()
+    t_final = 0.5 / abs(tf.phase_dynamics(geom_rb, rb87, n, sup).omega_N)
+    transforms, starts = [], []
+
+    def counted_fft(*args, **kwargs):
+        transforms.append(args[0].shape)
+        return fft(*args, **kwargs)
+
+    def counted(*args):
+        starts.append(args[0])
+        return evolve(*args)
+
+    fft, evolve = np.fft.fft, gp._evolve_two_mode
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    monkeypatch.setattr(gp, "_evolve_two_mode", counted)
+    record, _, _ = gp.evolve_two_mode_to_tolerance(ground, sup, rb87, geom_rb, t_final)
+    assert len(starts) >= 2 and all(start is starts[0] for start in starts)
+    assert starts[0].grid == gp.Grid(1, 256, ground.field.grid.extent) and record.points == 256
+    assert transforms == [(1024,)] + [(2, 256)] * len(starts)
+    transforms.clear()
+    steps = gp._min_two_mode_steps(ground.field, rb87, geom_rb, t_final)
+    gp.evolve_two_mode(ground, sup, rb87, geom_rb, t_final, steps, record_every=steps)
+    assert transforms == [(1024,), (2, 256)]
+
+
 def test_loss_decay(geom_rb, rb87, tf_state):
     n, ground = tf_state
     sup = pc.Superposition.equal()
@@ -744,7 +775,7 @@ def test_band_resample_matches_a_mode_by_mode_fourier_copy(size, points):
     # keeps as many modes as it has points
     rng = np.random.default_rng(size + points)
     rows = rng.standard_normal((2, size)) + 1j * rng.standard_normal((2, size))
-    moved = gp._resample(rows, points)
+    moved = gp._resample(np.fft.fft(rows), points)
     assert moved.shape == (2, points)
     for row, got in zip(rows, moved):
         want = _fourier_copy(row, points)

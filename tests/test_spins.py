@@ -26,6 +26,26 @@ def test_state_validation():
         spins.DickeState(np.ones(4))  # unnormalized
     with pytest.raises(ValueError):
         spins.prepare_product(0, Superposition.equal())
+    # a norm of nan is no norm of 1
+    with pytest.raises(ValueError, match="not normalized"):
+        spins.DickeState([math.nan, 0.0])
+    state = spins.prepare_product(4, Superposition.equal())
+    h = spins.generator_eigenvalues("linear_Jz", 4)
+    for t in (math.nan, -1.0):
+        with pytest.raises(ValueError, match=f"time must be nonnegative, not {t}"):
+            spins.evolve(state, h, 1.0, t)
+
+
+@pytest.mark.parametrize("Lambda, lam, k_body", [(0.5, math.nan, 1), (math.nan, -0.5, 1),
+                                                  (math.inf, -0.5, 1), (0.5, -math.inf, 1),
+                                                  (-0.5, 0.5, 1), (0.5, -0.5, 1.5),
+                                                  (0.5, -0.5, 0)])
+def test_spectrum_bound_needs_finite_ordered_extremes_and_an_integer_order(Lambda, lam, k_body):
+    # a nan extreme gave a nan bound, an infinite one a bound of 0.0, and
+    # k_body = 1.5 a TypeError inside cramer_rao
+    with pytest.raises(ValueError, match="Lambda and lam must be finite|k_body must be"):
+        spins.SpectrumBound(Lambda, lam, k_body)
+    assert spins.SpectrumBound(0.5, -0.5, np.int64(2)).k_body == 2
 
 
 def test_prepare_product_small_cases():
