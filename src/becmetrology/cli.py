@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 from . import csvio, gp, scaling, thomas_fermi as tf
 from .physconfig import (CM3, NM, SPECIES_PRESETS, UM, Species, Superposition,
-                         TrapGeometry, atomic_mass, trap_from_lengths)
+                         TrapGeometry, atomic_mass)
 
 
 class ConfigError(ValueError):
@@ -63,8 +63,7 @@ class RunConfig:
     seed: int = _key("protocol", "seed", 20240901)
 
     def trap(self) -> TrapGeometry:
-        return trap_from_lengths(self.trap_d, self.trap_q, self.rho0, self.r0,
-                                 self.species.mass)
+        return TrapGeometry(self.trap_d, self.trap_q, self.rho0, self.r0, self.species.mass)
 
     def superposition(self) -> Superposition:
         return Superposition(self.c1, self.c2)
@@ -163,13 +162,13 @@ def config_from_text(text: str) -> RunConfig:
             cfg.species = SPECIES_PRESETS[cfg.species_preset]()
         else:
             raise ConfigError(f"unknown species preset '{cfg.species_preset}'")
-        cfg.trap()
+        geom = cfg.trap()
         cfg.superposition()
         if not (cfg.n_values and cfg.n_over_nl and cfg.sigma_over_sqrtn and cfg.q_values):
             raise ConfigError("sweep ranges must be nonempty")
         gp.Grid(1, cfg.grid_points, 1.0)  # the solver's point-count rule
         # the ranges the commands need, so that no run fails halfway
-        n_list = _atom_numbers(cfg.trap(), cfg.species, cfg.n_over_nl)
+        n_list = _atom_numbers(geom, cfg.species, cfg.n_over_nl)
         for ok, rule in ((cfg.grid_extent_factor >= gp.MIN_EXTENT_FACTOR,
                           f"extent_factor must be positive and at least {gp.MIN_EXTENT_FACTOR}"),
                          (all(n >= 2 for n in cfg.n_values), "n_values must be at least 2"),
@@ -249,7 +248,7 @@ def cmd_scaling(cfg: RunConfig) -> tuple[dict, dict]:
     crit_rows = []
     for d in (1, 2, 3):
         for q in dict.fromkeys((cfg.trap_q, math.inf)):  # a hard-wall trap_q once
-            geom = trap_from_lengths(d, q, cfg.rho0, cfg.r0, cfg.species.mass)
+            geom = TrapGeometry(d, q, cfg.rho0, cfg.r0, cfg.species.mass)
             crit = scaling.critical_numbers(geom, cfg.species.a11)
             crit_rows.append((d, "inf" if math.isinf(q) else q, crit.n_lower,
                               "" if crit.n_upper is None else crit.n_upper))
@@ -324,7 +323,7 @@ def cmd_condensate(cfg: RunConfig) -> tuple[dict, dict]:
                                "model_phase", "p1", "p2", "norm1", "norm2"), overlap_rows),
               "loss_budget.csv": (("N", "gamma_loss", "omega_N", "ratio", "inverse_ratio"),
                                   [(n_run, budget.gamma, budget.omega_N, budget.ratio,
-                                    1.0 / budget.ratio)])}
+                                    1.0 / budget.ratio if budget.ratio else math.inf)])}
     return tables, {"regimes": regimes,
                     "two_mode": {"steps": steps, "points": record.points, "error": error,
                                  "tolerance": gp.TWO_MODE_TOLERANCE}}

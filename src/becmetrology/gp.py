@@ -339,15 +339,17 @@ def _minimize(kinetic, V, w, geff, n_atoms, start, tolerance):
     c <linear, tau> + s <linear_unit, tau> + g <(c psi + s unit)^3, tau> for
     the tangent tau = c unit - s psi, so H at the trial point is never formed.
 
-    An iteration makes 86 numpy calls whatever the row count, 3 more where a
-    residual halves.  On a 2-core VM (Python 3.11.7, numpy 2.4.6) the five
-    default states, 512 points each, take 169 iterations in 43 iterations of
-    the batch: 7.2 ms (6.6-9.6), about 165 us per batch iteration, against
-    14.7 ms (14.0-29.9) and 217 iterations solved one at a time from the
-    quantile start guess (medians and ranges of five interleaved rounds,
-    best of 9 each, on a loaded host).  A batch of one pays for its per-row
-    scalars as (1, 1) arrays, 20-30 us per iteration more than Python floats
-    cost.
+    Every iteration, the first included, is one Polak-Ribiere+ update: a zero
+    previous direction and an infinite previous <g, z> give beta = 0 and the
+    direction -z.  An iteration makes 86 numpy calls whatever the row count,
+    3 more where a residual halves.  On a 2-core VM (Python 3.11.7, numpy
+    2.4.6) the five default states, 512 points each, take 169 iterations in
+    43 iterations of the batch: 7.2 ms (6.6-9.6), about 165 us per batch
+    iteration, against 14.7 ms (14.0-29.9) and 217 iterations solved one at
+    a time from the quantile start guess (medians and ranges of five
+    interleaved rounds, best of 9 each, on a loaded host).  A batch of one
+    pays for its per-row scalars as (1, 1) arrays, 20-30 us per iteration
+    more than Python floats cost.
     """
     def dot(a, b):
         return np.vecdot(w * a, b, keepdims=True)
@@ -362,7 +364,8 @@ def _minimize(kinetic, V, w, geff, n_atoms, start, tolerance):
     kinetic.shift(dot(psi, linear), geff * dot(density, density))
     linear += V * psi
     refreshed = False  # linear of the converged rows recomputed from psi
-    direction = z_old = gz_old = None
+    direction, z_old = np.zeros_like(psi), np.zeros_like(psi)  # beta = 0 at first
+    gz_old = np.full((len(rows), 1), np.inf)
     per_length = np.ones((len(rows), 1))  # trial angle per unit length of the direction
     # half each row's residual at its last halving, the iteration of that
     # halving, and the earliest such iteration among the rows
@@ -398,11 +401,9 @@ def _minimize(kinetic, V, w, geff, n_atoms, start, tolerance):
             if not keep.any():
                 return out_psi, mu_out, residual_out, steps
             rows, psi, linear, V, w, geff, per_length, mu, residual, gradient, w_psi, \
-                w_gradient, half, halved = (a[keep] for a in (
+                w_gradient, half, halved, direction, z_old, gz_old = (a[keep] for a in (
                     rows, psi, linear, V, w, geff, per_length, mu, residual, gradient, w_psi,
-                    w_gradient, half, halved))
-            if direction is not None:
-                direction, z_old, gz_old = direction[keep], z_old[keep], gz_old[keep]
+                    w_gradient, half, halved, direction, z_old, gz_old))
             kinetic.keep(keep)
             oldest = int(halved.min())
         # halvings count only after the refresh: a carried residual below
@@ -427,17 +428,14 @@ def _minimize(kinetic, V, w, geff, n_atoms, start, tolerance):
         z = kinetic.precondition(gradient)
         z -= np.vecdot(w_psi, z, keepdims=True) * psi
         gz = np.vecdot(w_gradient, z, keepdims=True)
-        if direction is None:
-            direction, slope = -z, -gz
-        else:
-            beta = np.maximum(0.0, (gz - np.vecdot(w_gradient, z_old, keepdims=True)) / gz_old)
-            direction -= np.vecdot(w_psi, direction, keepdims=True) * psi
-            direction *= beta
-            direction -= z
-            slope = np.vecdot(w_gradient, direction, keepdims=True)
-            if slope.max() >= 0.0:  # restart where it is not a descent direction
-                restart = slope[:, 0] >= 0.0
-                direction[restart], slope[restart] = -z[restart], -gz[restart]
+        beta = np.maximum(0.0, (gz - np.vecdot(w_gradient, z_old, keepdims=True)) / gz_old)
+        direction -= np.vecdot(w_psi, direction, keepdims=True) * psi
+        direction *= beta
+        direction -= z
+        slope = np.vecdot(w_gradient, direction, keepdims=True)
+        if slope.max() >= 0.0:  # restart where it is not a descent direction
+            restart = slope[:, 0] >= 0.0
+            direction[restart], slope[restart] = -z[restart], -gz[restart]
         z_old, gz_old = z, gz
         length = np.sqrt(dot(direction, direction))
         unit = direction / length

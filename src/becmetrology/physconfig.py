@@ -87,10 +87,15 @@ SPECIES_PRESETS = {"rb87": rb87, "typical": typical_species}
 
 
 def coupling_constant(a: float, mass: float) -> float:
-    """Mean-field coupling g = 4 pi hbar^2 a / m for scattering length a."""
+    """Mean-field coupling g = 4 pi hbar^2 a / m for scattering length a; a g
+    that under- or overflows a float raises ValueError."""
     if a <= 0 or mass <= 0:
         raise ValueError("scattering length and mass must be positive")
-    return 4.0 * math.pi * SI.hbar**2 * a / mass
+    g = 4.0 * math.pi * SI.hbar**2 * a / mass
+    if not 0 < g < math.inf:  # also rejects nan
+        raise ValueError(f"the coupling 4 pi hbar^2 a / m = {g:g} of a = {a:g} m and "
+                         f"m = {mass:g} kg is out of float range")
+    return g
 
 
 def josephson_couplings(species: Species) -> tuple[float, float]:
@@ -143,6 +148,8 @@ class TrapGeometry:
     in which case the stiffness k is None and formulas take analytic limits.
     The bare half-widths rho0 (transverse) and r0 (longitudinal) and the mass fix
     the rest: rho0^2 = hbar/(2 m omega_T), r0^(q+2) = hbar^2/(m k), omega_L = hbar/(m r0^2).
+    Every trap, dataclasses.replace's too, is checked here: a length whose power
+    under- or overflows raises ValueError, and r0 <= rho0 warns.
     """
 
     d: int
@@ -169,16 +176,20 @@ class TrapGeometry:
             raise ValueError("hardness exponent q must be >= 1 (or inf)")
         if not all(0 < v < math.inf for v in (self.rho0, self.r0, self.mass)):
             raise ValueError("lengths and mass must be positive and finite")
-        hb, q, mass = SI.hbar, float(self.q), self.mass
+        hb, q, mass, rho0, r0 = SI.hbar, float(self.q), self.mass, self.rho0, self.r0
+        hint = ""  # once the frequencies are formed, only r0^(q+2) can fail
         try:
-            k = None if math.isinf(q) else hb**2 / (mass * self.r0 ** (q + 2.0))
-        except ArithmeticError:  # r0^(q+2) under- or overflows
-            raise ValueError(f"hardness exponent q = {q:g} is out of float range for "
-                             f"r0 = {self.r0:g} m; use q = inf for a hard wall") from None
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "omega_T", hb / (2.0 * mass * self.rho0**2))
-        object.__setattr__(self, "omega_L", hb / (mass * self.r0**2))
+            omega_T, omega_L = hb / (2.0 * mass * rho0**2), hb / (mass * r0**2)
+            hint = f" and q = {q:g}; use q = inf for a hard wall"
+            k = None if math.isinf(q) else hb**2 / (mass * r0 ** (q + 2.0))
+        except ArithmeticError:  # a power of rho0 or r0 under- or overflows
+            raise ValueError(f"the trap's scales are out of float range at rho0 = {rho0:g} m, "
+                             f"r0 = {r0:g} m{hint}") from None
+        if r0 <= rho0:  # stacklevel 3: the caller of the generated __init__
+            warnings.warn("r0 <= rho0: the loose/tight trap separation assumed by the "
+                          "scaling formulas is violated", stacklevel=3)
+        for name, value in (("q", q), ("k", k), ("omega_T", omega_T), ("omega_L", omega_L)):
+            object.__setattr__(self, name, value)
 
 
 def check_trap_mass(geom: TrapGeometry, species: Species) -> None:
@@ -189,12 +200,4 @@ def check_trap_mass(geom: TrapGeometry, species: Species) -> None:
                          f"species' {species.mass:.6g} kg")
 
 
-def trap_from_lengths(d: int, q: float, rho0: float, r0: float,
-                      mass: float) -> TrapGeometry:
-    """TrapGeometry(d, q, rho0, r0, mass), warning where r0 <= rho0 breaks the
-    loose/tight trap separation that the scaling formulas assume."""
-    geom = TrapGeometry(d=d, q=q, rho0=rho0, r0=r0, mass=mass)
-    if r0 <= rho0:
-        warnings.warn("r0 <= rho0: the loose/tight trap separation assumed by the "
-                      "scaling formulas is violated", stacklevel=2)
-    return geom
+trap_from_lengths = TrapGeometry  # another name: its (d, q, rho0, r0, mass) are the fields

@@ -143,6 +143,8 @@ def evolve(state: DickeState, h: np.ndarray, gamma: float, t: float) -> DickeSta
     Dicke basis, as generator_eigenvalues gives it."""
     if not t >= 0:
         raise ValueError(f"time must be nonnegative, not {t}")
+    if not (math.isfinite(gamma) and math.isfinite(t)):
+        raise ValueError(f"gamma and t must be finite, not {gamma} and {t}")
     return DickeState(np.exp(-1j * gamma * t * h) * state.amplitudes)
 
 

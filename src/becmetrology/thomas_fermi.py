@@ -104,8 +104,8 @@ def phase_dynamics(geom: TrapGeometry, species: Species, n_atoms: float,
                    sup: Superposition) -> PhaseDynamics:
     """Relative-phase rate and phase-dispersion time of the intermediate-regime cloud.
 
-    tau_pd is the invariant Omega_N tau_pd = sqrt(2(d+3q)/d) over |Omega_N|, and
-    infinite for a hard wall, whose flat density disperses no phase.  This is
+    tau_pd is the invariant Omega_N tau_pd = sqrt(2(d+3q)/d) over |Omega_N|, so
+    inf at q = inf: a hard wall's flat density disperses no phase.  This is
     the one place that rejects a superposition without signal: a vanishing
     differential coupling raises ValueError.
     """
@@ -115,8 +115,7 @@ def phase_dynamics(geom: TrapGeometry, species: Species, n_atoms: float,
                          "vanishes for this species and superposition")
     profile = tf_profile(geom, species, n_atoms, Regime.INTERMEDIATE)
     omega = (n_atoms - 1.0) * profile.eta_N * delta_g / SI.hbar
-    d, q = geom.d, geom.q
-    tau = math.inf if geom.hard_wall else math.sqrt(2.0 * (d + 3.0 * q) / d) / abs(omega)
+    tau = math.sqrt(2.0 * (geom.d + 3.0 * geom.q) / geom.d) / abs(omega)
     return PhaseDynamics(omega_N=omega, tau_pd=tau, delta_g=delta_g, eta_N=profile.eta_N)
 
 

@@ -513,6 +513,46 @@ def test_two_mode_norm_drift_exit_code(tmp_path, monkeypatch, capsys):
     assert no_outputs(tmp_path)
 
 
+@pytest.mark.parametrize("trap", ["rho0_um = 1e-157", "q = hard\nr0_um = 1e-160"])
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_trap_out_of_float_range_is_a_configuration_error(tmp_path, capsys, command, trap):
+    # a length whose square underflows in the trap frequencies ended every
+    # command in a ZeroDivisionError
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"[trap]\n{trap}\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "configuration error: invalid configuration value: the trap's scales are out " \
+        "of float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+RB87_INLINE = "[species]\nmass_u = 86.909180\na11_nm = 5.31\na22_nm = 5.0\na12_nm = 5.155\n"
+
+
+def test_condensate_runs_a_lossless_species(tmp_path):
+    # both loss keys default to 0, and 1/ratio divided by zero
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(RB87_INLINE + "\n[grid]\npoints = 256\n\n[sweep]\nn_over_nl = 100 180\n")
+    assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    _, _, rows = read_csv(tmp_path / "loss_budget.csv")
+    assert (float(rows[0]["ratio"]), float(rows[0]["inverse_ratio"])) == (0.0, math.inf)
+
+
+def test_condensate_refuses_a_vanishing_coupling(tmp_path, monkeypatch, capsys):
+    # g11 = 4 pi hbar^2 a11 / m underflows to 0, and tf_profile divided by it
+    def explode(*args, **kwargs):
+        raise AssertionError("a ground state was solved")
+
+    monkeypatch.setattr(cli.gp, "ground_states", explode)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(RB87_INLINE.replace("5.31", "1e-271") +
+                       "loss12_cm3_per_s = 1e-13\nloss22_cm3_per_s = 1e-13\n")
+    assert cli.main(["condensate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    assert "configuration error: the coupling 4 pi hbar^2 a / m = 0" in capsys.readouterr().err
+    assert no_outputs(tmp_path)
+
+
 SMALL = ("[grid]\npoints = 256\n\n[sweep]\nn_values = 8 16\nn_over_nl = 100 180\n"
          "counting_n = 100\ntrials = 2000\n")
 

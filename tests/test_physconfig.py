@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import warnings
 
 import pytest
 import scipy.constants
@@ -34,6 +36,13 @@ def test_coupling_constant_linearity_and_domain():
         pc.coupling_constant(0.0, m)
     with pytest.raises(ValueError):
         pc.coupling_constant(1e-9, -m)
+
+
+@pytest.mark.parametrize("a, mass", [(1e-280, 1.44e-25), (1e300, 1e-300), (math.nan, 1e-25)])
+def test_coupling_constant_is_a_positive_finite_float(a, mass):
+    # g = 0 at a = 1e-280 m made tf_profile divide by zero
+    with pytest.raises(ValueError, match="out of float range"):
+        pc.coupling_constant(a, mass)
 
 
 def test_rb87_preset_ratios():
@@ -133,6 +142,25 @@ def test_trap_derives_its_scales_from_its_lengths(rb87):
 def test_trap_built_directly_checks_the_float_range(rb87):
     with pytest.raises(ValueError, match="q = inf"):
         pc.TrapGeometry(1, 500.0, 1e-6, 100e-6, rb87.mass)  # r0^(q+2) underflows
+
+
+@pytest.mark.parametrize("q, rho0, r0", [(2.0, 1e-163, 100e-6), (math.inf, 1e-6, 1e-166),
+                                          (2.0, 1e294, 100e-6)])
+def test_trap_out_of_float_range_names_its_lengths(rb87, q, rho0, r0):
+    # a square of rho0 or r0 under- or overflows in the trap frequencies
+    with pytest.raises(ValueError, match=re.escape(f"rho0 = {rho0:g} m, r0 = {r0:g} m")):
+        pc.TrapGeometry(1, q, rho0, r0, rb87.mass)
+
+
+def test_every_trap_warns_where_r0_is_not_above_rho0(rb87):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geom = pc.TrapGeometry(1, 2, 1e-6, 100e-6, rb87.mass)
+    with pytest.warns(UserWarning, match="loose/tight") as record:
+        pc.TrapGeometry(1, 2, 1e-6, 0.5e-6, rb87.mass)
+    assert record[0].filename == __file__  # the warning names the caller's line
+    with pytest.warns(UserWarning, match="loose/tight"):
+        dataclasses.replace(geom, r0=1e-6)
 
 
 @pytest.mark.parametrize("rho0, r0", [(math.nan, 100e-6), (1e-6, math.inf)])

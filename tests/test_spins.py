@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,13 @@ def test_state_validation():
     for t in (math.nan, -1.0):
         with pytest.raises(ValueError, match=f"time must be nonnegative, not {t}"):
             spins.evolve(state, h, 1.0, t)
+    # a nan or infinite coupling, or an infinite time, made an all-nan state
+    # (and a numpy RuntimeWarning) that was refused as not normalized
+    for gamma, t in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gamma and t must be finite"):
+                spins.evolve(state, h, gamma, t)
 
 
 @pytest.mark.parametrize("Lambda, lam, k_body", [(0.5, math.nan, 1), (math.nan, -0.5, 1),
